@@ -2,7 +2,8 @@
 
 Exit codes: 0 analysis complete, 2 parse error, 3 precondition error,
 4 internal numeric inconsistency.  ``EXTRIG_TOL`` overrides the default
-rank tolerance.
+of ``--tol``, the rank tolerance; the fixed tolerances live in
+:mod:`extrig.linalg`.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numpy as np
 from . import documents
 from .finiteflex import PRECONDITION_FAILED, linear_push
 from .frameworks import Framework, extrude_framework, verify_extrusion_symmetry
-from .linalg import RANK_TOL
+from .linalg import MIN_SYMMETRY_TOL, RANK_TOL
 from .rigidity import (hyperplane_pinning, infinitesimal_analysis, maxwell_rhs,
                        minimal_pinning, EMPTY_PIN)
 from .sketch import render_svg
@@ -41,7 +42,7 @@ def _fmt_row(name, values, width=6):
     return f"  {name:28s}" + "".join(f"{v:>{width}}" for v in values)
 
 
-def build_report(docpath, fw, pin, tol, seed) -> dict:
+def build_report(docpath, fw, pin, tol) -> dict:
     report = {
         "input": os.path.basename(str(docpath)),
         "dimension": fw.dim,
@@ -49,10 +50,9 @@ def build_report(docpath, fw, pin, tol, seed) -> dict:
         "edges": len(fw.graph.edges),
         "extrusion_order": fw.graph.extrusion_order,
         "tolerance": tol,
-        "seed": seed,
     }
     if fw.extrusion is not None:
-        check = verify_extrusion_symmetry(fw, max(tol, 1e-12))
+        check = verify_extrusion_symmetry(fw, max(tol, MIN_SYMMETRY_TOL))
         report["symmetry"] = {"ok": check.ok,
                               "max_residual": float(check.max_residual),
                               "violations": [list(v) for v in check.violations],
@@ -135,7 +135,7 @@ def cmd_analyze(args) -> int:
     doc = _load(args.document)
     fw, pin = doc.framework, doc.pinning or EMPTY_PIN
     try:
-        report = build_report(args.document, fw, pin, args.tol, args.seed)
+        report = build_report(args.document, fw, pin, args.tol)
     except SymmetryPreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print("hint: extrig pin --mode hyperplane <document> restores the block structure",
@@ -267,7 +267,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("analyze", help="character table, counts, and block sizes")
     common(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_analyze)

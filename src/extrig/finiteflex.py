@@ -3,10 +3,14 @@
 The measurement map records squared point-point distances, point-hyperplane
 offsets, hyperplane angle cosines, and the normal normalizations; parallel
 constraints live in the domain (configurations keeping class normals
-parallel), not in the map.  Restricting the Jacobian to an affine subspace
-whose points achieve locally maximal rank turns an infinitesimal flex into
-a certified finite one; the linear push grows such a subspace from a single
-flex of a minimally pinned framework.
+parallel), not in the map.  Values and Jacobian come from the row table of
+:mod:`extrig.rigidity`, so the Jacobian is the rigidity matrix without its
+parallel rows and with its pp and normalization rows doubled.
+
+Restricting the Jacobian to an affine subspace whose points achieve
+locally maximal rank turns an infinitesimal flex into a certified finite
+one; the linear push grows such a subspace from a single flex of a
+minimally pinned framework.
 """
 from __future__ import annotations
 
@@ -16,9 +20,9 @@ import numpy as np
 
 from .frameworks import Configuration, Framework, affine_span_check
 from .graphs import complete_decorated
-from .linalg import (RANK_TOL, intersect_columns, nullspace, numeric_rank,
+from .linalg import (CONTAINMENT_TOL, RANK_TOL, intersect_columns, nullspace, numeric_rank,
                      orthonormal_columns, projection_residual)
-from .rigidity import (CoordinateIndex, EMPTY_PIN, PinningSpec, constraint_rows,
+from .rigidity import (CoordinateIndex, EMPTY_PIN, PinningSpec, RowLayout, constraint_rows,
                        trivial_motion_basis)
 from .symmetry import BlockDecomposition, block_decompose
 
@@ -29,8 +33,6 @@ NOT_REGULAR = "NotRegular"
 LINEARLY_DETECTABLE = "LinearlyDetectable"
 NOT_LINEARLY_DETECTABLE = "NotLinearlyDetectable"
 PRECONDITION_FAILED = "PreconditionFailed"
-
-CONTAINMENT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -43,9 +45,13 @@ class MeasurementMap:
     fw: Framework
     pin: PinningSpec
     index: CoordinateIndex
-    rows: list
+    layout: RowLayout
     base_full: np.ndarray
     wg_basis: np.ndarray = None
+
+    @property
+    def rows(self) -> list:
+        return self.layout.rows
 
     @property
     def n_coords(self) -> int:
@@ -54,77 +60,28 @@ class MeasurementMap:
     def base_reduced(self) -> np.ndarray:
         return self.base_full[self.index.keep]
 
-    def _unpack(self, reduced):
+    def _coordinates(self, reduced):
         full = self.base_full.copy()
-        full[self.index.keep] = reduced
-        d = self.fw.dim
-        n = len(self.fw.graph.points)
-        pts = full[: n * d].reshape(n, d)
-        hyp = full[n * d:].reshape(-1, d + 1)
-        pt_idx = self.fw.point_index
-        hp_idx = self.fw.hyperplane_index
-        return full, lambda v: pts[pt_idx[v]], lambda w: (hyp[hp_idx[w]][:-1], hyp[hp_idx[w]][-1])
+        full[self.index.keep] = np.asarray(reduced, dtype=float)
+        return self.index.split(full)
 
     def values(self, reduced) -> np.ndarray:
-        _, point, hyper = self._unpack(np.asarray(reduced, dtype=float))
-        out = np.empty(len(self.rows))
-        for i, lab in enumerate(self.rows):
-            kind = lab[0]
-            if kind == "pp":
-                u, v = lab[1]
-                out[i] = float(np.sum((point(u) - point(v)) ** 2))
-            elif kind == "ph":
-                p, w = lab[1]
-                a, r = hyper(w)
-                out[i] = float(np.dot(point(p), a) - r)
-            elif kind == "angle":
-                u, v = lab[1]
-                out[i] = float(np.dot(hyper(u)[0], hyper(v)[0]))
-            else:  # norm
-                a, _ = hyper(lab[1])
-                out[i] = float(np.dot(a, a))
-        return out
+        return self.layout.values(*self._coordinates(reduced))
 
     def jacobian(self, reduced) -> np.ndarray:
-        """Jacobian at a reduced coordinate vector, pinned columns removed.
-
-        pp and normalization rows are twice the corresponding rigidity rows;
-        ph and angle rows coincide with them.
-        """
-        full, point, hyper = self._unpack(np.asarray(reduced, dtype=float))
-        d = self.fw.dim
-        jac = np.zeros((len(self.rows), self.index.full_size))
-        sl = self.index.vertex_slice
-        for i, lab in enumerate(self.rows):
-            kind = lab[0]
-            if kind == "pp":
-                u, v = lab[1]
-                diff = 2.0 * (point(u) - point(v))
-                jac[i, sl(u)] = diff
-                jac[i, sl(v)] = -diff
-            elif kind == "ph":
-                p, w = lab[1]
-                a, _ = hyper(w)
-                jac[i, sl(p)] = a
-                jac[i, sl(w)] = np.concatenate([point(p), [-1.0]])
-            elif kind == "angle":
-                u, v = lab[1]
-                jac[i, sl(u)] = np.concatenate([hyper(v)[0], [0.0]])
-                jac[i, sl(v)] = np.concatenate([hyper(u)[0], [0.0]])
-            else:  # norm
-                w = lab[1]
-                a, _ = hyper(w)
-                jac[i, sl(w)] = np.concatenate([2.0 * a, [0.0]])
-        return jac[:, self.index.keep]
+        """Jacobian at a reduced coordinate vector, pinned columns removed: the
+        rigidity rows, pp and normalization rows doubled (squared quantities)."""
+        return self.layout.matrix(*self._coordinates(reduced), scaled=True)[:, self.index.keep]
 
     def parallel_residual(self, reduced) -> float:
         """How far the configuration strays from keeping class normals parallel."""
-        _, _, hyper = self._unpack(np.asarray(reduced, dtype=float))
+        _, hyp = self._coordinates(reduced)
+        graph = self.fw.graph
         worst = 0.0
-        for cls in self.fw.graph.parallel_classes:
+        for cls in graph.parallel_classes:
             if len(cls) < 2:
                 continue
-            normals = np.stack([hyper(w)[0] for w in cls])
+            normals = hyp[[graph.position[w] - len(graph.points) for w in cls], :-1]
             norms = np.linalg.norm(normals, axis=1)
             units = normals / norms[:, None]
             units *= np.sign(units @ units[0])[:, None]
@@ -171,13 +128,9 @@ def measurement_map(fw: Framework, pin: PinningSpec = EMPTY_PIN,
     graph = complete_decorated(fw.graph) if complete else fw.graph
     index = CoordinateIndex(fw, pin)
     rows = constraint_rows(graph, fw.dim, pin, include_parallel=False)
-    return MeasurementMap(fw=fw, pin=pin, index=index, rows=rows,
+    return MeasurementMap(fw=fw, pin=pin, index=index, layout=RowLayout(graph, fw.dim, rows),
                           base_full=index.full_vector(),
                           wg_basis=parallel_respecting_basis(fw, index))
-
-
-def measurement_jacobian(mm: MeasurementMap, reduced=None) -> np.ndarray:
-    return mm.jacobian(mm.base_reduced() if reduced is None else reduced)
 
 
 @dataclass(frozen=True)
@@ -250,7 +203,7 @@ def uniform_velocity_subspace(fw: Framework, classes, pin: PinningSpec = EMPTY_P
         for c in range(d):
             vec = np.zeros(index.full_size)
             for v in cls:
-                vec[index.full_pos[(v, c)]] = 1.0
+                vec[index.vertex_slice(v).start + c] = 1.0
             cols.append(vec)
     basis = orthonormal_columns(np.column_stack(cols)[index.keep, :], tol)
     return AffineSubspace(base=index.reduce(index.full_vector()), basis=basis)
@@ -259,12 +212,8 @@ def uniform_velocity_subspace(fw: Framework, classes, pin: PinningSpec = EMPTY_P
 def framework_at(fw: Framework, index: CoordinateIndex, reduced) -> Framework:
     """Framework with the same graph, pinning values, and extrusion spec, at
     new values of the unpinned coordinates."""
-    full = index.expand(np.asarray(reduced, dtype=float))
-    d = fw.dim
-    n = len(fw.graph.points)
-    pts = full[: n * d].reshape(n, d)
-    hyp = full[n * d:].reshape(-1, d + 1)
-    return Framework(fw.graph, Configuration(d, pts, hyp), fw.extrusion)
+    pts, hyp = index.split(index.expand(np.asarray(reduced, dtype=float)))
+    return Framework(fw.graph, Configuration(fw.dim, pts, hyp), fw.extrusion)
 
 
 def block_rank_at(fw: Framework, pin: PinningSpec, irrep_index: int, reduced,

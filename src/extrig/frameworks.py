@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .graphs import PHGraph, STAR, Vertex, extrusion_product, group_elements
-from .linalg import numeric_rank
+from .linalg import COINCIDENT_TOL, RANK_TOL, numeric_rank
 
 
 def _readonly(arr) -> np.ndarray:
@@ -87,19 +87,13 @@ class Framework:
     def dim(self) -> int:
         return self.config.dim
 
-    @property
-    def point_index(self) -> dict:
-        return {v: i for i, v in enumerate(self.graph.points)}
-
-    @property
-    def hyperplane_index(self) -> dict:
-        return {v: i for i, v in enumerate(self.graph.hyperplanes)}
-
     def point(self, v: Vertex) -> np.ndarray:
-        return self.config.points[self.point_index[v]]
+        return self.config.points[self.graph.position[v]]
 
     def hyperplane(self, v: Vertex):
-        row = self.config.hyperplanes[self.hyperplane_index[v]]
+        if self.graph.is_point(v):
+            raise KeyError(v)
+        row = self.config.hyperplanes[self.graph.position[v] - len(self.graph.points)]
         return row[:-1], row[-1]
 
     def is_bar_joint(self) -> bool:
@@ -126,7 +120,7 @@ def _contained(tau, a, tol) -> bool:
     return abs(float(np.dot(tau, a))) <= tol * np.linalg.norm(tau) * np.linalg.norm(a)
 
 
-def extrude_framework(base: Framework, directions, fixed_sets=None, tol: float = 1e-9) -> Framework:
+def extrude_framework(base: Framework, directions, fixed_sets=None, tol: float = RANK_TOL) -> Framework:
     """Extrude a framework along each direction in turn.
 
     ``fixed_sets[h]`` must name exactly the base hyperplanes containing
@@ -178,7 +172,7 @@ def extrude_framework(base: Framework, directions, fixed_sets=None, tol: float =
     if len(points) > 1:
         dists = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
         np.fill_diagonal(dists, np.inf)
-        if np.any(dists < 1e-12):
+        if np.any(dists < COINCIDENT_TOL):
             warnings.warn("extrusion produced coincident points", stacklevel=2)
 
     return Framework(graph=graph, config=Configuration(base.dim, points, hyper), extrusion=spec)
@@ -192,7 +186,7 @@ class SymmetryReport:
     notes: tuple = ()
 
 
-def verify_extrusion_symmetry(fw: Framework, tol: float = 1e-9,
+def verify_extrusion_symmetry(fw: Framework, tol: float = RANK_TOL,
                               active_only: bool = False) -> SymmetryReport:
     """Check the four extrusion-symmetry laws on every vertex and group element.
 
@@ -302,7 +296,7 @@ def apply_infinitesimal_rotation(fw: Framework, lam: float, skew) -> Framework:
     return Framework(graph=fw.graph, config=Configuration(fw.dim, points, hyper), extrusion=extr)
 
 
-def affine_span_check(fw: Framework, tol: float = 1e-9) -> bool:
+def affine_span_check(fw: Framework, tol: float = RANK_TOL) -> bool:
     """True iff the points plus sample points on each hyperplane affinely span R^d."""
     d = fw.dim
     samples = [fw.point(v) for v in fw.graph.points]

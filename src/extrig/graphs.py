@@ -102,6 +102,7 @@ class PHGraph:
     extrusion_order: int = 0
     fixed_sets: tuple = ()
     _classes: tuple = field(init=False, repr=False, compare=False, default=())
+    _position: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(sorted(self.points, key=Vertex.sort_key)))
@@ -116,6 +117,7 @@ class PHGraph:
                 object.__setattr__(self, name, tuple(sorted((_sorted_edge(*e) for e in edges),
                                                             key=lambda e: (e[0].sort_key(), e[1].sort_key()))))
         self._validate()
+        object.__setattr__(self, "_position", {v: i for i, v in enumerate(self.vertices)})
         object.__setattr__(self, "_classes", self._compute_parallel_classes())
         if self.edges_hh_angle:
             cls_of = self.class_index
@@ -178,8 +180,13 @@ class PHGraph:
     def edges(self) -> tuple:
         return self.edges_pp + self.edges_ph + self.edges_hh_angle + self.edges_hh_par
 
+    @property
+    def position(self) -> dict:
+        """Index of each vertex in :attr:`vertices` (points first, then hyperplanes)."""
+        return self._position
+
     def is_point(self, v: Vertex) -> bool:
-        return v in set(self.points)
+        return self._position.get(v, len(self.points)) < len(self.points)
 
     def _compute_parallel_classes(self):
         adj = {v: set() for v in self.hyperplanes}
@@ -215,7 +222,7 @@ class PHGraph:
 
     def act(self, gamma, v: Vertex) -> Vertex:
         """Image of vertex ``v`` under the extrusion action of ``gamma``."""
-        if v not in set(self.vertices):
+        if v not in self._position:
             raise ValueError(f"vertex {v} not in graph")
         return Vertex(v.base, word_add(v.word, gamma))
 
@@ -295,7 +302,7 @@ def extrusion_product(base: PHGraph, fixed_sets) -> PHGraph:
 
     # copy-joining edges, skipping contracted coordinates
     for v in base.vertices:
-        is_pt = v in set(base.points)
+        is_pt = base.is_point(v)
         starred = {h for h in range(t) if not is_pt and v.base in fixed_sets[h]}
         for h in range(t):
             if h in starred:

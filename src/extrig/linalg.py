@@ -3,20 +3,21 @@
 All rank decisions in this package go through :func:`numeric_rank`: a
 singular value counts towards the rank iff it exceeds
 ``tol * max(shape) * sigma_max``.  The default ``tol`` can be overridden
-per call and is surfaced on the CLI.
+per call and is surfaced on the CLI (``--tol``, ``EXTRIG_TOL``).
+
+Every other tolerance of the package is defined here too, once; none of
+them is an option.
 """
 from __future__ import annotations
 
 import numpy as np
 
 RANK_TOL = 1e-9
-
-
-def _svd(mat):
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    if mat.size == 0:
-        return None
-    return np.linalg.svd(mat)
+INT_TOL = 1e-9           # character multiplicities and pinned-coordinate invariance
+CONTAINMENT_TOL = 1e-8   # relative distance of a vector from an affine subspace
+SYMMETRY_TOL = 1e-6      # extrusion-symmetry gate before the block decomposition
+MIN_SYMMETRY_TOL = 1e-12  # floor of the tolerance of the reported symmetry check
+COINCIDENT_TOL = 1e-12   # distance below which extruded points count as coincident
 
 
 def numeric_rank(mat, tol: float = RANK_TOL) -> int:

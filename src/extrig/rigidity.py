@@ -5,6 +5,12 @@ hyperplane vertex (normal coordinates followed by the offset).  Row order:
 pp edges, ph edges, hh-angle edges, hh-par edges (d-1 rows each), then one
 normalization row per surviving hyperplane.  Pinning deletes columns and
 rows; it never zero-masks.
+
+:data:`ROW_KINDS` is the one table of the constraint system: per row kind
+the measured value, its gradient (the rigidity row) and how the row moves
+under the extrusion action.  The rigidity matrix, the measurement map of
+:mod:`extrig.finiteflex` and the internal representation of
+:mod:`extrig.symmetry` are all built from it.
 """
 from __future__ import annotations
 
@@ -47,42 +53,40 @@ class PinningSpec:
 EMPTY_PIN = PinningSpec()
 
 
+def column_start(graph: PHGraph, dim: int, position):
+    """First full-coordinate column of the vertex at ``position`` in
+    ``graph.vertices`` (an int or an int array): d columns per point, then
+    d+1 per hyperplane."""
+    return dim * position + np.maximum(position - len(graph.points), 0)
+
+
 class CoordinateIndex:
     """Bookkeeping between the full stacked coordinate vector and the pinned one."""
 
     def __init__(self, fw: Framework, pin: PinningSpec = EMPTY_PIN):
         d = fw.dim
         graph = fw.graph
-        labels = []
-        for v in graph.points:
-            labels.extend((v, c) for c in range(d))
-        for w in graph.hyperplanes:
-            labels.extend((w, c) for c in range(d + 1))
+        labels = [(v, c) for v in graph.vertices for c in range(d if graph.is_point(v) else d + 1)]
         pinned = set()
-        known = set(graph.vertices)
         for v, c in pin.coords:
-            if v not in known:
+            if v not in graph.position:
                 raise ValueError(f"pinned coordinate references unknown vertex {v}")
             width = d if graph.is_point(v) else d + 1
             if not 0 <= c < width:
                 raise ValueError(f"pinned coordinate index {c} out of range for {v}")
             pinned.add((v, c))
-        hyps = set(graph.hyperplanes)
-        for w in pin.full_hyperplanes:
-            if w not in hyps:
-                raise ValueError(f"fully pinned vertex {w} is not a hyperplane")
-            pinned.update((w, c) for c in range(d + 1))
-        for w in pin.parallel_only:
-            if w not in hyps:
-                raise ValueError(f"parallel-only vertex {w} is not a hyperplane")
-            pinned.update((w, c) for c in range(d))
+        for name, hyps, width in (("fully pinned", pin.full_hyperplanes, d + 1),
+                                  ("parallel-only", pin.parallel_only, d)):
+            for w in hyps:
+                if w not in graph.position or graph.is_point(w):
+                    raise ValueError(f"{name} vertex {w} is not a hyperplane")
+                pinned.update((w, c) for c in range(width))
         self.fw = fw
         self.pin = pin
         self.dim = d
         self.full_labels = labels
         self.keep = np.array([lab not in pinned for lab in labels], dtype=bool)
         self.labels = [lab for lab, k in zip(labels, self.keep) if k]
-        self.full_pos = {lab: i for i, lab in enumerate(labels)}
         self.pos = {lab: i for i, lab in enumerate(self.labels)}
 
     @property
@@ -95,10 +99,12 @@ class CoordinateIndex:
 
     def full_vector(self, config=None) -> np.ndarray:
         cfg = self.fw.config if config is None else config
-        parts = [cfg.points.ravel()]
-        if len(cfg.hyperplanes):
-            parts.append(cfg.hyperplanes.ravel())
-        return np.concatenate(parts) if parts else np.zeros(0)
+        return np.concatenate([cfg.points.ravel(), cfg.hyperplanes.ravel()])
+
+    def split(self, full_vec):
+        """Point rows and hyperplane rows of a full vector; inverse of :meth:`full_vector`."""
+        n = len(self.fw.graph.points) * self.dim
+        return full_vec[:n].reshape(-1, self.dim), full_vec[n:].reshape(-1, self.dim + 1)
 
     def reduce(self, full_vec) -> np.ndarray:
         return np.asarray(full_vec, dtype=float)[self.keep]
@@ -115,9 +121,9 @@ class CoordinateIndex:
         return out
 
     def vertex_slice(self, v: Vertex) -> slice:
-        start = self.full_pos[(v, 0)]
-        width = self.dim if self.fw.graph.is_point(v) else self.dim + 1
-        return slice(start, start + width)
+        graph = self.fw.graph
+        start = int(column_start(graph, self.dim, graph.position[v]))
+        return slice(start, start + (self.dim if graph.is_point(v) else self.dim + 1))
 
 
 def constraint_rows(graph: PHGraph, dim: int, pin: PinningSpec = EMPTY_PIN,
@@ -156,6 +162,125 @@ def parallel_axes(a) -> np.ndarray:
     return np.stack([u1, np.cross(an, u1)])
 
 
+# -- the constraint-row table ------------------------------------------------------
+#
+# Every function below is vectorised over the rows of one kind: ``P`` holds
+# the point coordinates, ``H`` the hyperplane rows (a, r), and ``ends`` one
+# integer array per end of the row, indexing ``P`` or ``H``.  ``blocks``
+# returns the nonzero part of each row at each end, starting at that end's
+# first column.
+
+
+def _dot(x, y) -> np.ndarray:
+    """Row-wise dot products; matmul, not einsum, rounds each pair as ``np.dot`` does."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
+
+
+def _par_blocks(P, H, ends, sub):
+    au, av = H[ends[0], :-1], H[ends[1], :-1]
+    if au.shape[1] == 2:   # rotate by a quarter turn: a -> (-a_1, a_0)
+        return np.stack([-av[:, 1], av[:, 0]], 1), -np.stack([-au[:, 1], au[:, 0]], 1)
+    axes = np.array([parallel_axes(a)[i] for a, i in zip(au, sub)]).reshape(-1, 3)
+    return np.cross(av, axes), -np.cross(au, axes)
+
+
+def _pp_blocks(P, H, ends, sub):
+    diff = P[ends[0]] - P[ends[1]]
+    return diff, -diff
+
+
+@dataclass(frozen=True)
+class RowKind:
+    """One kind of constraint row.
+
+    * ``ends``: the vertex kind at each end, ``p`` point or ``h`` hyperplane;
+    * ``value``: the measured quantity, None for par rows (parallelism is
+      kept by the measurement map's domain, not measured);
+    * ``blocks``: the rigidity row, the gradient of ``value`` divided by
+      ``jacobian_factor`` (2 for the squared quantities pp and norm);
+    * ``signed``: the internal representation negates the row when the
+      group element flips the coordinate in which its copy-joined ends differ.
+    """
+
+    ends: str
+    value: object
+    blocks: object
+    jacobian_factor: float = 1.0
+    signed: bool = False
+
+
+ROW_KINDS = {
+    "pp": RowKind("pp", lambda P, H, e: np.sum((P[e[0]] - P[e[1]]) ** 2, axis=1),
+                  _pp_blocks, jacobian_factor=2.0, signed=True),
+    "ph": RowKind("ph", lambda P, H, e: _dot(P[e[0]], H[e[1], :-1]) - H[e[1], -1],
+                  lambda P, H, e, sub: (H[e[1], :-1],
+                                        np.column_stack([P[e[0]], -np.ones(len(e[0]))]))),
+    "angle": RowKind("hh", lambda P, H, e: _dot(H[e[0], :-1], H[e[1], :-1]),
+                     lambda P, H, e, sub: (H[e[1], :-1], H[e[0], :-1])),
+    "par": RowKind("hh", None, _par_blocks, signed=True),
+    "norm": RowKind("h", lambda P, H, e: _dot(H[e[0], :-1], H[e[0], :-1]),
+                    lambda P, H, e, sub: (H[e[0], :-1],), jacobian_factor=2.0),
+}
+
+
+def row_image(graph: PHGraph, gamma, label):
+    """Image of a row label under ``gamma``, with the internal representation's sign."""
+    kind = ROW_KINDS[label[0]]
+    ends = label[1]
+    if kind.ends == "h":
+        image = graph.act(gamma, ends)
+    elif kind.ends == "ph":   # oriented as (point, hyperplane)
+        image = (graph.act(gamma, ends[0]), graph.act(gamma, ends[1]))
+    else:
+        image = graph.act_edge(gamma, ends)
+    sign = graph.edge_sign(gamma, ends) if kind.signed else 1.0
+    return (label[0], image, *label[2:]), sign
+
+
+class RowLayout:
+    """Constraint rows grouped by kind, their ends as integer vertex positions.
+
+    Built once per row list; :meth:`matrix` and :meth:`values` then evaluate
+    the table at any point and hyperplane coordinates.
+    """
+
+    def __init__(self, graph: PHGraph, dim: int, rows):
+        self.rows = rows
+        self.shape = (len(rows), int(column_start(graph, dim, len(graph.vertices))))
+        n = len(graph.points)
+        grouped = {}
+        for r, lab in enumerate(rows):
+            ends = (lab[1],) if ROW_KINDS[lab[0]].ends == "h" else lab[1]
+            grouped.setdefault(lab[0], []).append(
+                (r, [graph.position[v] for v in ends], lab[2] if len(lab) > 2 else 0))
+        self.groups = []
+        for name, entries in grouped.items():
+            kind = ROW_KINDS[name]
+            where = np.array([r for r, _, _ in entries])
+            positions = np.array([p for _, p, _ in entries]).reshape(len(entries), -1).T
+            ends = tuple(pos - (n if k == "h" else 0) for pos, k in zip(positions, kind.ends))
+            starts = tuple(column_start(graph, dim, pos) for pos in positions)
+            sub = np.array([s for _, _, s in entries])
+            self.groups.append((kind, where, ends, starts, sub))
+
+    def matrix(self, points, hyperplanes, scaled: bool = False) -> np.ndarray:
+        """Full-column rows at the given coordinates; ``scaled`` multiplies each
+        kind by its Jacobian factor (the measurement map's Jacobian)."""
+        out = np.zeros(self.shape)
+        for kind, where, ends, starts, sub in self.groups:
+            for start, block in zip(starts, kind.blocks(points, hyperplanes, ends, sub)):
+                if scaled:
+                    block = kind.jacobian_factor * block
+                out[where[:, None], start[:, None] + np.arange(block.shape[1])] = block
+        return out
+
+    def values(self, points, hyperplanes) -> np.ndarray:
+        out = np.empty(len(self.rows))
+        for kind, where, ends, _, _ in self.groups:
+            out[where] = kind.value(points, hyperplanes, ends)
+        return out
+
+
 @dataclass
 class RigidityMatrix:
     """Pinned constraint Jacobian with row and column bookkeeping."""
@@ -173,60 +298,14 @@ class RigidityMatrix:
         return numeric_rank(self.matrix, tol)
 
 
-def _edge_row(fw: Framework, index: CoordinateIndex, label) -> np.ndarray:
-    d = fw.dim
-    row = np.zeros(index.full_size)
-    kind = label[0]
-    if kind == "pp":
-        u, v = label[1]
-        diff = fw.point(u) - fw.point(v)
-        row[index.vertex_slice(u)] = diff
-        row[index.vertex_slice(v)] = -diff
-    elif kind == "ph":
-        p, w = label[1]
-        a, _ = fw.hyperplane(w)
-        row[index.vertex_slice(p)] = a
-        sl = index.vertex_slice(w)
-        row[sl] = np.concatenate([fw.point(p), [-1.0]])
-    elif kind == "angle":
-        u, v = label[1]
-        au, _ = fw.hyperplane(u)
-        av, _ = fw.hyperplane(v)
-        row[index.vertex_slice(u)] = np.concatenate([av, [0.0]])
-        row[index.vertex_slice(v)] = np.concatenate([au, [0.0]])
-    elif kind == "par":
-        (u, v), i = label[1], label[2]
-        au, _ = fw.hyperplane(u)
-        av, _ = fw.hyperplane(v)
-        if d == 2:
-            perp = lambda a: np.array([-a[1], a[0]])
-            row[index.vertex_slice(u)] = np.concatenate([perp(av), [0.0]])
-            row[index.vertex_slice(v)] = np.concatenate([-perp(au), [0.0]])
-        else:
-            axes = parallel_axes(au)
-            row[index.vertex_slice(u)] = np.concatenate([np.cross(av, axes[i]), [0.0]])
-            row[index.vertex_slice(v)] = np.concatenate([-np.cross(au, axes[i]), [0.0]])
-    elif kind == "norm":
-        w = label[1]
-        a, _ = fw.hyperplane(w)
-        row[index.vertex_slice(w)] = np.concatenate([a, [0.0]])
-    else:
-        raise ValueError(f"unknown row kind {kind!r}")
-    return row
-
-
 def rigidity_matrix(fw: Framework, pin: PinningSpec = EMPTY_PIN) -> RigidityMatrix:
     """Assemble the (pinned) rigidity matrix of a framework."""
     if fw.dim >= 4 and fw.graph.edges_hh_par:
         raise ValueError("parallel constraint rows are only defined for d = 2 and d = 3")
     index = CoordinateIndex(fw, pin)
     rows = constraint_rows(fw.graph, fw.dim, pin)
-    if rows:
-        full = np.stack([_edge_row(fw, index, lab) for lab in rows])
-        mat = full[:, index.keep]
-    else:
-        mat = np.zeros((0, index.size))
-    return RigidityMatrix(matrix=mat, row_labels=rows, index=index, pinning=pin)
+    full = RowLayout(fw.graph, fw.dim, rows).matrix(fw.config.points, fw.config.hyperplanes)
+    return RigidityMatrix(matrix=full[:, index.keep], row_labels=rows, index=index, pinning=pin)
 
 
 def trivial_motion_generators(fw: Framework) -> np.ndarray:

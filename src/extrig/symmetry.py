@@ -5,7 +5,8 @@ tensor identity on point coordinates, and on hyperplane coordinates the
 permutation with each block augmented by a ``-tau`` row coupling the
 normal to the offset.  The internal representation acts on the constraint
 rows: permutations with a sign flip on copy-joining edges whose extrusion
-coordinate is flipped by the group element.
+coordinate is flipped by the group element, read from the row table of
+:mod:`extrig.rigidity` (:func:`~extrig.rigidity.row_image`).
 
 The rigidity matrix intertwines the two, which yields the block
 decomposition and the per-irreducible mobility counts.
@@ -19,11 +20,9 @@ import scipy.linalg
 
 from .frameworks import Framework, extrusion_displacement
 from .graphs import subgroup_elements
-from .linalg import RANK_TOL, nullspace, numeric_rank
+from .linalg import INT_TOL, RANK_TOL, SYMMETRY_TOL, nullspace, numeric_rank
 from .rigidity import (CoordinateIndex, EMPTY_PIN, PinningSpec, RigidityMatrix,
-                       constraint_rows, rigidity_matrix)
-
-INT_TOL = 1e-9
+                       constraint_rows, rigidity_matrix, row_image)
 
 
 class SymmetryPreconditionError(ValueError):
@@ -132,33 +131,6 @@ def _external_full(fw: Framework, index: CoordinateIndex, gamma) -> np.ndarray:
     return out
 
 
-def _internal_full(fw: Framework, row_labels, gamma) -> np.ndarray:
-    graph = fw.graph
-    pos = {}
-    for i, lab in enumerate(row_labels):
-        pos[lab] = i
-    out = np.zeros((len(row_labels), len(row_labels)))
-    for i, lab in enumerate(row_labels):
-        kind = lab[0]
-        if kind == "norm":
-            image = ("norm", graph.act(gamma, lab[1]))
-            out[pos[image], i] = 1.0
-        elif kind == "par":
-            edge, sub = lab[1], lab[2]
-            image = ("par", graph.act_edge(gamma, edge), sub)
-            out[pos[image], i] = graph.edge_sign(gamma, edge)
-        elif kind == "ph":
-            p, w = lab[1]
-            image = ("ph", (graph.act(gamma, p), graph.act(gamma, w)))
-            out[pos[image], i] = 1.0
-        else:  # pp, angle
-            edge = lab[1]
-            image = (kind, graph.act_edge(gamma, edge))
-            sign = graph.edge_sign(gamma, edge) if kind == "pp" else 1.0
-            out[pos[image], i] = sign
-    return out
-
-
 def build_reps(fw: Framework, pin: PinningSpec = EMPTY_PIN, tol: float = INT_TOL,
                check_symmetry: bool = True) -> RepBundle:
     """Representation matrices restricted to the pinned coordinate/row spaces.
@@ -173,14 +145,14 @@ def build_reps(fw: Framework, pin: PinningSpec = EMPTY_PIN, tol: float = INT_TOL
     if check_symmetry and fw.extrusion is not None:
         from .frameworks import verify_extrusion_symmetry
 
-        check = verify_extrusion_symmetry(fw, tol=1e-6, active_only=True)
+        check = verify_extrusion_symmetry(fw, tol=SYMMETRY_TOL, active_only=True)
         if not check.ok:
             first = check.violations[0]
             raise ValueError(f"framework is not extrusion-symmetric: {first[0]} at {first[1]}")
     _check_ph_hypothesis(fw, pin, active)
     index = CoordinateIndex(fw, pin)
     rows = constraint_rows(fw.graph, fw.dim, pin)
-    row_set = set(rows)
+    row_pos = {lab: i for i, lab in enumerate(rows)}
     external, internal = [], []
     for gamma in elements:
         ext = _external_full(fw, index, gamma)
@@ -189,19 +161,13 @@ def build_reps(fw: Framework, pin: PinningSpec = EMPTY_PIN, tol: float = INT_TOL
             raise ValueError("pinned coordinates are not invariant under the extrusion action")
         external.append(ext[index.keep][:, index.keep])
 
-        graph = fw.graph
-        for lab in rows:
-            if lab[0] == "norm":
-                image = ("norm", graph.act(gamma, lab[1]))
-            elif lab[0] == "par":
-                image = ("par", graph.act_edge(gamma, lab[1]), lab[2])
-            elif lab[0] == "ph":
-                image = ("ph", (graph.act(gamma, lab[1][0]), graph.act(gamma, lab[1][1])))
-            else:
-                image = (lab[0], graph.act_edge(gamma, lab[1]))
-            if image not in row_set:
+        itn = np.zeros((len(rows), len(rows)))
+        for i, lab in enumerate(rows):
+            image, sign = row_image(fw.graph, gamma, lab)
+            if image not in row_pos:
                 raise ValueError(f"row {lab} maps outside the surviving rows under {gamma}")
-        internal.append(_internal_full(fw, rows, gamma))
+            itn[row_pos[image], i] = sign
+        internal.append(itn)
     return RepBundle(elements=elements, external=external, internal=internal,
                      index=index, row_labels=rows)
 

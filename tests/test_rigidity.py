@@ -1,17 +1,23 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 
+from extrig import documents
+from extrig.finiteflex import measurement_map
 from extrig.frameworks import Configuration, Framework
 from extrig.graphs import PHGraph, Vertex
 from extrig.fixtures import (constrained_cube, constrained_cube_pinned, k33_orthogonal,
                              k33_pinnings, point_line_twofold, point_line_twofold_pinned,
                              prism, prism_pinned, prism_twofold, triangle, triangle_cycle)
-from extrig.rigidity import (PinningSpec, hyperplane_pinning,
-                             infinitesimal_analysis, maxwell_rhs, minimal_pinning,
+from extrig.rigidity import (EMPTY_PIN, PinningSpec, hyperplane_pinning,
+                             infinitesimal_analysis, maxwell_rhs, minimal_pinning, parallel_axes,
                              rigidity_matrix, trivial_motion_basis)
 
 ALL_UNPINNED = [triangle, prism, prism_twofold, point_line_twofold, constrained_cube,
                 triangle_cycle, k33_orthogonal]
+GALLERY = sorted(p.name for p in resources.files("extrig").joinpath("data").iterdir()
+                 if p.name.endswith(".json"))
 
 
 def test_prism_matrix():
@@ -210,3 +216,59 @@ def test_parallel_row_annihilates_parallel_preserving_motions():
     par_rows = [i for i, lab in enumerate(rig.row_labels)
                 if lab[0] == "par" and lab[1][0].base == "w2"]
     assert np.abs(rig.matrix[par_rows] @ vec[rig.index.keep]).max() <= 1e-12
+
+
+def gallery_document(name):
+    doc = documents.load(resources.files("extrig").joinpath("data", name))
+    return doc.framework, doc.pinning or EMPTY_PIN
+
+
+def reference_row(fw, index, label):
+    """One rigidity row written out on its own: the reference for the
+    vectorised assembly, which must reproduce it bit for bit."""
+    d = fw.dim
+    row = np.zeros(index.full_size)
+    kind, ends = label[0], label[1]
+    sl = index.vertex_slice
+    if kind == "pp":
+        diff = fw.point(ends[0]) - fw.point(ends[1])
+        row[sl(ends[0])], row[sl(ends[1])] = diff, -diff
+    elif kind == "ph":
+        p, w = ends
+        row[sl(p)] = fw.hyperplane(w)[0]
+        row[sl(w)] = np.append(fw.point(p), -1.0)
+    elif kind == "norm":
+        row[sl(ends)][:d] = fw.hyperplane(ends)[0]
+    else:
+        au, av = fw.hyperplane(ends[0])[0], fw.hyperplane(ends[1])[0]
+        if kind == "angle":
+            gu, gv = av, au
+        elif d == 2:
+            gu, gv = np.array([-av[1], av[0]]), -np.array([-au[1], au[0]])
+        else:
+            axis = parallel_axes(au)[label[2]]
+            gu, gv = np.cross(av, axis), -np.cross(au, axis)
+        row[sl(ends[0])][:d], row[sl(ends[1])][:d] = gu, gv
+    return row
+
+
+@pytest.mark.parametrize("name", GALLERY)
+def test_rigidity_matrix_matches_row_by_row_reference(name):
+    fw, pin = gallery_document(name)
+    rig = rigidity_matrix(fw, pin)
+    ref = np.zeros((len(rig.row_labels), rig.index.full_size))
+    for i, lab in enumerate(rig.row_labels):
+        ref[i] = reference_row(fw, rig.index, lab)
+    assert np.array_equal(rig.matrix, ref[:, rig.index.keep])
+
+
+@pytest.mark.parametrize("name", GALLERY)
+def test_measurement_jacobian_is_scaled_rigidity_matrix(name):
+    # one row table: J is R without its parallel rows, pp and norm rows doubled
+    fw, pin = gallery_document(name)
+    rig = rigidity_matrix(fw, pin)
+    mm = measurement_map(fw, pin)
+    keep = [i for i, lab in enumerate(rig.row_labels) if lab[0] != "par"]
+    factor = np.array([2.0 if rig.row_labels[i][0] in ("pp", "norm") else 1.0 for i in keep])
+    assert mm.rows == [rig.row_labels[i] for i in keep]
+    assert np.array_equal(mm.jacobian(mm.base_reduced()), factor[:, None] * rig.matrix[keep])
