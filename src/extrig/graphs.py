@@ -14,11 +14,16 @@ Edge kinds:
 
 Parallel classes are the connected components of the hyperplane vertices
 under ``hh-par`` edges.
+
+:class:`PHGraph` holds the action as permutations of vertex positions, built
+from the words and validated once per graph (:meth:`PHGraph.permutation`).
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+
+import numpy as np
 
 STAR = "*"
 _CHAR_ORDER = {"0": 0, "1": 1, STAR: 2}
@@ -81,8 +86,11 @@ def word_add(word: str, gamma) -> str:
     return "".join(c if c == STAR else str((int(c) + g) % 2) for c, g in zip(word, gamma))
 
 
-def _sorted_edge(u: Vertex, v: Vertex):
-    return (u, v) if u.sort_key() <= v.sort_key() else (v, u)
+# edge field, kind, and whether each end is a point
+_EDGE_KINDS = (("edges_pp", "pp", (True, True)), ("edges_ph", "ph", (True, False)),
+               ("edges_hh_angle", "hh-angle", (False, False)),
+               ("edges_hh_par", "hh-par", (False, False)))
+_EDGE_FIELDS = tuple(name for name, _, _ in _EDGE_KINDS)
 
 
 @dataclass(frozen=True)
@@ -91,6 +99,7 @@ class PHGraph:
 
     ``fixed_sets[h]`` lists the base hyperplane identifiers whose copies were
     contracted along direction ``h`` (a ``*`` in word position ``h``).
+    Each edge is stored with its ends in vertex order, edges sorted by them.
     """
 
     points: tuple
@@ -101,80 +110,89 @@ class PHGraph:
     edges_hh_par: tuple = ()
     extrusion_order: int = 0
     fixed_sets: tuple = ()
-    _classes: tuple = field(init=False, repr=False, compare=False, default=())
+    _vertices: tuple = field(init=False, repr=False, compare=False, default=())
     _position: dict = field(init=False, repr=False, compare=False, default=None)
+    _classes: tuple = field(init=False, repr=False, compare=False, default=())
+    _class_index: dict = field(init=False, repr=False, compare=False, default=None)
+    _permutations: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(sorted(self.points, key=Vertex.sort_key)))
         object.__setattr__(self, "hyperplanes", tuple(sorted(self.hyperplanes, key=Vertex.sort_key)))
         object.__setattr__(self, "fixed_sets", tuple(frozenset(fs) for fs in self.fixed_sets))
-        for name in ("edges_pp", "edges_ph", "edges_hh_angle", "edges_hh_par"):
-            edges = getattr(self, name)
-            if name == "edges_ph":
-                # orientation fixed as (point, hyperplane)
-                object.__setattr__(self, name, tuple(sorted(edges, key=lambda e: (e[0].sort_key(), e[1].sort_key()))))
-            else:
-                object.__setattr__(self, name, tuple(sorted((_sorted_edge(*e) for e in edges),
-                                                            key=lambda e: (e[0].sort_key(), e[1].sort_key()))))
-        self._validate()
-        object.__setattr__(self, "_position", {v: i for i, v in enumerate(self.vertices)})
-        object.__setattr__(self, "_classes", self._compute_parallel_classes())
-        if self.edges_hh_angle:
-            cls_of = self.class_index
-            for u, v in self.edges_hh_angle:
-                if cls_of[u] == cls_of[v]:
-                    raise ValueError(f"angle edge {u}-{v} joins hyperplanes in one parallel class")
-        if self.extrusion_order >= 1:
-            self._validate_action()
-
-    # -- construction checks -------------------------------------------------
-
-    def _validate(self):
-        pts, hyps = set(self.points), set(self.hyperplanes)
-        if pts & hyps:
+        if set(self.points) & set(self.hyperplanes):
             raise ValueError("a vertex cannot be both point and hyperplane")
         t = self.extrusion_order
         if len(self.fixed_sets) not in (0, t):
             raise ValueError("fixed_sets must have one entry per extrusion direction")
-        for v in itertools.chain(pts, hyps):
+        verts = self.points + self.hyperplanes
+        for v in verts:
             if len(v.word) != t:
                 raise ValueError(f"vertex {v} word length differs from extrusion order {t}")
+        object.__setattr__(self, "_vertices", verts)
+        object.__setattr__(self, "_position", {v: i for i, v in enumerate(verts)})
+        ends = self._edge_positions()
+        for name, pairs in zip(_EDGE_FIELDS, ends):
+            object.__setattr__(self, name, tuple((verts[a], verts[b]) for a, b in pairs))
+        object.__setattr__(self, "_classes", self._compute_parallel_classes())
+        object.__setattr__(self, "_class_index",
+                           {v: i for i, cls in enumerate(self._classes) for v in cls})
+        for u, v in self.edges_hh_angle:
+            if self._class_index[u] == self._class_index[v]:
+                raise ValueError(f"angle edge {u}-{v} joins hyperplanes in one parallel class")
+        object.__setattr__(self, "_permutations", self._action_permutations(ends))
+
+    # -- construction checks -------------------------------------------------
+
+    def _edge_positions(self) -> list:
+        """Check every edge; per edge field, its sorted (m, 2) array of end positions."""
+        pos, n = self._position, len(self.points)
         seen = set()
-        for kind, edges, ok in (
-            ("pp", self.edges_pp, lambda u, v: u in pts and v in pts),
-            ("ph", self.edges_ph, lambda u, v: u in pts and v in hyps),
-            ("hh-angle", self.edges_hh_angle, lambda u, v: u in hyps and v in hyps),
-            ("hh-par", self.edges_hh_par, lambda u, v: u in hyps and v in hyps),
-        ):
-            for u, v in edges:
+        out = []
+        for name, kind, point_ends in _EDGE_KINDS:
+            pairs = []
+            for u, v in getattr(self, name):
                 if u == v:
                     raise ValueError(f"self-loop at {u}")
-                if not ok(u, v):
+                iu, iv = pos.get(u, -1), pos.get(v, -1)
+                if min(iu, iv) < 0 or (iu < n, iv < n) != point_ends:
                     raise ValueError(f"edge {u}-{v} has endpoints inconsistent with kind {kind}")
-                key = frozenset((u, v))
-                if key in seen:
+                pair = (iu, iv) if iu < iv else (iv, iu)
+                if pair in seen:
                     raise ValueError(f"duplicate edge {u}-{v}")
-                seen.add(key)
+                seen.add(pair)
+                pairs.append(pair)
+            out.append(np.array(sorted(pairs), dtype=np.intp).reshape(-1, 2))
+        return out
 
-    def _validate_action(self):
-        verts = set(self.vertices)
-        edge_sets = [set(map(frozenset, e)) for e in
-                     (self.edges_pp, self.edges_ph, self.edges_hh_angle, self.edges_hh_par)]
-        for h in range(self.extrusion_order):
-            gamma = tuple(1 if i == h else 0 for i in range(self.extrusion_order))
-            image = {self.act(gamma, v) for v in verts}
-            if image != verts:
+    def _action_permutations(self, ends) -> dict:
+        """Permutation of the vertex positions by each group element.
+
+        Composed from one permutation per direction, which must map the
+        vertices onto themselves and preserve every edge set (ValueError).
+        """
+        pos, t, n = self._position, self.extrusion_order, len(self._vertices)
+        perms = {(): np.arange(n)}
+        for h in range(t):
+            e_h = tuple(int(i == h) for i in range(t))
+            gen = np.array([pos.get(Vertex(v.base, word_add(v.word, e_h)), -1)
+                            for v in self._vertices], dtype=np.intp)
+            if np.any(gen < 0):
                 raise ValueError(f"extrusion action for direction {h} does not permute the vertices")
-            for edges in edge_sets:
-                mapped = {frozenset((self.act(gamma, u), self.act(gamma, v))) for u, v in map(tuple, edges)}
-                if mapped != edges:
+            for pairs in ends:   # sorted and distinct: compare the sorted keys lo * n + hi
+                image = np.sort(gen[pairs], axis=1)
+                if not np.array_equal(np.sort(image @ (n, 1)), pairs @ (n, 1)):
                     raise ValueError(f"extrusion action for direction {h} does not preserve an edge set")
+            perms = {g + (b,): gen[p] if b else p for g, p in perms.items() for b in (0, 1)}
+        for p in perms.values():
+            p.flags.writeable = False
+        return perms
 
     # -- basic queries --------------------------------------------------------
 
     @property
     def vertices(self) -> tuple:
-        return self.points + self.hyperplanes
+        return self._vertices
 
     @property
     def edges(self) -> tuple:
@@ -216,19 +234,23 @@ class PHGraph:
 
     @property
     def class_index(self) -> dict:
-        return {v: i for i, cls in enumerate(self._classes) for v in cls}
+        return self._class_index
 
     # -- group action ----------------------------------------------------------
 
+    def permutation(self, gamma) -> np.ndarray:
+        """Read-only int array: ``vertices[perm[i]]`` is the image of ``vertices[i]`` under ``gamma``."""
+        try:
+            return self._permutations[tuple(gamma)]
+        except KeyError:
+            raise ValueError(f"{gamma} is not an element of Z2^{self.extrusion_order}") from None
+
     def act(self, gamma, v: Vertex) -> Vertex:
         """Image of vertex ``v`` under the extrusion action of ``gamma``."""
-        if v not in self._position:
+        i = self._position.get(v)
+        if i is None:
             raise ValueError(f"vertex {v} not in graph")
-        return Vertex(v.base, word_add(v.word, gamma))
-
-    def act_edge(self, gamma, edge):
-        u, v = edge
-        return _sorted_edge(self.act(gamma, u), self.act(gamma, v))
+        return self._vertices[self.permutation(gamma)[i]]
 
     def classify_edge(self, gamma, edge) -> str:
         """How ``gamma`` moves an edge: not fixed, endpoints swapped, or both fixed."""
@@ -292,38 +314,18 @@ def extrusion_product(base: PHGraph, fixed_sets) -> PHGraph:
     points = {mask(v, bits) for v in base.points for bits in all_bits}
     hyperplanes = {mask(v, bits) for v in base.hyperplanes for bits in all_bits}
 
-    carried = {"pp": set(), "ph": set(), "hh-angle": set(), "hh-par": set()}
-    for kind, edges in (("pp", base.edges_pp), ("ph", base.edges_ph),
-                        ("hh-angle", base.edges_hh_angle), ("hh-par", base.edges_hh_par)):
-        for u, v in edges:
-            for bits in all_bits:
-                mu, mv = mask(u, bits), mask(v, bits)
-                carried[kind].add((mu, mv) if kind == "ph" else _sorted_edge(mu, mv))
-
+    # the masked copies of one edge keep its orientation, so a set drops repeats
+    carried = {name: {(mask(u, bits), mask(v, bits)) for u, v in getattr(base, name)
+                      for bits in all_bits} for name in _EDGE_FIELDS}
     # copy-joining edges, skipping contracted coordinates
     for v in base.vertices:
-        is_pt = base.is_point(v)
-        starred = {h for h in range(t) if not is_pt and v.base in fixed_sets[h]}
-        for h in range(t):
-            if h in starred:
-                continue
-            for bits in all_bits:
-                if bits[h] == 1:
-                    continue
-                flipped = tuple(b if i != h else 1 for i, b in enumerate(bits))
-                e = _sorted_edge(mask(v, bits), mask(v, flipped))
-                carried["pp" if is_pt else "hh-par"].add(e)
+        name = "edges_pp" if base.is_point(v) else "edges_hh_par"
+        for h, bits in itertools.product(range(t), all_bits):
+            if bits[h] == 0 and v.base not in fixed_sets[h]:
+                carried[name].add((mask(v, bits), mask(v, bits[:h] + (1,) + bits[h + 1:])))
 
-    return PHGraph(
-        points=tuple(points),
-        hyperplanes=tuple(hyperplanes),
-        edges_pp=tuple(carried["pp"]),
-        edges_ph=tuple(carried["ph"]),
-        edges_hh_angle=tuple(carried["hh-angle"]),
-        edges_hh_par=tuple(carried["hh-par"]),
-        extrusion_order=t,
-        fixed_sets=tuple(fixed_sets),
-    )
+    return PHGraph(points=tuple(points), hyperplanes=tuple(hyperplanes), extrusion_order=t,
+                   fixed_sets=tuple(fixed_sets), **{k: tuple(e) for k, e in carried.items()})
 
 
 def remove_edge(graph: PHGraph, u: Vertex, v: Vertex) -> PHGraph:
@@ -331,7 +333,7 @@ def remove_edge(graph: PHGraph, u: Vertex, v: Vertex) -> PHGraph:
     key = frozenset((u, v))
     found = False
     kwargs = {}
-    for name in ("edges_pp", "edges_ph", "edges_hh_angle", "edges_hh_par"):
+    for name in _EDGE_FIELDS:
         edges = tuple(e for e in getattr(graph, name) if frozenset(e) != key)
         if len(edges) != len(getattr(graph, name)):
             found = True
@@ -350,11 +352,11 @@ def complete_decorated(graph: PHGraph) -> PHGraph:
     parallel edges, pairs across classes become angle edges.
     """
     cls = graph.class_index
-    pp = [_sorted_edge(u, v) for u, v in itertools.combinations(graph.points, 2)]
+    pp = list(itertools.combinations(graph.points, 2))
     ph = [(p, w) for p in graph.points for w in graph.hyperplanes]
     angle, par = [], []
-    for u, v in itertools.combinations(graph.hyperplanes, 2):
-        (par if cls[u] == cls[v] else angle).append(_sorted_edge(u, v))
+    for e in itertools.combinations(graph.hyperplanes, 2):
+        (par if cls[e[0]] == cls[e[1]] else angle).append(e)
     return PHGraph(points=graph.points, hyperplanes=graph.hyperplanes,
                    edges_pp=tuple(pp), edges_ph=tuple(ph),
                    edges_hh_angle=tuple(angle), edges_hh_par=tuple(par),

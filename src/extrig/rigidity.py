@@ -10,7 +10,7 @@ rows; it never zero-masks.
 the measured value, its gradient (the rigidity row) and how the row moves
 under the extrusion action.  The rigidity matrix, the measurement map of
 :mod:`extrig.finiteflex` and the internal representation of
-:mod:`extrig.symmetry` are all built from it.
+:mod:`extrig.symmetry` (:meth:`RowLayout.action`) are all built from it.
 """
 from __future__ import annotations
 
@@ -223,28 +223,16 @@ ROW_KINDS = {
 }
 
 
-def row_image(graph: PHGraph, gamma, label):
-    """Image of a row label under ``gamma``, with the internal representation's sign."""
-    kind = ROW_KINDS[label[0]]
-    ends = label[1]
-    if kind.ends == "h":
-        image = graph.act(gamma, ends)
-    elif kind.ends == "ph":   # oriented as (point, hyperplane)
-        image = (graph.act(gamma, ends[0]), graph.act(gamma, ends[1]))
-    else:
-        image = graph.act_edge(gamma, ends)
-    sign = graph.edge_sign(gamma, ends) if kind.signed else 1.0
-    return (label[0], image, *label[2:]), sign
-
-
 class RowLayout:
     """Constraint rows grouped by kind, their ends as integer vertex positions.
 
     Built once per row list; :meth:`matrix` and :meth:`values` then evaluate
-    the table at any point and hyperplane coordinates.
+    the table at any point and hyperplane coordinates, and :meth:`action`
+    gives the internal representation's signed row permutations.
     """
 
     def __init__(self, graph: PHGraph, dim: int, rows):
+        self.graph = graph
         self.rows = rows
         self.shape = (len(rows), int(column_start(graph, dim, len(graph.vertices))))
         n = len(graph.points)
@@ -261,13 +249,13 @@ class RowLayout:
             ends = tuple(pos - (n if k == "h" else 0) for pos, k in zip(positions, kind.ends))
             starts = tuple(column_start(graph, dim, pos) for pos in positions)
             sub = np.array([s for _, _, s in entries])
-            self.groups.append((kind, where, ends, starts, sub))
+            self.groups.append((kind, where, positions, ends, starts, sub))
 
     def matrix(self, points, hyperplanes, scaled: bool = False) -> np.ndarray:
         """Full-column rows at the given coordinates; ``scaled`` multiplies each
         kind by its Jacobian factor (the measurement map's Jacobian)."""
         out = np.zeros(self.shape)
-        for kind, where, ends, starts, sub in self.groups:
+        for kind, where, _, ends, starts, sub in self.groups:
             for start, block in zip(starts, kind.blocks(points, hyperplanes, ends, sub)):
                 if scaled:
                     block = kind.jacobian_factor * block
@@ -276,8 +264,37 @@ class RowLayout:
 
     def values(self, points, hyperplanes) -> np.ndarray:
         out = np.empty(len(self.rows))
-        for kind, where, ends, _, _ in self.groups:
+        for kind, where, _, ends, _, _ in self.groups:
             out[where] = kind.value(points, hyperplanes, ends)
+        return out
+
+    def action(self, elements) -> list:
+        """Per element, ``(target, sign)``: row ``i`` maps to row ``target[i]``, the
+        row on the images of its ends, with sign ``sign[i]`` in the internal
+        representation.  ValueError when an image is not in the row list."""
+        graph, size, t = self.graph, len(self.graph.vertices), self.graph.extrusion_order
+        # the coordinate whose flip negates a signed copy-joining row; t for none
+        coords = (graph.extrusion_coordinate(lab[1]) if ROW_KINDS[lab[0]].signed else None
+                  for lab in self.rows)
+        flip = np.array([t if h is None else h for h in coords], dtype=np.intp)
+        out = []
+        for gamma in elements:
+            perm = graph.permutation(gamma)
+            target = np.empty(len(self.rows), dtype=np.intp)
+            for _, where, positions, _, _, sub in self.groups:
+                # a row's key: its end positions, in vertex order, and its sub-index
+                dims = (size,) * len(positions) + (int(sub.max()) + 1,)
+                keys = np.ravel_multi_index((*positions, sub), dims)
+                image = np.ravel_multi_index((*np.sort(perm[positions], axis=0), sub), dims)
+                order = np.argsort(keys)
+                at = order[np.minimum(np.searchsorted(keys, image, sorter=order), len(keys) - 1)]
+                missing = np.flatnonzero(keys[at] != image)
+                if missing.size:
+                    lab = self.rows[where[missing[0]]]
+                    raise ValueError(f"row {lab} maps outside the surviving rows under {gamma}")
+                target[where] = where[at]
+            sign = np.where(np.append(np.asarray(gamma, dtype=bool), False)[flip], -1.0, 1.0)
+            out.append((target, sign))
         return out
 
 

@@ -5,8 +5,9 @@ tensor identity on point coordinates, and on hyperplane coordinates the
 permutation with each block augmented by a ``-tau`` row coupling the
 normal to the offset.  The internal representation acts on the constraint
 rows: permutations with a sign flip on copy-joining edges whose extrusion
-coordinate is flipped by the group element, read from the row table of
-:mod:`extrig.rigidity` (:func:`~extrig.rigidity.row_image`).
+coordinate is flipped by the group element (:meth:`RowLayout.action
+<extrig.rigidity.RowLayout.action>`).  Both read vertex images from the
+permutations of :meth:`PHGraph.permutation <extrig.graphs.PHGraph.permutation>`.
 
 The rigidity matrix intertwines the two, which yields the block
 decomposition and the per-irreducible mobility counts.
@@ -21,8 +22,8 @@ import scipy.linalg
 from .frameworks import Framework, extrusion_displacement
 from .graphs import subgroup_elements
 from .linalg import INT_TOL, RANK_TOL, SYMMETRY_TOL, nullspace, numeric_rank
-from .rigidity import (CoordinateIndex, EMPTY_PIN, PinningSpec, RigidityMatrix,
-                       constraint_rows, rigidity_matrix, row_image)
+from .rigidity import (CoordinateIndex, EMPTY_PIN, PinningSpec, RigidityMatrix, RowLayout,
+                       column_start, constraint_rows, rigidity_matrix)
 
 
 class SymmetryPreconditionError(ValueError):
@@ -39,10 +40,6 @@ def element_label(gamma, active=None) -> str:
     if active is not None:
         gamma = tuple(gamma[h] for h in active)
     return "".join(str(b) for b in gamma) if gamma else "()"
-
-
-def irrep_label(gamma, active=None) -> str:
-    return "rho_" + element_label(gamma, active) if (active and len(active)) or gamma else "rho_0"
 
 
 def character_matrix(elements) -> np.ndarray:
@@ -114,20 +111,16 @@ class RepBundle:
 
 
 def _external_full(fw: Framework, index: CoordinateIndex, gamma) -> np.ndarray:
-    d = fw.dim
-    n = index.full_size
+    graph, d, n = fw.graph, fw.dim, index.full_size
+    perm = graph.permutation(gamma)
+    starts = column_start(graph, d, np.arange(len(perm)))
+    vertex_of = np.repeat(np.arange(len(perm)), np.diff(starts, append=n))
     out = np.zeros((n, n))
-    graph = fw.graph
-    for v in graph.points:
-        src = index.vertex_slice(graph.act(gamma, v))
-        dst = index.vertex_slice(v)
-        out[dst, src] = np.eye(d)
-    for w in graph.hyperplanes:
-        src = index.vertex_slice(graph.act(gamma, w))
-        dst = index.vertex_slice(w)
-        block = np.eye(d + 1)
-        block[d, :d] = -extrusion_displacement(fw.extrusion, w.word, gamma) if fw.extrusion is not None else 0.0
-        out[dst, src] = block
+    out[np.arange(n), column_start(graph, d, perm)[vertex_of] + np.arange(n) - starts[vertex_of]] = 1.0
+    if fw.extrusion is not None:
+        k = len(graph.points)
+        for w, row, col in zip(graph.hyperplanes, starts[k:] + d, column_start(graph, d, perm[k:])):
+            out[row, col:col + d] = -extrusion_displacement(fw.extrusion, w.word, gamma)
     return out
 
 
@@ -151,22 +144,18 @@ def build_reps(fw: Framework, pin: PinningSpec = EMPTY_PIN, tol: float = INT_TOL
             raise ValueError(f"framework is not extrusion-symmetric: {first[0]} at {first[1]}")
     _check_ph_hypothesis(fw, pin, active)
     index = CoordinateIndex(fw, pin)
-    rows = constraint_rows(fw.graph, fw.dim, pin)
-    row_pos = {lab: i for i, lab in enumerate(rows)}
-    external, internal = [], []
+    external = []
     for gamma in elements:
         ext = _external_full(fw, index, gamma)
         coupling = ext[~index.keep][:, index.keep]
         if coupling.size and np.abs(coupling).max() > tol:
             raise ValueError("pinned coordinates are not invariant under the extrusion action")
         external.append(ext[index.keep][:, index.keep])
-
+    rows = constraint_rows(fw.graph, fw.dim, pin)
+    internal = []
+    for target, sign in RowLayout(fw.graph, fw.dim, rows).action(elements):
         itn = np.zeros((len(rows), len(rows)))
-        for i, lab in enumerate(rows):
-            image, sign = row_image(fw.graph, gamma, lab)
-            if image not in row_pos:
-                raise ValueError(f"row {lab} maps outside the surviving rows under {gamma}")
-            itn[row_pos[image], i] = sign
+        itn[target, np.arange(len(rows))] = sign
         internal.append(itn)
     return RepBundle(elements=elements, external=external, internal=internal,
                      index=index, row_labels=rows)
@@ -192,11 +181,6 @@ def intertwining_residual(fw: Framework, pin: PinningSpec = EMPTY_PIN) -> float:
 # -- character table rows ----------------------------------------------------
 
 
-def _surviving_coords(index: CoordinateIndex, v) -> int:
-    sl = index.vertex_slice(v)
-    return int(index.keep[sl].sum())
-
-
 def character_rows(fw: Framework, pin: PinningSpec = EMPTY_PIN):
     """Named character rows of the freedom and constraint representations.
 
@@ -210,36 +194,31 @@ def character_rows(fw: Framework, pin: PinningSpec = EMPTY_PIN):
     index = CoordinateIndex(fw, pin)
     rows = constraint_rows(graph, d, pin)
 
+    pos = graph.position
+    perms = [graph.permutation(gamma) for gamma in elements]
+
+    def fixed_sum(vertices, weights):
+        at = np.array([pos[v] for v in vertices], dtype=int)
+        weights = np.array(weights, dtype=int)
+        return np.array([weights[perm[at] == at].sum() for perm in perms], dtype=float)
+
     def vertex_char(vertices, per_coord=True):
-        out = []
-        for gamma in elements:
-            tot = 0
-            for v in vertices:
-                if graph.act(gamma, v) == v:
-                    tot += _surviving_coords(index, v) if per_coord else (1 if _surviving_coords(index, v) else 0)
-            out.append(tot)
-        return np.array(out, dtype=float)
+        coords = [int(index.keep[index.vertex_slice(v)].sum()) for v in vertices]
+        return fixed_sum(vertices, coords if per_coord else [1 if c else 0 for c in coords])
 
     def edge_char(kind, signed, weight=1):
-        out = []
         labels = [lab for lab in rows if lab[0] == kind and (kind != "par" or lab[2] == 0)]
-        for gamma in elements:
-            tot = 0
-            for lab in labels:
-                edge = lab[1]
-                if kind == "ph":
-                    fixed = (graph.act(gamma, edge[0]), graph.act(gamma, edge[1])) == edge
-                else:
-                    fixed = graph.act_edge(gamma, edge) == edge
-                if fixed:
-                    tot += (graph.edge_sign(gamma, edge) if signed else 1) * weight
-            out.append(tot)
+        ends = np.array([[pos[u], pos[v]] for _, (u, v), *_ in labels], dtype=int).reshape(-1, 2)
+        out = []
+        for gamma, perm in zip(elements, perms):
+            fixed = np.flatnonzero((np.sort(perm[ends], axis=1) == ends).all(axis=1))
+            out.append(sum((graph.edge_sign(gamma, labels[i][1]) if signed else 1) * weight
+                           for i in fixed))
         return np.array(out, dtype=float)
 
     def norm_char():
-        labels = [lab for lab in rows if lab[0] == "norm"]
-        return np.array([sum(1 for lab in labels if graph.act(gamma, lab[1]) == lab[1])
-                         for gamma in elements], dtype=float)
+        norms = [lab[1] for lab in rows if lab[0] == "norm"]
+        return fixed_sum(norms, [1] * len(norms))
 
     named = []
     if fw.is_bar_joint():

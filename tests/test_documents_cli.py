@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import extrig
 from extrig import documents
 from extrig.fixtures import FIXTURES, PINNED_FIXTURES
 from extrig.frameworks import Configuration, Framework
@@ -16,9 +18,15 @@ GOLDEN = Path(__file__).parent / "golden"
 DATA = resources.files("extrig") / "data"
 
 
+# the CLI child imports the same extrig as the tests, also when pytest put src/ on sys.path
+SRC = str(Path(extrig.__file__).resolve().parent.parent)
+CHILD_ENV = {**os.environ,
+             "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+
+
 def run_cli(*args, cwd=None):
     return subprocess.run([sys.executable, "-m", "extrig.cli", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd, env=CHILD_ENV)
 
 
 def frameworks_equal(a, b):
@@ -201,3 +209,21 @@ def test_empty_edge_framework_has_zero_constraint_characters(tmp_path):
     report = json.loads(res.stdout)
     rows = dict((name, vec) for name, vec in report["character_table"]["rows"])
     assert rows["chi(P'_E)"] == [0]
+
+
+def test_analyze_rejects_documents_without_extrusion_action(tmp_path):
+    good = json.loads((DATA / "prism.json").read_text())
+    no_orbit = json.loads(json.dumps(good))   # drop one copy of p1 with its edges
+    no_orbit["vertices"] = [v for v in no_orbit["vertices"] if v["id"] != "p1|1"]
+    no_orbit["edges"] = [e for e in no_orbit["edges"] if "p1|1" not in (e["u"], e["v"])]
+    half_orbit = json.loads(json.dumps(good))   # drop one copy of a triangle edge
+    half_orbit["edges"] = [e for e in half_orbit["edges"]
+                           if {e["u"], e["v"]} != {"p1|0", "p2|0"}]
+    assert len(half_orbit["edges"]) == len(good["edges"]) - 1
+    for name, doc, message in (("no_orbit", no_orbit, "does not permute the vertices"),
+                               ("half_orbit", half_orbit, "does not preserve an edge set")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        res = run_cli("analyze", str(path))
+        assert res.returncode == 2, res.stderr
+        assert message in res.stderr

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -34,6 +35,45 @@ def test_word_add_is_group_action(t, data):
     combined = tuple((a + b) % 2 for a, b in zip(g1, g2))
     assert word_add(word_add(word, g1), g2) == word_add(word, combined)
     assert word_add(word, (0,) * t) == word
+
+
+@st.composite
+def random_extrusions(draw):
+    """extrusion_product of a small random base with t <= 3 and random
+    hyperplane fixed sets (starred word positions)."""
+    pts = [Vertex(f"p{i}") for i in range(draw(st.integers(1, 3)))]
+    hyps = [Vertex(f"w{i}") for i in range(draw(st.integers(0, 3)))]
+    label = [draw(st.integers(0, 1)) for _ in hyps]   # angle edges only across labels
+    edges = {"pp": [], "ph": [], "hh-angle": [], "hh-par": []}
+    for u, v in itertools.combinations(pts, 2):
+        if draw(st.booleans()):
+            edges["pp"].append((u, v))
+    for u, v in itertools.product(pts, hyps):
+        if draw(st.booleans()):
+            edges["ph"].append((u, v))
+    for (i, u), (j, v) in itertools.combinations(enumerate(hyps), 2):
+        if draw(st.booleans()):
+            edges["hh-par" if label[i] == label[j] else "hh-angle"].append((u, v))
+    base = PHGraph(points=tuple(pts), hyperplanes=tuple(hyps),
+                   edges_pp=tuple(edges["pp"]), edges_ph=tuple(edges["ph"]),
+                   edges_hh_angle=tuple(edges["hh-angle"]), edges_hh_par=tuple(edges["hh-par"]))
+    t = draw(st.integers(1, 3))
+    fixed = [[w.base for w in hyps if draw(st.booleans())] for _ in range(t)]
+    return extrusion_product(base, fixed)
+
+
+@given(random_extrusions())
+def test_action_matches_word_definition_on_random_extrusions(g):
+    t = g.extrusion_order
+    for gamma in group_elements(t):
+        perm = g.permutation(gamma)
+        for i, v in enumerate(g.vertices):
+            image = Vertex(v.base, word_add(v.word, gamma))
+            assert g.act(gamma, v) == image
+            assert g.vertices[perm[i]] == image
+    for g1, g2 in itertools.product(group_elements(t), repeat=2):
+        combined = tuple((a + b) % 2 for a, b in zip(g1, g2))
+        assert np.array_equal(g.permutation(g2)[g.permutation(g1)], g.permutation(combined))
 
 
 def test_group_elements_order():
@@ -169,3 +209,33 @@ def test_complete_decorated():
     assert len(k.edges_hh_par) == 2
     assert len(k.edges_hh_angle) == 4
     assert k.parallel_classes == g.parallel_classes
+
+
+def test_action_must_permute_the_vertices():
+    with pytest.raises(ValueError, match="does not permute the vertices"):
+        PHGraph(points=(Vertex("p", "0"),), hyperplanes=(), extrusion_order=1)
+
+
+def test_action_must_preserve_the_edge_sets():
+    pts = tuple(Vertex(b, w) for b in "pq" for w in "01")
+    with pytest.raises(ValueError, match="does not preserve an edge set"):
+        PHGraph(points=pts, hyperplanes=(), extrusion_order=1,
+                edges_pp=((Vertex("p", "0"), Vertex("q", "0")),))
+
+
+def test_permutation_rejects_non_elements():
+    g = prism().graph
+    with pytest.raises(ValueError):
+        g.permutation((1, 0))
+    with pytest.raises(ValueError):
+        g.permutation((2,))
+
+
+def test_edges_sorted_by_vertex_positions():
+    for g in (prism().graph, point_line_twofold().graph, constrained_cube().graph,
+              complete_decorated(constrained_cube().graph)):
+        for edges in (g.edges_pp, g.edges_ph, g.edges_hh_angle, g.edges_hh_par):
+            pairs = [(g.position[u], g.position[v]) for u, v in edges]
+            assert all(a < b for a, b in pairs) and pairs == sorted(pairs)
+            assert pairs == sorted(pairs, key=lambda e: (g.vertices[e[0]].sort_key(),
+                                                         g.vertices[e[1]].sort_key()))

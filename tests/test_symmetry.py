@@ -1,16 +1,20 @@
 import itertools
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from extrig.frameworks import Configuration, Framework
+from extrig import documents
+from extrig.frameworks import Configuration, ExtrusionSpec, Framework, extrusion_displacement
 from extrig.fixtures import (constrained_cube_pinned, point_line_extruded,
                              point_line_extruded_fixed, point_line_extruded_fixed_pinned,
                              point_line_twofold, point_line_twofold_pinned, prism,
                              prism_pinned, prism_twofold, triangle)
-from extrig.graphs import Vertex, group_elements
-from extrig.rigidity import EMPTY_PIN, rigidity_matrix
-from extrig.symmetry import (SymmetryPreconditionError, block_decompose, build_reps,
+from extrig.graphs import PHGraph, Vertex, group_elements, word_add
+from extrig.rigidity import (EMPTY_PIN, CoordinateIndex, RowLayout, constraint_rows,
+                             rigidity_matrix)
+from extrig.symmetry import (SymmetryPreconditionError, _external_full, active_elements,
+                             block_decompose, build_reps,
                              character_matrix, character_of, character_rows,
                              decompose_character, fowler_guest_count,
                              intertwining_residual, irreducible_characters,
@@ -239,3 +243,75 @@ def test_pinning_must_respect_orbits():
     half = PinningSpec(coords={(Vertex("p1", "0"), 0), (Vertex("p1", "0"), 1)})
     with pytest.raises(ValueError, match="not invariant"):
         build_reps(fw, half)
+
+
+GALLERY = sorted(p.name for p in resources.files("extrig").joinpath("data").iterdir()
+                 if p.name.endswith(".json"))
+
+
+def word_image(gamma, v):
+    """The extrusion action by its definition on words."""
+    return Vertex(v.base, word_add(v.word, gamma))
+
+
+def reference_reps(fw, pin, gamma):
+    """Full-coordinate Ext(gamma) and Int(gamma) written out vertex by vertex
+    and row label by row label from :func:`word_image`."""
+    graph, d = fw.graph, fw.dim
+    index = CoordinateIndex(fw, pin)
+    ext = np.zeros((index.full_size, index.full_size))
+    for v in graph.vertices:
+        dst, src = index.vertex_slice(v), index.vertex_slice(word_image(gamma, v))
+        block = np.eye(dst.stop - dst.start)
+        if not graph.is_point(v):
+            block[d, :d] = -extrusion_displacement(fw.extrusion, v.word, gamma) \
+                if fw.extrusion is not None else 0.0
+        ext[dst, src] = block
+    rows = constraint_rows(graph, d, pin)
+    row_pos = {lab: i for i, lab in enumerate(rows)}
+    itn = np.zeros((len(rows), len(rows)))
+    for i, lab in enumerate(rows):
+        if lab[0] == "norm":
+            image = word_image(gamma, lab[1])
+        else:
+            image = tuple(sorted((word_image(gamma, w) for w in lab[1]), key=graph.position.get))
+        sign = graph.edge_sign(gamma, lab[1]) if lab[0] in ("pp", "par") else 1.0
+        itn[row_pos[(lab[0], image, *lab[2:])], i] = sign
+    return ext, itn, index.keep
+
+
+@pytest.mark.parametrize("pinned", [True, False])
+@pytest.mark.parametrize("name", GALLERY)
+def test_action_matches_word_reference(name, pinned):
+    doc = documents.load(resources.files("extrig").joinpath("data", name))
+    fw, pin = doc.framework, (doc.pinning or EMPTY_PIN) if pinned else EMPTY_PIN
+    elements = active_elements(fw)
+    for gamma in group_elements(fw.graph.extrusion_order):
+        for v in fw.graph.vertices:
+            assert fw.graph.act(gamma, v) == word_image(gamma, v)
+    try:
+        reps = build_reps(fw, pin)
+    except SymmetryPreconditionError:   # ph edges meet live fixed hyperplanes
+        reps = None
+    index = CoordinateIndex(fw, pin)
+    rows = constraint_rows(fw.graph, fw.dim, pin)
+    actions = RowLayout(fw.graph, fw.dim, rows).action(elements)
+    for k, gamma in enumerate(elements):
+        ext, itn, keep = reference_reps(fw, pin, gamma)
+        assert np.array_equal(_external_full(fw, index, gamma), ext)
+        target, sign = actions[k]
+        assert np.array_equal(itn[target, np.arange(len(rows))], sign)
+        assert np.count_nonzero(itn) == len(rows)
+        if reps is not None:
+            assert np.array_equal(reps.external[k], ext[keep][:, keep])
+            assert np.array_equal(reps.internal[k], itn)
+
+
+def test_same_base_edge_across_two_coordinates_is_rejected():
+    p = {w: Vertex("p", w) for w in ("00", "01", "10", "11")}
+    graph = PHGraph(points=tuple(p.values()), hyperplanes=(), extrusion_order=2,
+                    edges_pp=((p["00"], p["11"]), (p["10"], p["01"])))
+    fw = Framework(graph, Configuration(2, [[0, 0], [0, 1], [1, 0], [1, 1]], np.zeros((0, 3))),
+                   ExtrusionSpec(np.eye(2), ((), ())))
+    with pytest.raises(ValueError, match="joins copies differing in 2 coordinates"):
+        build_reps(fw)
