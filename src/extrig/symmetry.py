@@ -1,27 +1,32 @@
 """Representation theory of the extrusion group Z2^t.
 
-The external representation acts on the coordinate space: a permutation
-tensor identity on point coordinates, and on hyperplane coordinates the
-permutation with each block augmented by a ``-tau`` row coupling the
-normal to the offset.  The internal representation acts on the constraint
-rows: permutations with a sign flip on copy-joining edges whose extrusion
-coordinate is flipped by the group element (:meth:`RowLayout.action
-<extrig.rigidity.RowLayout.action>`).  Both read vertex images from the
-permutations of :meth:`PHGraph.permutation <extrig.graphs.PHGraph.permutation>`.
+Both representations are held in permutation form (:class:`PermutationRep`):
+element k sends basis vector j to ``sign[k, j]`` times basis vector
+``target[k, j]``.  The external representation acts on the coordinates:
+the vertex permutation of :meth:`PHGraph.permutation
+<extrig.graphs.PHGraph.permutation>` tensor identity, all signs +1, plus on
+each hyperplane block one ``-tau`` coupling row from the normal to the
+offset.  The internal representation acts on the constraint rows: the
+signed row permutations of :meth:`RowLayout.action
+<extrig.rigidity.RowLayout.action>`.  Dense matrices are formed only on
+indexing, for the intertwining check.
 
 The rigidity matrix intertwines the two, which yields the block
-decomposition and the per-irreducible mobility counts.
+decomposition.  Characters are read off the fixed indices, and each
+isotypic basis is built one orbit at a time: the character-weighted
+projector applied to one representative of each coordinate or row orbit
+(Kangwai & Guest 2000; Schulze 2010).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .frameworks import Framework, extrusion_displacement
+from .frameworks import Framework, displacements, word_steps
 from .graphs import subgroup_elements
-from .linalg import INT_TOL, RANK_TOL, SYMMETRY_TOL, nullspace, numeric_rank
+from .linalg import (INT_TOL, RANK_TOL, SYMMETRY_TOL, nullspace, numeric_rank,
+                     orthonormal_columns)
 from .rigidity import (CoordinateIndex, EMPTY_PIN, PinningSpec, RigidityMatrix, RowLayout,
                        column_start, constraint_rows, rigidity_matrix)
 
@@ -44,12 +49,8 @@ def element_label(gamma, active=None) -> str:
 
 def character_matrix(elements) -> np.ndarray:
     """Irreducible character table: entry (i, j) = (-1)^<el_i, el_j>."""
-    n = len(elements)
-    out = np.empty((n, n))
-    for i, gi in enumerate(elements):
-        for j, gj in enumerate(elements):
-            out[i, j] = (-1.0) ** sum(a * b for a, b in zip(gi, gj))
-    return out
+    bits = np.array(elements, dtype=int).reshape(len(elements), -1)
+    return (-1.0) ** (bits @ bits.T % 2)
 
 
 def irreducible_characters(t: int) -> np.ndarray:
@@ -99,34 +100,91 @@ def _check_ph_hypothesis(fw: Framework, pin: PinningSpec, active):
             f"columns: {names}; apply hyperplane_pinning first")
 
 
-@dataclass
-class RepBundle:
-    """External and internal representation matrices on the pinned spaces."""
+@dataclass(frozen=True, eq=False)
+class PermutationRep:
+    """A representation of the extrusion group in permutation form.
+
+    Element k sends basis vector j to ``sign[k, j] * e[target[k, j]]`` plus,
+    for the columns listed in ``coupling[k] = (rows, cols, values)``, the
+    off-diagonal entries ``values`` in ``rows``.  ``block[j]`` groups the
+    indices whose projected vectors overlap (the coordinates of one
+    hyperplane vertex); every other index is a block of its own.  Indexing
+    gives the dense matrix of one element.
+    """
 
     elements: list
-    external: list   # (size, size) per element
-    internal: list   # (rows, rows) per element
+    target: np.ndarray    # (|G|, n) ints
+    sign: np.ndarray      # (|G|, n) of +-1
+    block: np.ndarray     # (n,) ints
+    coupling: tuple = ()  # per element (rows, cols, values), or none at all
+
+    def __len__(self) -> int:
+        return len(self.elements)
+
+    def __getitem__(self, k) -> np.ndarray:
+        n = self.target.shape[1]
+        out = np.zeros((n, n))
+        out[self.target[k], np.arange(n)] = self.sign[k]
+        if self.coupling:
+            rows, cols, values = self.coupling[k]
+            out[rows, cols] = values
+        return out
+
+    def traces(self) -> np.ndarray:
+        """Character: the signs of the fixed indices (coupling entries are off-diagonal)."""
+        return np.where(self.target == np.arange(self.target.shape[1]), self.sign, 0.0).sum(axis=1)
+
+    def restrict(self, keep, tol: float = INT_TOL) -> "PermutationRep":
+        """The representation on the kept indices, which must span an invariant subspace."""
+        leaks = (np.abs(values[~keep[rows] & keep[cols]]).max(initial=0.0)
+                 for rows, cols, values in self.coupling)
+        if np.any(keep[self.target] != keep) or max(leaks, default=0.0) > tol:
+            raise ValueError("pinned coordinates are not invariant under the extrusion action")
+        inside = np.cumsum(keep) - 1
+        coupling = []
+        for rows, cols, values in self.coupling:
+            both = keep[rows] & keep[cols]
+            coupling.append((inside[rows[both]], inside[cols[both]], values[both]))
+        return PermutationRep(self.elements, inside[self.target[:, keep]], self.sign[:, keep],
+                              self.block[keep], tuple(coupling))
+
+
+def coordinate_action(fw: Framework, elements) -> PermutationRep:
+    """The external representation on all coordinates, before pinning."""
+    graph, d = fw.graph, fw.dim
+    size, k = len(graph.vertices), len(graph.points)
+    starts = column_start(graph, d, np.arange(size))
+    vertex_of = np.repeat(np.arange(size), np.diff(starts, append=column_start(graph, d, size)))
+    offset = np.arange(len(vertex_of)) - starts[vertex_of]
+    rows = np.repeat(starts[k:] + d, d)
+    steps = word_steps([w.word for w in graph.hyperplanes], graph.extrusion_order)
+    target, coupling = [], []
+    for gamma in elements:
+        perm = graph.permutation(gamma)
+        target.append(column_start(graph, d, perm)[vertex_of] + offset)
+        if fw.extrusion is not None:
+            cols = (column_start(graph, d, perm[k:])[:, None] + np.arange(d)).ravel()
+            coupling.append((rows, cols, -displacements(fw.extrusion, steps, gamma).ravel()))
+    # a point coordinate is its own block; a hyperplane's coordinates share one
+    block = np.where(vertex_of < k, np.arange(len(vertex_of)), -1 - vertex_of)
+    target = np.array(target).reshape(len(elements), -1)
+    return PermutationRep(elements, target, np.ones(target.shape), block, tuple(coupling))
+
+
+@dataclass
+class RepBundle:
+    """External and internal representations on the pinned spaces."""
+
+    elements: list
+    external: PermutationRep   # on the pinned coordinates
+    internal: PermutationRep   # on the constraint rows
     index: CoordinateIndex
     row_labels: list
 
 
-def _external_full(fw: Framework, index: CoordinateIndex, gamma) -> np.ndarray:
-    graph, d, n = fw.graph, fw.dim, index.full_size
-    perm = graph.permutation(gamma)
-    starts = column_start(graph, d, np.arange(len(perm)))
-    vertex_of = np.repeat(np.arange(len(perm)), np.diff(starts, append=n))
-    out = np.zeros((n, n))
-    out[np.arange(n), column_start(graph, d, perm)[vertex_of] + np.arange(n) - starts[vertex_of]] = 1.0
-    if fw.extrusion is not None:
-        k = len(graph.points)
-        for w, row, col in zip(graph.hyperplanes, starts[k:] + d, column_start(graph, d, perm[k:])):
-            out[row, col:col + d] = -extrusion_displacement(fw.extrusion, w.word, gamma)
-    return out
-
-
 def build_reps(fw: Framework, pin: PinningSpec = EMPTY_PIN, tol: float = INT_TOL,
                check_symmetry: bool = True) -> RepBundle:
-    """Representation matrices restricted to the pinned coordinate/row spaces.
+    """Both representations, restricted to the pinned coordinate/row spaces.
 
     Raises :class:`SymmetryPreconditionError` when the point-hyperplane
     hypothesis fails, and ValueError when the pinning is not compatible
@@ -144,19 +202,10 @@ def build_reps(fw: Framework, pin: PinningSpec = EMPTY_PIN, tol: float = INT_TOL
             raise ValueError(f"framework is not extrusion-symmetric: {first[0]} at {first[1]}")
     _check_ph_hypothesis(fw, pin, active)
     index = CoordinateIndex(fw, pin)
-    external = []
-    for gamma in elements:
-        ext = _external_full(fw, index, gamma)
-        coupling = ext[~index.keep][:, index.keep]
-        if coupling.size and np.abs(coupling).max() > tol:
-            raise ValueError("pinned coordinates are not invariant under the extrusion action")
-        external.append(ext[index.keep][:, index.keep])
+    external = coordinate_action(fw, elements).restrict(index.keep, tol)
     rows = constraint_rows(fw.graph, fw.dim, pin)
-    internal = []
-    for target, sign in RowLayout(fw.graph, fw.dim, rows).action(elements):
-        itn = np.zeros((len(rows), len(rows)))
-        itn[target, np.arange(len(rows))] = sign
-        internal.append(itn)
+    target, sign = map(np.array, zip(*RowLayout(fw.graph, fw.dim, rows).action(elements)))
+    internal = PermutationRep(elements, target, sign, np.arange(len(rows)))
     return RepBundle(elements=elements, external=external, internal=internal,
                      index=index, row_labels=rows)
 
@@ -284,25 +333,42 @@ def translation_character(fw: Framework, pin: PinningSpec = EMPTY_PIN) -> np.nda
 # -- block decomposition ------------------------------------------------------
 
 
-def symmetry_adapted_basis(matrices, elements, irrep_index: int, expected: int,
+def symmetry_adapted_basis(rep: PermutationRep, irrep_index: int, expected: int,
                            tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal basis of the isotypic component for one irreducible.
 
-    Projects the standard basis through (1/|G|) sum rho_i(gamma) M(gamma)
-    and keeps the leading ``expected`` columns of a column-pivoted QR.
+    The projector (1/|G|) sum_gamma chi_i(gamma) rho(gamma) is applied to one
+    representative of each orbit only, at most |G| terms each.  An orbit
+    contributes iff chi_i times the signs is trivial on the representative's
+    stabilizer; its projected vector is then a signed orbit sum, normalised
+    here.  The vectors of one hyperplane orbit share their support through
+    the coupling rows and are orthonormalised together.  Different orbits
+    have disjoint supports, so the columns are orthonormal.  ValueError when
+    their number is not ``expected``.
     """
-    table = character_matrix(elements)
-    proj = sum(table[irrep_index, j] * matrices[j] for j in range(len(elements))) / len(elements)
-    if expected == 0:
-        return np.zeros((proj.shape[0], 0))
-    q, r, _ = scipy.linalg.qr(proj, pivoting=True, mode="economic")
-    diag = np.abs(np.diag(r))
-    scale = diag[0] if diag.size else 0.0
-    rank = int(np.sum(diag > max(tol * max(proj.shape) * scale, 0.0))) if scale > 0 else 0
-    if rank != expected:
+    chi = character_matrix(rep.elements)[irrep_index]
+    n = rep.target.shape[1]
+    index = np.arange(n)
+    weight = chi[:, None] * rep.sign
+    first = rep.target.min(axis=0) == index
+    trivial = np.all((rep.target != index) | (weight > 0.0), axis=0)
+    reps = np.flatnonzero(first & trivial)
+    column = np.full(n, -1)
+    column[reps] = np.arange(len(reps))
+    proj = np.zeros((n, len(reps)))
+    np.add.at(proj, (rep.target[:, reps], column[reps]), weight[:, reps])
+    for c, (rows, cols, values) in zip(chi, rep.coupling):
+        hit = column[cols] >= 0
+        proj[rows[hit], column[cols[hit]]] += c * values[hit]
+    basis = proj / np.linalg.norm(proj, axis=0)
+    groups = np.split(np.arange(len(reps)), np.flatnonzero(np.diff(rep.block[reps])) + 1)
+    if any(len(g) > 1 for g in groups):
+        basis = np.hstack([orthonormal_columns(basis[:, g], tol) if len(g) > 1 else basis[:, g]
+                           for g in groups])
+    if basis.shape[1] != expected:
         raise ValueError(
-            f"projection rank {rank} does not match character multiplicity {expected}")
-    return q[:, :expected]
+            f"projection rank {basis.shape[1]} does not match character multiplicity {expected}")
+    return basis
 
 
 @dataclass
@@ -327,27 +393,19 @@ def block_decompose(fw: Framework, pin: PinningSpec = EMPTY_PIN,
                     tol: float = RANK_TOL) -> BlockDecomposition:
     reps = build_reps(fw, pin)
     rig = rigidity_matrix(fw, pin)
-    lam = decompose_character(character_of(reps.external), reps.elements)
-    mu = decompose_character(character_of(reps.internal), reps.elements)
-    ext_bases, int_bases = [], []
-    for i in range(len(reps.elements)):
-        ext_bases.append(symmetry_adapted_basis(reps.external, reps.elements, i, int(lam[i]), tol))
-        int_bases.append(symmetry_adapted_basis(reps.internal, reps.elements, i, int(mu[i]), tol))
-    a_mat = np.hstack(ext_bases) if ext_bases else np.zeros((rig.shape[1], 0))
-    b_mat = np.hstack(int_bases) if int_bases else np.zeros((rig.shape[0], 0))
-    full = b_mat.T @ rig.matrix @ a_mat
+    lam = decompose_character(reps.external.traces(), reps.elements)
+    mu = decompose_character(reps.internal.traces(), reps.elements)
+    ext_bases = [symmetry_adapted_basis(reps.external, i, int(n), tol) for i, n in enumerate(lam)]
+    int_bases = [symmetry_adapted_basis(reps.internal, i, int(n), tol) for i, n in enumerate(mu)]
+    b_mat = np.hstack(int_bases)
+    row_block = np.repeat(np.arange(len(mu)), mu)
     blocks = []
     resid = 0.0
-    r0 = 0
-    for i in range(len(reps.elements)):
-        c0 = int(np.sum(lam[:i]))
-        block = full[r0:r0 + int(mu[i]), c0:c0 + int(lam[i])]
-        blocks.append(block)
-        masked = full[r0:r0 + int(mu[i])].copy()
-        masked[:, c0:c0 + int(lam[i])] = 0.0
-        if masked.size:
-            resid = max(resid, float(np.abs(masked).max(initial=0.0)))
-        r0 += int(mu[i])
+    for i, a_i in enumerate(ext_bases):
+        # B^T R A_i: block i, and in the other rows the off-diagonal entries
+        column = b_mat.T @ (rig.matrix @ a_i)
+        blocks.append(column[row_block == i])
+        resid = max(resid, float(np.abs(column[row_block != i]).max(initial=0.0)))
     scale = np.abs(rig.matrix).max(initial=0.0)
     return BlockDecomposition(elements=reps.elements, freedoms=lam, constraints=mu,
                               external_bases=ext_bases, internal_bases=int_bases,

@@ -29,6 +29,14 @@ def run_cli(*args, cwd=None):
                           capture_output=True, text=True, cwd=cwd, env=CHILD_ENV)
 
 
+def test_cli_import_leaves_scipy_out():
+    res = subprocess.run([sys.executable, "-c",
+                          "import sys, extrig.cli; print('scipy' in sys.modules)"],
+                         capture_output=True, text=True, env=CHILD_ENV)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
 def frameworks_equal(a, b):
     if a.graph != b.graph or a.dim != b.dim:
         return False

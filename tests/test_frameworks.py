@@ -1,10 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from extrig.frameworks import (Configuration, Framework, affine_span_check, apply_affine,
-                               apply_infinitesimal_rotation, extrude_framework,
-                               normalize_hyperplanes, verify_extrusion_symmetry)
-from extrig.graphs import PHGraph, Vertex
+from extrig.frameworks import (Configuration, ExtrusionSpec, Framework, affine_span_check,
+                               apply_affine, apply_infinitesimal_rotation, displacements,
+                               extrude_framework, extrusion_displacement,
+                               normalize_hyperplanes, verify_extrusion_symmetry, word_steps)
+from extrig.graphs import PHGraph, Vertex, group_elements
 from extrig.fixtures import (constrained_cube, k33_orthogonal, point_line_base,
                              point_line_extruded, point_line_extruded_fixed,
                              point_line_twofold, prism, prism_twofold, triangle)
@@ -12,6 +15,17 @@ from extrig.rigidity import rigidity_matrix
 
 EXTRUSION_FIXTURES = [prism, prism_twofold, point_line_extruded,
                       point_line_extruded_fixed, point_line_twofold, constrained_cube]
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_displacements_match_the_word_definition_bitwise(t):
+    rng = np.random.default_rng(t)
+    spec = ExtrusionSpec(rng.normal(size=(t, 3)), [()] * t)
+    words = ["".join(w) for w in itertools.product("01*", repeat=t)]
+    for gamma in group_elements(t):
+        rows = displacements(spec, word_steps(words, t), gamma)
+        for word, row in zip(words, rows):
+            assert np.array_equal(row, extrusion_displacement(spec, word, gamma))
 
 
 def test_prism_coordinates():

@@ -3,18 +3,21 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from extrig import documents
-from extrig.frameworks import Configuration, ExtrusionSpec, Framework, extrusion_displacement
+from extrig.frameworks import (Configuration, ExtrusionSpec, Framework, extrude_framework,
+                               extrusion_displacement)
 from extrig.fixtures import (constrained_cube_pinned, point_line_extruded,
                              point_line_extruded_fixed, point_line_extruded_fixed_pinned,
                              point_line_twofold, point_line_twofold_pinned, prism,
                              prism_pinned, prism_twofold, triangle)
-from extrig.graphs import PHGraph, Vertex, group_elements, word_add
+from extrig.graphs import PHGraph, Vertex, group_elements, subgroup_elements, word_add
+from extrig.linalg import numeric_rank
 from extrig.rigidity import (EMPTY_PIN, CoordinateIndex, RowLayout, constraint_rows,
-                             rigidity_matrix)
-from extrig.symmetry import (SymmetryPreconditionError, _external_full, active_elements,
-                             block_decompose, build_reps,
+                             infinitesimal_analysis, rigidity_matrix)
+from extrig.symmetry import (SymmetryPreconditionError, active_elements,
+                             block_decompose, build_reps, coordinate_action,
                              character_matrix, character_of, character_rows,
                              decompose_character, fowler_guest_count,
                              intertwining_residual, irreducible_characters,
@@ -42,6 +45,14 @@ def test_irreducible_characters_small():
 def test_character_orthogonality(t):
     table = irreducible_characters(t)
     assert np.array_equal(table @ table.T, (2 ** t) * np.eye(2 ** t))
+
+
+@pytest.mark.parametrize("t", [0, 1, 2, 3, 4, 5])
+def test_character_matrix_matches_loop_reference(t):
+    for elements in (group_elements(t), subgroup_elements(t, range(0, t, 2))):
+        reference = np.array([[(-1.0) ** sum(a * b for a, b in zip(gi, gj)) for gj in elements]
+                              for gi in elements])
+        assert np.array_equal(character_matrix(elements), reference)
 
 
 def test_decompose_examples():
@@ -233,7 +244,7 @@ def test_extruded_bar_joint_never_isostatic():
 def test_projection_rank_mismatch_raises():
     reps = build_reps(prism())
     with pytest.raises(ValueError, match="does not match"):
-        symmetry_adapted_basis(reps.external, reps.elements, 0, 2)
+        symmetry_adapted_basis(reps.external, 0, 2)
 
 
 def test_pinning_must_respect_orbits():
@@ -293,12 +304,12 @@ def test_action_matches_word_reference(name, pinned):
         reps = build_reps(fw, pin)
     except SymmetryPreconditionError:   # ph edges meet live fixed hyperplanes
         reps = None
-    index = CoordinateIndex(fw, pin)
+    coords = coordinate_action(fw, elements)
     rows = constraint_rows(fw.graph, fw.dim, pin)
     actions = RowLayout(fw.graph, fw.dim, rows).action(elements)
     for k, gamma in enumerate(elements):
         ext, itn, keep = reference_reps(fw, pin, gamma)
-        assert np.array_equal(_external_full(fw, index, gamma), ext)
+        assert np.array_equal(coords[k], ext)
         target, sign = actions[k]
         assert np.array_equal(itn[target, np.arange(len(rows))], sign)
         assert np.count_nonzero(itn) == len(rows)
@@ -315,3 +326,59 @@ def test_same_base_edge_across_two_coordinates_is_rejected():
                    ExtrusionSpec(np.eye(2), ((), ())))
     with pytest.raises(ValueError, match="joins copies differing in 2 coordinates"):
         build_reps(fw)
+
+
+def dense_projector_range(rep, table_row):
+    """Orthonormal basis of the range of (1/|G|) sum chi_i(gamma) rho(gamma), by SVD."""
+    proj = sum(c * rep[k] for k, c in enumerate(table_row)) / len(table_row)
+    if proj.size == 0:
+        return proj[:, :0]
+    u, sigma, _ = np.linalg.svd(proj)
+    return u[:, :int(np.sum(sigma > 1e-9 * max(proj.shape) * max(sigma[0], 1.0)))]
+
+
+@pytest.mark.parametrize("pinned", [True, False])
+@pytest.mark.parametrize("name", GALLERY)
+def test_isotypic_bases_against_dense_projector(name, pinned):
+    doc = documents.load(resources.files("extrig").joinpath("data", name))
+    fw, pin = doc.framework, (doc.pinning or EMPTY_PIN) if pinned else EMPTY_PIN
+    try:
+        dec = block_decompose(fw, pin)
+    except SymmetryPreconditionError:
+        return
+    reps = build_reps(fw, pin)
+    table = character_matrix(reps.elements)
+    for rep, bases in ((reps.external, dec.external_bases), (reps.internal, dec.internal_bases)):
+        for i, basis in enumerate(bases):
+            assert np.allclose(basis.T @ basis, np.eye(basis.shape[1]), rtol=0, atol=1e-12)
+            for k in range(len(rep)):
+                assert np.abs(rep[k] @ basis - table[i, k] * basis).max(initial=0.0) <= 1e-12
+            ref = dense_projector_range(rep, table[i])
+            assert ref.shape[1] == basis.shape[1]
+            assert np.abs(basis - ref @ (ref.T @ basis)).max(initial=0.0) <= 1e-12
+            assert np.abs(ref - basis @ (basis.T @ ref)).max(initial=0.0) <= 1e-12
+
+
+@st.composite
+def random_bar_joint_extrusions(draw):
+    """A generic bar-joint base of 2..5 points with random bars, extruded t <= 3 times."""
+    d = draw(st.integers(2, 3))
+    n = draw(st.integers(2, 5))
+    t = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    pts = [Vertex(f"p{i}") for i in range(n)]
+    bars = tuple(e for e in itertools.combinations(pts, 2) if draw(st.booleans()))
+    base = Framework(PHGraph(points=tuple(pts), hyperplanes=(), edges_pp=bars),
+                     Configuration(d, rng.normal(size=(n, d)), np.zeros((0, d + 1))))
+    return extrude_framework(base, rng.normal(size=(t, d)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_bar_joint_extrusions())
+def test_blocks_partition_the_dense_analysis(fw):
+    dec = block_decompose(fw)
+    ana = infinitesimal_analysis(fw)
+    rig = rigidity_matrix(fw)
+    assert sum(numeric_rank(b) for b in dec.blocks) == ana.rank
+    assert int(sum(dec.freedoms)) == rig.shape[1]
+    assert int(sum(dec.constraints)) == rig.shape[0]
