@@ -6,12 +6,13 @@ Numbers are serialized by Python's shortest round-trip repr, so
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .frameworks import Configuration, ExtrusionSpec, Framework
-from .graphs import PHGraph, parse_vertex
+from .graphs import PHGraph, Vertex, parse_vertex
 from .rigidity import PinningSpec
 
 _EDGE_KEYS = {"pp": "edges_pp", "ph": "edges_ph",
@@ -66,43 +67,67 @@ def _require(cond, msg):
         raise DocumentError(msg)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _list(value, what) -> list:
+    _require(isinstance(value, list), f"{what} must be a list")
+    return value
+
+
+def _vertex(label, what) -> Vertex:
+    _require(isinstance(label, str), f"{what} must be a string")
+    try:
+        return parse_vertex(label)
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from exc
+
+
+def _numbers(values, length, what) -> list:
+    """``length`` finite floats."""
+    _require(isinstance(values, list) and len(values) == length
+             and all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                     and abs(x) <= sys.float_info.max for x in values),   # false for NaN
+             f"{what} must be a list of {length} finite numbers")
+    return [float(x) for x in values]
+
+
 def framework_from_document(doc: dict) -> FrameworkDocument:
+    """Framework and pinning of a parsed JSON document; DocumentError if malformed."""
     _require(isinstance(doc, dict), "document must be a JSON object")
     for key in ("dimension", "vertices", "edges"):
         _require(key in doc, f"missing required key {key!r}")
     dim = doc["dimension"]
-    _require(isinstance(dim, int) and dim >= 1, "dimension must be a positive integer")
+    _require(_is_int(dim) and dim >= 1, "dimension must be a positive integer")
 
     points, hyperplanes = [], []
     coords, rows = [], []
     seen = {}
-    for i, entry in enumerate(doc["vertices"]):
+    for i, entry in enumerate(_list(doc["vertices"], "'vertices'")):
         _require(isinstance(entry, dict) and "id" in entry and "kind" in entry,
                  f"vertex #{i} needs 'id' and 'kind'")
-        v = parse_vertex(entry["id"])
+        v = _vertex(entry["id"], f"vertex #{i} id")
         _require(v not in seen, f"duplicate vertex id {entry['id']!r}")
         seen[v] = entry["kind"]
         if entry["kind"] == "point":
-            _require(len(entry.get("coords", ())) == dim,
-                     f"vertex {entry['id']!r} needs {dim} coordinates")
             points.append(v)
-            coords.append([float(x) for x in entry["coords"]])
+            coords.append(_numbers(entry.get("coords"), dim, f"vertex {v.label!r} coordinates"))
         elif entry["kind"] == "hyperplane":
-            _require(len(entry.get("normal", ())) == dim,
-                     f"vertex {entry['id']!r} needs a normal of length {dim}")
-            _require("offset" in entry, f"vertex {entry['id']!r} needs an offset")
+            _require("offset" in entry, f"vertex {v.label!r} needs an offset")
             hyperplanes.append(v)
-            rows.append([float(x) for x in entry["normal"]] + [float(entry["offset"])])
+            rows.append(_numbers(entry.get("normal"), dim, f"vertex {v.label!r} normal")
+                        + _numbers([entry["offset"]], 1, f"vertex {v.label!r} offset"))
         else:
-            raise DocumentError(f"vertex {entry['id']!r} has unknown kind {entry['kind']!r}")
+            raise DocumentError(f"vertex {v.label!r} has unknown kind {entry['kind']!r}")
 
     edge_lists = {attr: [] for attr in _EDGE_KEYS.values()}
-    for i, entry in enumerate(doc["edges"]):
+    for i, entry in enumerate(_list(doc["edges"], "'edges'")):
         _require(isinstance(entry, dict) and {"u", "v", "kind"} <= set(entry),
                  f"edge #{i} needs 'u', 'v', and 'kind'")
         kind = entry["kind"]
-        _require(kind in _EDGE_KEYS, f"edge #{i} has unknown kind {kind!r}")
-        u, v = parse_vertex(entry["u"]), parse_vertex(entry["v"])
+        _require(isinstance(kind, str) and kind in _EDGE_KEYS, f"edge #{i} has unknown kind {kind!r}")
+        u, v = _vertex(entry["u"], f"edge #{i} 'u'"), _vertex(entry["v"], f"edge #{i} 'v'")
         for x in (u, v):
             _require(x in seen, f"edge #{i} references unknown vertex {x.label!r}")
         if kind == "ph" and seen[u] == "hyperplane":
@@ -115,21 +140,25 @@ def framework_from_document(doc: dict) -> FrameworkDocument:
     # star patterns encode which hyperplane copies were contracted
     fixed_sets = tuple(frozenset(v.base for v in hyperplanes if v.word[h] == "*")
                        for h in range(order))
-    extrusion = None
-    if doc.get("extrusion") is not None:
-        ext = doc["extrusion"]
+    ext = doc.get("extrusion")
+    _require(ext is None or isinstance(ext, dict), "'extrusion' must be an object")
+    if ext is not None:
         _require("directions" in ext, "extrusion needs 'directions'")
-        dirs = np.asarray(ext["directions"], dtype=float)
-        _require(dirs.ndim == 2 and dirs.shape[1] == dim,
-                 "extrusion directions must be rows of length 'dimension'")
-        _require(len(dirs) == order,
+        dirs = [_numbers(tau, dim, f"extrusion direction #{h}")
+                for h, tau in enumerate(_list(ext["directions"], "extrusion 'directions'"))]
+        _require(dirs and len(dirs) == order,
                  f"{len(dirs)} extrusion directions for vertex words of length {order}")
-        declared = tuple(frozenset(fs) for fs in ext.get("fixed_sets", fixed_sets))
+        declared = ext.get("fixed_sets", [list(fs) for fs in fixed_sets])
+        _require(isinstance(declared, list) and all(
+            isinstance(fs, list) and all(isinstance(b, str) for b in fs) for fs in declared),
+            "extrusion 'fixed_sets' must be lists of base identifiers")
+        declared = tuple(frozenset(fs) for fs in declared)
         _require(len(declared) == order, "need one fixed set per direction")
         _require(declared == fixed_sets,
                  "declared fixed sets disagree with the vertex star patterns")
-        active = tuple(ext.get("active", range(order)))
-        extrusion = ExtrusionSpec(directions=dirs, fixed_sets=declared, active=active)
+        active = _list(ext.get("active", list(range(order))), "extrusion 'active'")
+        _require(all(_is_int(h) and 0 <= h < order for h in active),
+                 f"extrusion 'active' indices must lie in 0..{order - 1}")
 
     try:
         graph = PHGraph(points=tuple(points), hyperplanes=tuple(hyperplanes),
@@ -141,25 +170,34 @@ def framework_from_document(doc: dict) -> FrameworkDocument:
         hyp_map = {v: i for i, v in enumerate(hyperplanes)}
         hyp = np.asarray([rows[hyp_map[v]] for v in graph.hyperplanes], dtype=float) \
             if hyperplanes else np.zeros((0, dim + 1))
+        extrusion = None if ext is None else ExtrusionSpec(
+            directions=dirs, fixed_sets=declared, active=tuple(active))
         fw = Framework(graph, Configuration(dim, pts, hyp), extrusion)
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
 
     pin = None
-    if doc.get("pinning") is not None:
-        p = doc["pinning"]
-        known = set(graph.vertices)
+    p = doc.get("pinning")
+    _require(p is None or isinstance(p, dict), "'pinning' must be an object")
+    if p is not None:
         pc = set()
-        for label, c in p.get("coords", ()):
-            v = parse_vertex(label)
-            _require(v in known, f"pinning references unknown vertex {label!r}")
-            pc.add((v, int(c)))
-        full = frozenset(parse_vertex(s) for s in p.get("full_hyperplanes", ()))
-        par = frozenset(parse_vertex(s) for s in p.get("parallel_only", ()))
-        for v in full | par:
-            _require(v in known, f"pinning references unknown vertex {v.label!r}")
+        for entry in _list(p.get("coords", []), "pinning 'coords'"):
+            _require(isinstance(entry, list) and len(entry) == 2,
+                     "each pinned coordinate must be a [vertex, index] pair")
+            v, c = _vertex(entry[0], "pinned vertex"), entry[1]
+            _require(v in graph.position, f"pinning references unknown vertex {v.label!r}")
+            width = dim if graph.is_point(v) else dim + 1
+            _require(_is_int(c) and 0 <= c < width,
+                     f"pinned coordinate index of {v.label!r} must lie in 0..{width - 1}")
+            pc.add((v, c))
+        hyps = {key: frozenset(_vertex(s, "pinned hyperplane")
+                               for s in _list(p.get(key, []), f"pinning {key!r}"))
+                for key in ("full_hyperplanes", "parallel_only")}
+        for v in hyps["full_hyperplanes"] | hyps["parallel_only"]:
+            _require(v in graph.position, f"pinning references unknown vertex {v.label!r}")
+            _require(not graph.is_point(v), f"pinned hyperplane {v.label!r} is a point")
         try:
-            pin = PinningSpec(coords=frozenset(pc), full_hyperplanes=full, parallel_only=par)
+            pin = PinningSpec(coords=frozenset(pc), **hyps)
         except ValueError as exc:
             raise DocumentError(str(exc)) from exc
     return FrameworkDocument(framework=fw, pinning=pin)
@@ -171,6 +209,8 @@ def load(path) -> FrameworkDocument:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DocumentError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+        except ValueError as exc:   # not UTF-8, or an integer beyond the digit limit
+            raise DocumentError(f"{path}: {exc}") from exc
     return framework_from_document(doc)
 
 

@@ -339,8 +339,8 @@ def linear_push(fw: Framework, pin: PinningSpec, seed: int = 0, max_iter: int = 
     if trivial_motion_basis(fw, pin, tol).shape[1] != 0:
         return failed("pinned framework retains trivial motions")
     jac = mm.jacobian(base) @ wg
-    rank_base = numeric_rank(jac, tol)
     kern = nullspace(jac, tol)
+    rank_base = jac.shape[1] - kern.shape[1]
     if kern.shape[1] != 1:
         return failed(f"pinned framework has nullity {kern.shape[1]}, need exactly 1")
 
@@ -352,7 +352,8 @@ def linear_push(fw: Framework, pin: PinningSpec, seed: int = 0, max_iter: int = 
     for it in range(1, cap + 1):
         z = basis @ (rng.uniform(-1.0, 1.0, basis.shape[1]) * scale)
         jq = mm.jacobian(base + wg @ z) @ wg
-        rank_q = numeric_rank(jq, tol)
+        kern_q = nullspace(jq, tol)
+        rank_q = jq.shape[1] - kern_q.shape[1]
         trace.append((rank_q, basis.shape[1]))
         if rank_q > rank_base:
             return LinearPushResult(NOT_LINEARLY_DETECTABLE, subspace(basis), it, trace, seed)
@@ -360,7 +361,7 @@ def linear_push(fw: Framework, pin: PinningSpec, seed: int = 0, max_iter: int = 
             return failed(f"sample at iteration {it} has nullity "
                           f"{wg.shape[1] - rank_q} > 1, outside the single-flex hypothesis",
                           it, trace, subspace(basis))
-        gen = nullspace(jq, tol)[:, 0]
+        gen = kern_q[:, 0]
         if projection_residual(gen, basis) <= containment_tol:
             return LinearPushResult(LINEARLY_DETECTABLE, subspace(basis), it, trace, seed)
         extra = gen - basis @ (basis.T @ gen)

@@ -55,9 +55,11 @@ class Vertex:
 
 
 def parse_vertex(label: str) -> Vertex:
-    """Inverse of :attr:`Vertex.label`."""
+    """Inverse of :attr:`Vertex.label`; ValueError for a word outside {0, 1, *}."""
     if "|" in label:
         base, word = label.rsplit("|", 1)
+        if not set(word) <= _CHAR_ORDER.keys():
+            raise ValueError(f"vertex {label!r} has a word outside {{0, 1, *}}")
         return Vertex(base, word)
     return Vertex(label)
 

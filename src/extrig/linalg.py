@@ -1,9 +1,9 @@
 """Dense rank / nullspace helpers with an explicit tolerance contract.
 
-All rank decisions in this package go through :func:`numeric_rank`: a
-singular value counts towards the rank iff it exceeds
-``tol * max(shape) * sigma_max``.  The default ``tol`` can be overridden
-per call and is surfaced on the CLI (``--tol``, ``EXTRIG_TOL``).
+Every rank decision is made by :func:`_rank` on the singular values of
+one SVD: a singular value counts iff it exceeds ``tol * max(shape) *
+sigma_max``.  The default ``tol`` can be overridden per call and is
+surfaced on the CLI (``--tol``, ``EXTRIG_TOL``).
 
 Every other tolerance of the package is defined here too, once; none of
 them is an option.
@@ -20,46 +20,43 @@ MIN_SYMMETRY_TOL = 1e-12  # floor of the tolerance of the reported symmetry chec
 COINCIDENT_TOL = 1e-12   # distance below which extruded points count as coincident
 
 
+def _rank(sigma, shape, tol: float) -> int:
+    """Number of singular values above ``tol * max(shape) * sigma_max``."""
+    if sigma.size == 0 or sigma[0] == 0.0:
+        return 0
+    return int(np.sum(sigma > tol * max(shape) * sigma[0]))
+
+
 def numeric_rank(mat, tol: float = RANK_TOL) -> int:
     """Numerical rank of a dense matrix."""
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     if mat.size == 0:
         return 0
-    sigma = np.linalg.svd(mat, compute_uv=False)
-    if sigma[0] == 0.0:
-        return 0
-    return int(np.sum(sigma > tol * max(mat.shape) * sigma[0]))
+    return _rank(np.linalg.svd(mat, compute_uv=False), mat.shape, tol)
+
+
+def kernels(mat, tol: float = RANK_TOL):
+    """Orthonormal (right, left) nullspace bases, (n, n - rank) and (m, m - rank), from one SVD."""
+    mat = np.atleast_2d(np.asarray(mat, dtype=float))
+    if mat.size == 0:
+        return np.eye(mat.shape[1]), np.eye(mat.shape[0])
+    u, sigma, vt = np.linalg.svd(mat)
+    rank = _rank(sigma, mat.shape, tol)
+    return vt[rank:].T, u[:, rank:]
 
 
 def nullspace(mat, tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal basis of the (right) nullspace, columns of shape (n, nullity)."""
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    n = mat.shape[1]
-    if mat.size == 0:
-        return np.eye(n)
-    _, sigma, vt = np.linalg.svd(mat)
-    rank = 0
-    if sigma.size and sigma[0] > 0.0:
-        rank = int(np.sum(sigma > tol * max(mat.shape) * sigma[0]))
-    return vt[rank:].T
-
-
-def left_nullspace(mat, tol: float = RANK_TOL) -> np.ndarray:
-    """Orthonormal basis of the left nullspace (row dependencies)."""
-    mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    return nullspace(mat.T, tol)
+    return kernels(mat, tol)[0]
 
 
 def orthonormal_columns(mat, tol: float = RANK_TOL) -> np.ndarray:
     """Orthonormal basis for the column space of ``mat`` (rank-trimmed SVD)."""
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
-    if mat.size == 0 or mat.shape[1] == 0:
+    if mat.size == 0:
         return np.zeros((mat.shape[0], 0))
     u, sigma, _ = np.linalg.svd(mat, full_matrices=False)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return np.zeros((mat.shape[0], 0))
-    rank = int(np.sum(sigma > tol * max(mat.shape) * sigma[0]))
-    return u[:, :rank]
+    return u[:, :_rank(sigma, mat.shape, tol)]
 
 
 def projection_residual(vec, basis) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .frameworks import ExtrusionSpec, Framework
 from .graphs import PHGraph, STAR, Vertex
-from .linalg import RANK_TOL, left_nullspace, nullspace, numeric_rank, orthonormal_columns
+from .linalg import RANK_TOL, kernels, nullspace, numeric_rank, orthonormal_columns
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,8 @@ class CoordinateIndex:
         return np.asarray(full_vec, dtype=float)[self.keep]
 
     def scatter(self, red_vec) -> np.ndarray:
-        out = np.zeros(self.full_size)
+        """Zero-padded full vector, or full columns of a matrix of reduced columns."""
+        out = np.zeros((self.full_size,) + np.shape(red_vec)[1:])
         out[self.keep] = red_vec
         return out
 
@@ -385,12 +386,10 @@ def infinitesimal_analysis(fw: Framework, pin: PinningSpec = EMPTY_PIN,
                            tol: float = RANK_TOL) -> InfinitesimalAnalysis:
     """Rank, motion space, and self-stress space of the (pinned) framework."""
     rig = rigidity_matrix(fw, pin)
-    rank = rig.rank(tol)
-    null = nullspace(rig.matrix, tol)
-    stresses = left_nullspace(rig.matrix, tol)
+    null, stresses = kernels(rig.matrix, tol)
     trivial = trivial_motion_basis(fw, pin, tol).shape[1]
     return InfinitesimalAnalysis(
-        rank=rank,
+        rank=rig.shape[1] - null.shape[1],
         nullity=null.shape[1],
         nullspace_basis=null,
         trivial_dim=trivial,

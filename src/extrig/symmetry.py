@@ -422,10 +422,7 @@ def symmetric_flexes(fw: Framework, pin: PinningSpec = EMPTY_PIN, irrep_index: i
     """
     dec = decomposition if decomposition is not None else block_decompose(fw, pin, tol)
     kern = nullspace(dec.blocks[irrep_index], tol)
-    vecs = dec.external_bases[irrep_index] @ kern
-    index = dec.rigidity.index
-    return np.column_stack([index.scatter(vecs[:, j]) for j in range(vecs.shape[1])]) \
-        if vecs.shape[1] else np.zeros((index.full_size, 0))
+    return dec.rigidity.index.scatter(dec.external_bases[irrep_index] @ kern)
 
 
 # -- mobility counts -----------------------------------------------------------
@@ -483,11 +480,11 @@ def fowler_guest_count(fw: Framework, pin: PinningSpec = EMPTY_PIN,
     names = [("rho_" + element_label(g, active)) if len(elements) > 1 else "rho_0"
              for g in elements]
     flex_dims, flexes, stress_dims = {}, {}, {}
-    for i in range(len(elements)):
-        kern = nullspace(dec.blocks[i], tol)
+    for i, block in enumerate(dec.blocks):
+        kern = nullspace(block, tol)
         flex_dims[i] = kern.shape[1]
-        flexes[i] = symmetric_flexes(fw, pin, i, tol, decomposition=dec)
-        stress_dims[i] = dec.blocks[i].shape[0] - numeric_rank(dec.blocks[i], tol)
+        flexes[i] = dec.rigidity.index.scatter(dec.external_bases[i] @ kern)
+        stress_dims[i] = block.shape[0] - (block.shape[1] - kern.shape[1])
     caveats = []
     if fw.dim >= 3:
         caveats.append("d >= 3: infinitesimal rotations are not subtracted; "

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import extrig
 from extrig import documents
@@ -235,3 +236,112 @@ def test_analyze_rejects_documents_without_extrusion_action(tmp_path):
         res = run_cli("analyze", str(path))
         assert res.returncode == 2, res.stderr
         assert message in res.stderr
+
+
+def _set(path, value):
+    """Mutation of a document: the entry at ``path`` (keys and indices) becomes ``value``."""
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return mutate
+
+
+def _rename(old, new):
+    """Mutation of a document: vertex ``old`` is called ``new``, in its edges too."""
+    def mutate(doc):
+        for entry in doc["vertices"]:
+            entry["id"] = new if entry["id"] == old else entry["id"]
+        for entry in doc["edges"]:
+            entry["u"], entry["v"] = (new if x == old else x for x in (entry["u"], entry["v"]))
+    return mutate
+
+
+MALFORMED = {   # name -> (gallery document, mutation)
+    "coordinate_string": ("prism", _set(("vertices", 0, "coords", 0), "x")),
+    "coordinate_nan": ("prism", _set(("vertices", 0, "coords", 1), float("nan"))),
+    "coordinate_inf": ("prism", _set(("vertices", 2, "coords", 0), float("-inf"))),
+    "normal_string": ("point_line_extruded", _set(("vertices", 2, "normal", 0), "x")),
+    "offset_inf": ("point_line_extruded", _set(("vertices", 2, "offset"), float("inf"))),
+    "direction_string": ("prism", _set(("extrusion", "directions", 0, 1), "x")),
+    "direction_nan": ("prism", _set(("extrusion", "directions", 0, 0), float("nan"))),
+    "vertices_integer": ("prism", _set(("vertices",), 5)),
+    "edges_object": ("prism", _set(("edges",), {})),
+    "id_integer": ("prism", _set(("vertices", 0, "id"), 5)),
+    "edge_end_integer": ("prism", _set(("edges", 0, "u"), 5)),
+    "word_character": ("prism", _rename("p1|0", "p1|x")),
+    "active_out_of_range": ("prism", _set(("extrusion", "active"), [5])),
+    "active_string": ("prism", _set(("extrusion", "active"), ["0"])),
+    "fixed_set_nested": ("prism", _set(("extrusion", "fixed_sets"), [[["p1"]]])),
+    "pinning_index_string": ("prism_pinned", _set(("pinning", "coords", 0, 1), "x")),
+    "pinning_index_point_range": ("prism_pinned", _set(("pinning", "coords", 0, 1), 7)),
+    "pinning_index_hyperplane_range": ("point_line_extruded_fixed_pinned",
+                                       _set(("pinning", "coords"), [["w2|0", 3]])),
+    "pinning_point_as_hyperplane": ("point_line_extruded_fixed_pinned",
+                                    _set(("pinning", "parallel_only"), ["v1|0"])),
+    "pinning_list": ("prism_pinned", _set(("pinning",), [])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_document_exits_2_without_traceback(name, tmp_path):
+    source, mutate = MALFORMED[name]
+    doc = json.loads((DATA / f"{source}.json").read_text())
+    mutate(doc)
+    with pytest.raises(documents.DocumentError):
+        documents.framework_from_document(doc)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))   # NaN and infinity as Python's json writes them
+    for command in ("analyze", "push"):
+        res = run_cli(command, str(path))
+        assert res.returncode == 2, (command, res.stderr)
+        assert "Traceback" not in res.stderr and res.stderr.startswith("error: "), res.stderr
+
+
+def test_undecodable_document_exits_2(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"dimension": 2, "vertices": [{"id": "\xe9"}]}')
+    res = run_cli("analyze", str(path))
+    assert res.returncode == 2 and "Traceback" not in res.stderr, res.stderr
+
+
+def _document_paths(node, prefix=()):
+    """Every path of keys and indices below the root of a JSON value."""
+    children = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _document_paths(child, prefix + (key,))
+
+
+SWAPS = st.one_of(st.none(), st.booleans(), st.integers(-10 ** 30, 10 ** 30),
+                  st.floats(allow_nan=True, allow_infinity=True),
+                  st.sampled_from([float("nan"), float("inf"), -float("inf"), 10 ** 400]),
+                  st.text(max_size=4), st.lists(st.integers(0, 9), max_size=3),
+                  st.dictionaries(st.sampled_from(["id", "u", "kind"]), st.integers(0, 9),
+                                  max_size=2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(p.name for p in DATA.iterdir() if p.name.endswith(".json"))),
+       st.lists(st.tuples(st.integers(0, 10 ** 6), st.booleans(), SWAPS), min_size=1, max_size=3))
+def test_mutated_documents_parse_or_raise_document_error(name, mutations):
+    """Dropped keys, swapped value types, NaN and infinity: a DocumentError or a framework."""
+    doc = json.loads((DATA / name).read_text())
+    for where, drop, value in mutations:
+        paths = list(_document_paths(doc))
+        if not paths:
+            break
+        path = paths[where % len(paths)]
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if drop:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    try:
+        documents.framework_from_document(doc)
+    except documents.DocumentError:
+        pass

@@ -272,3 +272,32 @@ def test_measurement_jacobian_is_scaled_rigidity_matrix(name):
     factor = np.array([2.0 if rig.row_labels[i][0] in ("pp", "norm") else 1.0 for i in keep])
     assert mm.rows == [rig.row_labels[i] for i in keep]
     assert np.array_equal(mm.jacobian(mm.base_reduced()), factor[:, None] * rig.matrix[keep])
+
+
+def reference_left_nullspace(mat, tol=1e-9):
+    """Left nullspace from its own SVD of the transpose, the way it was once computed."""
+    if mat.size == 0:
+        return np.eye(mat.shape[0])
+    _, sigma, vt = np.linalg.svd(mat.T)
+    rank = int(np.sum(sigma > tol * max(mat.shape) * sigma[0])) if sigma[0] > 0.0 else 0
+    return vt[rank:].T
+
+
+@pytest.mark.parametrize("pinned", [True, False])
+@pytest.mark.parametrize("name", GALLERY)
+def test_stress_basis_from_the_one_factorisation(name, pinned):
+    fw, pin = gallery_document(name)
+    pin = pin if pinned else EMPTY_PIN
+    rig = rigidity_matrix(fw, pin)
+    ana = infinitesimal_analysis(fw, pin)
+    rows, cols = rig.shape
+    stresses = ana.stress_basis
+    assert stresses.shape == (rows, ana.stress_dim)
+    assert np.allclose(stresses.T @ stresses, np.eye(ana.stress_dim), rtol=0, atol=1e-12)
+    assert np.linalg.norm(rig.matrix.T @ stresses, 2) <= 1e-10 * np.linalg.norm(rig.matrix, 2)
+    ref = reference_left_nullspace(rig.matrix)
+    assert ref.shape[1] == ana.stress_dim
+    assert np.abs(stresses - ref @ (ref.T @ stresses)).max(initial=0.0) <= 1e-10
+    assert np.abs(ref - stresses @ (stresses.T @ ref)).max(initial=0.0) <= 1e-10
+    assert ana.rank == rig.rank()
+    assert ana.rank + ana.nullity == cols and ana.rank + ana.stress_dim == rows

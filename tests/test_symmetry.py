@@ -382,3 +382,19 @@ def test_blocks_partition_the_dense_analysis(fw):
     assert sum(numeric_rank(b) for b in dec.blocks) == ana.rank
     assert int(sum(dec.freedoms)) == rig.shape[1]
     assert int(sum(dec.constraints)) == rig.shape[0]
+
+
+@pytest.mark.parametrize("pinned", [True, False])
+@pytest.mark.parametrize("name", GALLERY)
+def test_block_counts_from_one_kernel(name, pinned):
+    doc = documents.load(resources.files("extrig").joinpath("data", name))
+    fw, pin = doc.framework, (doc.pinning or EMPTY_PIN) if pinned else EMPTY_PIN
+    try:
+        mob = fowler_guest_count(fw, pin)
+    except SymmetryPreconditionError:
+        return
+    dec = block_decompose(fw, pin)
+    for i, block in enumerate(dec.blocks):
+        assert mob.stress_dims[i] == block.shape[0] - numeric_rank(block)
+        assert mob.detected_flex_dims[i] == block.shape[1] - numeric_rank(block)
+        assert np.array_equal(mob.detected_flexes[i], symmetric_flexes(fw, pin, i, decomposition=dec))
