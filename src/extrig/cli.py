@@ -138,8 +138,8 @@ def cmd_analyze(args) -> int:
         report = build_report(args.document, fw, pin, args.tol)
     except SymmetryPreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        print("hint: extrig pin --mode hyperplane <document> restores the block structure",
-              file=sys.stderr)
+        if exc.hint:
+            print(f"hint: {exc.hint}", file=sys.stderr)
         return EXIT_PRECONDITION
     except (ValueError, AssertionError) as exc:
         print(f"error: internal numeric inconsistency: {exc}", file=sys.stderr)

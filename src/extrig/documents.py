@@ -6,13 +6,13 @@ Numbers are serialized by Python's shortest round-trip repr, so
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .frameworks import Configuration, ExtrusionSpec, Framework
 from .graphs import PHGraph, Vertex, parse_vertex
+from .linalg import MAX_MAGNITUDE
 from .rigidity import PinningSpec
 
 _EDGE_KEYS = {"pp": "edges_pp", "ph": "edges_ph",
@@ -85,11 +85,12 @@ def _vertex(label, what) -> Vertex:
 
 
 def _numbers(values, length, what) -> list:
-    """``length`` finite floats."""
+    """``length`` floats of magnitude at most MAX_MAGNITUDE."""
     _require(isinstance(values, list) and len(values) == length
              and all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                     and abs(x) <= sys.float_info.max for x in values),   # false for NaN
-             f"{what} must be a list of {length} finite numbers")
+                     and abs(x) <= MAX_MAGNITUDE for x in values),   # false for NaN
+             f"{what} must be a list of {length} finite numbers of magnitude "
+             f"at most {MAX_MAGNITUDE:g}")
     return [float(x) for x in values]
 
 

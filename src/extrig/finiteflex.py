@@ -174,8 +174,8 @@ def symmetric_subspace(fw: Framework, pin: PinningSpec = EMPTY_PIN, irrep_index:
     nothing.
     """
     dec = decomposition if decomposition is not None else block_decompose(fw, pin, tol)
-    index = dec.rigidity.index
-    basis = dec.external_bases[irrep_index]
+    index = dec.index
+    basis = dec.external_bases[irrep_index].dense()
     if not fw.is_bar_joint():
         wg = parallel_respecting_basis(fw, index, tol)
         if wg.shape[1] < index.size:

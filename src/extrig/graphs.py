@@ -35,10 +35,25 @@ FIXED_POINTWISE = "fixed-pointwise"
 
 @dataclass(frozen=True)
 class Vertex:
-    """A vertex of an extruded graph: base identifier plus 0/1/* word."""
+    """A vertex of an extruded graph: base identifier plus 0/1/* word.
+
+    The hash is computed once, at construction: vertices are dict keys in
+    every position lookup.
+    """
 
     base: str
     word: str = ""
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.base, self.word)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through __init__: the hash of a str differs between processes
+        return Vertex, (self.base, self.word)
 
     def sort_key(self):
         return (self.base, tuple(_CHAR_ORDER[c] for c in self.word))

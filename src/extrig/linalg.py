@@ -18,6 +18,7 @@ CONTAINMENT_TOL = 1e-8   # relative distance of a vector from an affine subspace
 SYMMETRY_TOL = 1e-6      # extrusion-symmetry gate before the block decomposition
 MIN_SYMMETRY_TOL = 1e-12  # floor of the tolerance of the reported symmetry check
 COINCIDENT_TOL = 1e-12   # distance below which extruded points count as coincident
+MAX_MAGNITUDE = 1e100    # largest accepted |number| of a document: squares stay finite
 
 
 def _rank(sigma, shape, tol: float) -> int:

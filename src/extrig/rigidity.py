@@ -252,15 +252,26 @@ class RowLayout:
             sub = np.array([s for _, _, s in entries])
             self.groups.append((kind, where, positions, ends, starts, sub))
 
-    def matrix(self, points, hyperplanes, scaled: bool = False) -> np.ndarray:
-        """Full-column rows at the given coordinates; ``scaled`` multiplies each
-        kind by its Jacobian factor (the measurement map's Jacobian)."""
-        out = np.zeros(self.shape)
+    def nonzeros(self, points, hyperplanes, scaled: bool = False):
+        """``(row, column, value)`` arrays of the rows' nonzeros at the given
+        coordinates, in full columns; ``scaled`` multiplies each kind by its
+        Jacobian factor (the measurement map's Jacobian)."""
+        rows, cols, values = [], [], []
         for kind, where, _, ends, starts, sub in self.groups:
+            factor = kind.jacobian_factor if scaled else 1.0
             for start, block in zip(starts, kind.blocks(points, hyperplanes, ends, sub)):
-                if scaled:
-                    block = kind.jacobian_factor * block
-                out[where[:, None], start[:, None] + np.arange(block.shape[1])] = block
+                rows.append(np.repeat(where, block.shape[1]))
+                cols.append((start[:, None] + np.arange(block.shape[1])).ravel())
+                values.append(factor * block.ravel())
+        if not rows:
+            return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
+        return np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
+
+    def matrix(self, points, hyperplanes, scaled: bool = False) -> np.ndarray:
+        """Dense full-column rows at the given coordinates (see :meth:`nonzeros`)."""
+        out = np.zeros(self.shape)
+        rows, cols, values = self.nonzeros(points, hyperplanes, scaled)
+        out[rows, cols] = values
         return out
 
     def values(self, points, hyperplanes) -> np.ndarray:

@@ -12,14 +12,21 @@ signed row permutations of :meth:`RowLayout.action
 indexing, for the intertwining check.
 
 The rigidity matrix intertwines the two, which yields the block
-decomposition.  Characters are read off the fixed indices, and each
-isotypic basis is built one orbit at a time: the character-weighted
-projector applied to one representative of each coordinate or row orbit
-(Kangwai & Guest 2000; Schulze 2010).
+decomposition (Kangwai & Guest 2000; Schulze 2010), assembled from orbits.
+Characters are read off the fixed indices.  The isotypic bases of all
+irreducibles are found in one pass over the orbits (:class:`OrbitBases`):
+each column is the character-weighted signed sum over one orbit, scaled by
+1/sqrt(|orbit|), and is held by its nonzeros.  Block i is then read off the
+representative rows: its row for a row orbit is sqrt(|orbit|) times the
+representative row, whose at most 2(d+1) nonzeros come from the row table,
+times the orbit sums of A_i; this is the orbit rigidity matrix of Schulze &
+Whiteley (2011) per irreducible.  Neither R nor a basis is formed densely;
+vectors are scattered to full coordinates only where a caller reads them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,12 +34,19 @@ from .frameworks import Framework, displacements, word_steps
 from .graphs import subgroup_elements
 from .linalg import (INT_TOL, RANK_TOL, SYMMETRY_TOL, nullspace, numeric_rank,
                      orthonormal_columns)
-from .rigidity import (CoordinateIndex, EMPTY_PIN, PinningSpec, RigidityMatrix, RowLayout,
-                       column_start, constraint_rows, rigidity_matrix)
+from .rigidity import (CoordinateIndex, EMPTY_PIN, PinningSpec, RowLayout, column_start,
+                       constraint_rows, rigidity_matrix)
 
 
 class SymmetryPreconditionError(ValueError):
-    """The block decomposition does not apply; pinning is required first."""
+    """The block decomposition does not apply to this framework as it stands.
+
+    ``hint`` names the remedy when there is one (a pinning to apply first).
+    """
+
+    def __init__(self, message: str, hint: str = None):
+        super().__init__(message)
+        self.hint = hint
 
 
 def active_elements(fw: Framework) -> list:
@@ -97,7 +111,8 @@ def _check_ph_hypothesis(fw: Framework, pin: PinningSpec, active):
         names = ", ".join(f"{w} (direction {h})" for w, h in offenders)
         raise SymmetryPreconditionError(
             "point-hyperplane edges meet extrusion-fixed hyperplanes with live normal "
-            f"columns: {names}; apply hyperplane_pinning first")
+            f"columns: {names}; apply hyperplane_pinning first",
+            hint="extrig pin --mode hyperplane <document> restores the block structure")
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,7 +177,7 @@ def coordinate_action(fw: Framework, elements) -> PermutationRep:
     for gamma in elements:
         perm = graph.permutation(gamma)
         target.append(column_start(graph, d, perm)[vertex_of] + offset)
-        if fw.extrusion is not None:
+        if fw.extrusion is not None and graph.hyperplanes:
             cols = (column_start(graph, d, perm[k:])[:, None] + np.arange(d)).ravel()
             coupling.append((rows, cols, -displacements(fw.extrusion, steps, gamma).ravel()))
     # a point coordinate is its own block; a hyperplane's coordinates share one
@@ -179,17 +194,17 @@ class RepBundle:
     external: PermutationRep   # on the pinned coordinates
     internal: PermutationRep   # on the constraint rows
     index: CoordinateIndex
-    row_labels: list
+    layout: RowLayout          # the constraint rows
 
 
 def build_reps(fw: Framework, pin: PinningSpec = EMPTY_PIN, tol: float = INT_TOL,
                check_symmetry: bool = True) -> RepBundle:
     """Both representations, restricted to the pinned coordinate/row spaces.
 
-    Raises :class:`SymmetryPreconditionError` when the point-hyperplane
-    hypothesis fails, and ValueError when the pinning is not compatible
-    with the group action (deleted coordinates must form an invariant set)
-    or when the configuration is not extrusion-symmetric.
+    Raises :class:`SymmetryPreconditionError` when the configuration is
+    not extrusion-symmetric or the point-hyperplane hypothesis fails, and
+    ValueError when the pinning is not compatible with the group action
+    (deleted coordinates must form an invariant set).
     """
     elements = active_elements(fw)
     active = fw.extrusion.active if fw.extrusion is not None else ()
@@ -199,15 +214,16 @@ def build_reps(fw: Framework, pin: PinningSpec = EMPTY_PIN, tol: float = INT_TOL
         check = verify_extrusion_symmetry(fw, tol=SYMMETRY_TOL, active_only=True)
         if not check.ok:
             first = check.violations[0]
-            raise ValueError(f"framework is not extrusion-symmetric: {first[0]} at {first[1]}")
+            raise SymmetryPreconditionError(
+                f"framework is not extrusion-symmetric: {first[0]} at {first[1]}")
     _check_ph_hypothesis(fw, pin, active)
     index = CoordinateIndex(fw, pin)
     external = coordinate_action(fw, elements).restrict(index.keep, tol)
-    rows = constraint_rows(fw.graph, fw.dim, pin)
-    target, sign = map(np.array, zip(*RowLayout(fw.graph, fw.dim, rows).action(elements)))
-    internal = PermutationRep(elements, target, sign, np.arange(len(rows)))
+    layout = RowLayout(fw.graph, fw.dim, constraint_rows(fw.graph, fw.dim, pin))
+    target, sign = map(np.array, zip(*layout.action(elements)))
+    internal = PermutationRep(elements, target, sign, np.arange(len(layout.rows)))
     return RepBundle(elements=elements, external=external, internal=internal,
-                     index=index, row_labels=rows)
+                     index=index, layout=layout)
 
 
 def intertwining_residual(fw: Framework, pin: PinningSpec = EMPTY_PIN) -> float:
@@ -333,42 +349,170 @@ def translation_character(fw: Framework, pin: PinningSpec = EMPTY_PIN) -> np.nda
 # -- block decomposition ------------------------------------------------------
 
 
-def symmetry_adapted_basis(rep: PermutationRep, irrep_index: int, expected: int,
-                           tol: float = RANK_TOL) -> np.ndarray:
-    """Orthonormal basis of the isotypic component for one irreducible.
+@dataclass(frozen=True, eq=False)
+class IsotypicBasis:
+    """Orthonormal basis of one isotypic component, held by its nonzeros:
+    entry k puts ``value[k]`` in row ``index[k]`` of column ``column[k]``."""
 
-    The projector (1/|G|) sum_gamma chi_i(gamma) rho(gamma) is applied to one
-    representative of each orbit only, at most |G| terms each.  An orbit
-    contributes iff chi_i times the signs is trivial on the representative's
-    stabilizer; its projected vector is then a signed orbit sum, normalised
-    here.  The vectors of one hyperplane orbit share their support through
-    the coupling rows and are orthonormalised together.  Different orbits
-    have disjoint supports, so the columns are orthonormal.  ValueError when
-    their number is not ``expected``.
+    shape: tuple
+    index: np.ndarray
+    column: np.ndarray
+    value: np.ndarray
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.index, self.column] = self.value
+        return out
+
+    def __matmul__(self, coeff) -> np.ndarray:
+        """The basis times a coefficient vector or matrix, without forming the basis."""
+        coeff = np.asarray(coeff, dtype=float)
+        out = np.zeros(self.shape[:1] + coeff.shape[1:])
+        np.add.at(out, self.index, self.value.reshape((-1,) + (1,) * (coeff.ndim - 1))
+                  * coeff[self.column])
+        return out
+
+
+@dataclass(frozen=True, eq=False)
+class OrbitBases:
+    """The isotypic bases of one representation for every irreducible, by orbits.
+
+    Orbits are numbered by their smallest index, the representative.  Element
+    ``slot[j]`` takes the representative of index j to j, with sign
+    ``weight[j]``.  Orbit o gives basis i the column ``orbit_column[i, o]``
+    (-1 when it does not contribute): the signed orbit sum with entries
+    chi_i(slot) * weight / sqrt(|orbit|).  Entry k of ``irrep``, ``index``,
+    ``column`` and ``value`` is a nonzero of basis ``irrep[k]``, by basis and
+    then by index.  The entries differ from the orbit sums only on
+    hyperplane coordinates: there a column carries the coupling rows, and the
+    columns of one hyperplane orbit (one ``group``) are orthonormalised
+    together.
     """
-    chi = character_matrix(rep.elements)[irrep_index]
+
+    table: np.ndarray           # character table, irreducible by element
+    representative: np.ndarray  # (orbits,)
+    orbit: np.ndarray           # (n,)
+    slot: np.ndarray            # (n,)
+    weight: np.ndarray          # (n,)
+    size: np.ndarray            # (orbits,)
+    group: np.ndarray           # (orbits,)
+    orbit_column: np.ndarray    # (irreducibles, orbits)
+    irrep: np.ndarray
+    index: np.ndarray
+    column: np.ndarray
+    value: np.ndarray
+
+    @property
+    def widths(self) -> np.ndarray:
+        return (self.orbit_column >= 0).sum(axis=1)
+
+    def __len__(self) -> int:
+        return len(self.orbit_column)
+
+    def __getitem__(self, i) -> IsotypicBasis:
+        if not 0 <= i < len(self):
+            raise IndexError(i)
+        lo, hi = np.searchsorted(self.irrep, [i, i + 1])
+        return IsotypicBasis((len(self.orbit), int(self.widths[i])), self.index[lo:hi],
+                             self.column[lo:hi], self.value[lo:hi])
+
+    @cached_property
+    def _by_index(self):
+        order = np.argsort(self.index, kind="stable")
+        return order, np.searchsorted(self.index[order], np.arange(len(self.orbit) + 1))
+
+    def entries_at(self, index):
+        """``(p, k)`` pairs: entry k of some basis lies in row ``index[p]``."""
+        order, start = self._by_index
+        count = start[index + 1] - start[index]
+        p = np.repeat(np.arange(len(index)), count)
+        shift = np.repeat(np.cumsum(count) - count - start[index], count)
+        return p, order[np.arange(len(p)) - shift]
+
+
+def _orthonormal_orbits(entries, orbit_column, group, n, tol):
+    """Sum the entries that share a basis, row and column, normalise every
+    column, and orthonormalise the columns of each hyperplane orbit together
+    (ValueError when they lose rank).  Entries come back by basis, then row."""
+    irrep, index, column, value = entries
+    widths = (orbit_column >= 0).sum(axis=1)
+    offsets = np.cumsum(widths) - widths
+    key, inverse = np.unique((offsets[irrep] + column) * n + index, return_inverse=True)
+    value = np.bincount(inverse.reshape(-1), value)
+    glob, index = np.divmod(key, n)
+    value = value / np.sqrt(np.bincount(glob, value * value))[glob]
+    keep, new = np.ones(len(key), dtype=bool), []
+    for i, start in enumerate(offsets):
+        g = group[orbit_column[i] >= 0]
+        for run in np.split(np.arange(len(g)), np.flatnonzero(np.diff(g)) + 1):
+            if len(run) < 2:
+                continue
+            inside = (glob >= start + run[0]) & (glob <= start + run[-1])
+            support, at = np.unique(index[inside], return_inverse=True)
+            mat = np.zeros((len(support), len(run)))
+            mat[at.reshape(-1), glob[inside] - start - run[0]] = value[inside]
+            basis = orthonormal_columns(mat, tol)
+            if basis.shape[1] < len(run):
+                raise ValueError(f"projection rank {basis.shape[1]} of a hyperplane orbit "
+                                 f"does not match its {len(run)} orbits")
+            keep &= ~inside
+            new.append((np.full(basis.size, i), np.repeat(support, len(run)),
+                        np.tile(run, len(support)), basis.ravel()))
+    irrep = np.searchsorted(offsets, glob, side="right") - 1
+    old = (irrep[keep], index[keep], glob[keep] - offsets[irrep[keep]], value[keep])
+    irrep, index, column, value = map(np.concatenate, zip(old, *new))
+    order = np.lexsort((index, irrep))
+    return irrep[order], index[order], column[order], value[order]
+
+
+def symmetry_adapted_basis(rep: PermutationRep, expected, tol: float = RANK_TOL) -> OrbitBases:
+    """Orthonormal bases of the isotypic components of every irreducible.
+
+    One pass over the orbits serves all irreducibles: the character table
+    of Z2^t is a Sylvester-Hadamard matrix, and its product with the signs
+    on each representative's stabilizer tells which irreducibles an orbit
+    contributes to (chi_i times the signs trivial on the stabilizer).  The
+    projector (1/|G|) sum_gamma chi_i(gamma) rho(gamma) maps the
+    representative to the signed orbit sum, plus the coupling rows on a
+    hyperplane orbit.  Different orbits have disjoint supports, so the
+    columns are orthonormal.  ValueError when the number of columns of basis
+    i is not ``expected[i]``.
+    """
     n = rep.target.shape[1]
-    index = np.arange(n)
-    weight = chi[:, None] * rep.sign
-    first = rep.target.min(axis=0) == index
-    trivial = np.all((rep.target != index) | (weight > 0.0), axis=0)
-    reps = np.flatnonzero(first & trivial)
-    column = np.full(n, -1)
-    column[reps] = np.arange(len(reps))
-    proj = np.zeros((n, len(reps)))
-    np.add.at(proj, (rep.target[:, reps], column[reps]), weight[:, reps])
-    for c, (rows, cols, values) in zip(chi, rep.coupling):
-        hit = column[cols] >= 0
-        proj[rows[hit], column[cols[hit]]] += c * values[hit]
-    basis = proj / np.linalg.norm(proj, axis=0)
-    groups = np.split(np.arange(len(reps)), np.flatnonzero(np.diff(rep.block[reps])) + 1)
-    if any(len(g) > 1 for g in groups):
-        basis = np.hstack([orthonormal_columns(basis[:, g], tol) if len(g) > 1 else basis[:, g]
-                           for g in groups])
-    if basis.shape[1] != expected:
-        raise ValueError(
-            f"projection rank {basis.shape[1]} does not match character multiplicity {expected}")
-    return basis
+    first = rep.target.min(axis=0)
+    reps = np.flatnonzero(first == np.arange(n))
+    orbit = np.searchsorted(reps, first)
+    members = rep.target[:, reps]
+    fixed = members == reps
+    stabilizer = fixed.sum(axis=0)
+    table = character_matrix(rep.elements)
+    trivial = table @ np.where(fixed, rep.sign[:, reps], 0.0) == stabilizer
+    for width, want in zip(trivial.sum(axis=1), expected):
+        if width != want:
+            raise ValueError(
+                f"projection rank {width} does not match character multiplicity {want}")
+    orbit_column = np.where(trivial, np.cumsum(trivial, axis=1) - 1, -1)
+    size = len(rep) // stabilizer
+    slot = np.empty(n, dtype=np.intp)
+    slot[members] = np.arange(len(rep))[:, None]
+    weight = rep.sign[slot, first]
+    irrep, index = np.nonzero(trivial[:, orbit])
+    value = table[irrep, slot[index]] * weight[index] / np.sqrt(size[orbit[index]])
+    entries = (irrep, index, orbit_column[irrep, orbit[index]], value)
+    group = np.unique(rep.block[reps], return_inverse=True)[1].reshape(-1)
+    if rep.coupling:
+        # the projector of a normal coordinate also reaches the offsets:
+        # sum_gamma chi_i(gamma) times the coupling entries in its column
+        extra = [entries]
+        for k, (rows, cols, values) in enumerate(rep.coupling):
+            at = reps[orbit[cols]] == cols
+            rows, o, values = rows[at], orbit[cols[at]], values[at]
+            i, e = np.nonzero(trivial[:, o])
+            extra.append((i, rows[e], orbit_column[i, o[e]],
+                          table[i, k] * values[e] / (stabilizer[o[e]] * np.sqrt(size[o[e]]))))
+        entries = _orthonormal_orbits(map(np.concatenate, zip(*extra)), orbit_column, group,
+                                      n, tol)
+    return OrbitBases(table, reps, orbit, slot, weight, size, group, orbit_column, *entries)
 
 
 @dataclass
@@ -378,11 +522,11 @@ class BlockDecomposition:
     elements: list
     freedoms: np.ndarray        # lambda_i
     constraints: np.ndarray     # mu_i
-    external_bases: list        # A_i, orthonormal columns in pinned coordinates
-    internal_bases: list        # B_i
+    external_bases: OrbitBases  # A_i, orthonormal columns in pinned coordinates
+    internal_bases: OrbitBases  # B_i
     blocks: list                # mu_i x lambda_i
     offdiag_residual: float
-    rigidity: RigidityMatrix
+    index: CoordinateIndex
 
     @property
     def block_shapes(self):
@@ -391,26 +535,82 @@ class BlockDecomposition:
 
 def block_decompose(fw: Framework, pin: PinningSpec = EMPTY_PIN,
                     tol: float = RANK_TOL) -> BlockDecomposition:
+    """The diagonal blocks B_i^T R A_i, read off the representative rows.
+
+    R intertwines the representations and B_i holds one signed orbit sum per
+    row orbit, so block i's row for orbit r is sqrt(|r|) times the
+    representative row of r, times A_i: the orbit rigidity matrix of each
+    irreducible (Schulze & Whiteley 2011).  R, A_i and B_i are never formed;
+    each representative row has at most 2(d+1) nonzeros.  The off-diagonal
+    residual max |B_j^T R A_i| (j != i) / max |R| is evaluated from the
+    nonzeros of all rows (:func:`_offdiag_residual`).
+    """
     reps = build_reps(fw, pin)
-    rig = rigidity_matrix(fw, pin)
     lam = decompose_character(reps.external.traces(), reps.elements)
     mu = decompose_character(reps.internal.traces(), reps.elements)
-    ext_bases = [symmetry_adapted_basis(reps.external, i, int(n), tol) for i, n in enumerate(lam)]
-    int_bases = [symmetry_adapted_basis(reps.internal, i, int(n), tol) for i, n in enumerate(mu)]
-    b_mat = np.hstack(int_bases)
-    row_block = np.repeat(np.arange(len(mu)), mu)
-    blocks = []
-    resid = 0.0
-    for i, a_i in enumerate(ext_bases):
-        # B^T R A_i: block i, and in the other rows the off-diagonal entries
-        column = b_mat.T @ (rig.matrix @ a_i)
-        blocks.append(column[row_block == i])
-        resid = max(resid, float(np.abs(column[row_block != i]).max(initial=0.0)))
-    scale = np.abs(rig.matrix).max(initial=0.0)
+    ext = symmetry_adapted_basis(reps.external, lam, tol)
+    itn = symmetry_adapted_basis(reps.internal, mu, tol)
+    row, col, value = reps.layout.nonzeros(fw.config.points, fw.config.hyperplanes)
+    kept = reps.index.keep[col]
+    row, col, value = row[kept], (np.cumsum(reps.index.keep) - 1)[col[kept]], value[kept]
+
+    on_rep = itn.representative[itn.orbit[row]] == row
+    p, k = ext.entries_at(col[on_rep])
+    orbit, irrep = itn.orbit[row[on_rep]][p], ext.irrep[k]
+    at = itn.orbit_column[irrep, orbit]
+    hit = at >= 0
+    offsets = np.concatenate([[0], np.cumsum(mu * lam)])
+    filled = np.bincount((offsets[irrep] + at * lam[irrep] + ext.column[k])[hit],
+                         (np.sqrt(itn.size[orbit]) * value[on_rep][p] * ext.value[k])[hit],
+                         minlength=offsets[-1])
+    blocks = [filled[offsets[i]:offsets[i + 1]].reshape(mu[i], lam[i]) for i in range(len(lam))]
+    scale = np.abs(value).max(initial=0.0)
+    resid = _offdiag_residual(ext, itn, row, col, value)
     return BlockDecomposition(elements=reps.elements, freedoms=lam, constraints=mu,
-                              external_bases=ext_bases, internal_bases=int_bases,
-                              blocks=blocks, offdiag_residual=resid / scale if scale else resid,
-                              rigidity=rig)
+                              external_bases=ext, internal_bases=itn, blocks=blocks,
+                              offdiag_residual=resid / scale if scale else resid,
+                              index=reps.index)
+
+
+def _offdiag_residual(ext: OrbitBases, itn: OrbitBases, row, col, value) -> float:
+    """max |B_j^T R A_i| over j != i, from the nonzeros of R.
+
+    A row orbit together with a group of coordinate orbits that its rows
+    meet is a tile; the tile's columns are the group's columns of every A_i.
+    Each product of a nonzero of R with a basis entry lands in its row's
+    slot, and one product with the character table sums the slots into
+    B_j^T R A_i for every j at once.
+    """
+    widths = ext.widths
+    first_of = np.cumsum(widths) - widths          # first column of A_i among all columns
+    glob = first_of[ext.irrep] + ext.column        # the column of each entry among all
+    col_group = np.empty(int(widths.sum()), dtype=np.intp)
+    col_group[glob] = ext.group[ext.orbit[ext.index]]
+    by_group = np.argsort(col_group, kind="stable")
+    group_width = np.bincount(col_group, minlength=int(ext.group.max(initial=-1)) + 1)
+    group_first = np.cumsum(group_width) - group_width
+    local = np.empty_like(by_group)
+    local[by_group] = np.arange(len(by_group)) - np.repeat(group_first, group_width)
+
+    groups = len(group_width)
+    tiles, tile = np.unique(itn.orbit[row] * groups + ext.group[ext.orbit[col]],
+                            return_inverse=True)
+    tile_group = tiles % groups
+    tile_width = group_width[tile_group]
+    tile_first = np.cumsum(tile_width) - tile_width
+    total = int(tile_width.sum())
+    p, k = ext.entries_at(col)
+    rows = row[p]
+    at = itn.slot[rows] * total + tile_first[tile.reshape(-1)[p]] + local[glob[k]]
+    slots = np.bincount(at, itn.weight[rows] * value[p] * ext.value[k],
+                        minlength=len(itn.table) * total).reshape(len(itn.table), total)
+    summed = itn.table @ slots
+    # per tile column: the row orbit, and the irreducible of the column of A
+    orbit = np.repeat(tiles // groups, tile_width)
+    column = by_group[np.repeat(group_first[tile_group] - tile_first, tile_width) + np.arange(total)]
+    irrep = np.searchsorted(first_of, column, side="right") - 1
+    off = (itn.orbit_column[:, orbit] >= 0) & (np.arange(len(itn.table))[:, None] != irrep)
+    return float((np.abs(summed) * off / np.sqrt(itn.size[orbit])).max(initial=0.0))
 
 
 def symmetric_flexes(fw: Framework, pin: PinningSpec = EMPTY_PIN, irrep_index: int = 0,
@@ -422,7 +622,7 @@ def symmetric_flexes(fw: Framework, pin: PinningSpec = EMPTY_PIN, irrep_index: i
     """
     dec = decomposition if decomposition is not None else block_decompose(fw, pin, tol)
     kern = nullspace(dec.blocks[irrep_index], tol)
-    return dec.rigidity.index.scatter(dec.external_bases[irrep_index] @ kern)
+    return dec.index.scatter(dec.external_bases[irrep_index] @ kern)
 
 
 # -- mobility counts -----------------------------------------------------------
@@ -483,7 +683,7 @@ def fowler_guest_count(fw: Framework, pin: PinningSpec = EMPTY_PIN,
     for i, block in enumerate(dec.blocks):
         kern = nullspace(block, tol)
         flex_dims[i] = kern.shape[1]
-        flexes[i] = dec.rigidity.index.scatter(dec.external_bases[i] @ kern)
+        flexes[i] = dec.index.scatter(dec.external_bases[i] @ kern)
         stress_dims[i] = block.shape[0] - (block.shape[1] - kern.shape[1])
     caveats = []
     if fw.dim >= 3:

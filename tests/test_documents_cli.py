@@ -238,6 +238,19 @@ def test_analyze_rejects_documents_without_extrusion_action(tmp_path):
         assert message in res.stderr
 
 
+def test_non_symmetric_document_exits_3_naming_the_violation(tmp_path):
+    doc = json.loads((DATA / "prism.json").read_text())
+    moved = next(v for v in doc["vertices"] if v["id"] == "p1|0")
+    moved["coords"][0] = 5.0
+    path = tmp_path / "moved.json"
+    path.write_text(json.dumps(doc))
+    for args in ((), ("--json",)):
+        res = run_cli("analyze", str(path), *args)
+        assert res.returncode == 3, res.stderr
+        assert "not extrusion-symmetric: point-translation at p1|0" in res.stderr
+        assert "hint" not in res.stderr and "Traceback" not in res.stderr
+
+
 def _set(path, value):
     """Mutation of a document: the entry at ``path`` (keys and indices) becomes ``value``."""
     def mutate(doc):
@@ -245,6 +258,14 @@ def _set(path, value):
         for key in path[:-1]:
             node = node[key]
         node[path[-1]] = value
+    return mutate
+
+
+def _each(*mutations):
+    """Mutation of a document: every one of ``mutations`` in turn."""
+    def mutate(doc):
+        for m in mutations:
+            m(doc)
     return mutate
 
 
@@ -281,6 +302,11 @@ MALFORMED = {   # name -> (gallery document, mutation)
     "pinning_point_as_hyperplane": ("point_line_extruded_fixed_pinned",
                                     _set(("pinning", "parallel_only"), ["v1|0"])),
     "pinning_list": ("prism_pinned", _set(("pinning",), [])),
+    # squares of these overflow; the orbit copies agree, so only the magnitude is wrong
+    "coordinates_1e300": ("prism", _each(_set(("vertices", 0, "coords", 0), 1e300),
+                                         _set(("vertices", 1, "coords", 0), 1e300))),
+    "normals_1e200": ("point_line_extruded", _each(_set(("vertices", 2, "normal", 0), 1e200),
+                                                   _set(("vertices", 3, "normal", 0), 1e200))),
 }
 
 

@@ -239,3 +239,21 @@ def test_edges_sorted_by_vertex_positions():
             assert all(a < b for a, b in pairs) and pairs == sorted(pairs)
             assert pairs == sorted(pairs, key=lambda e: (g.vertices[e[0]].sort_key(),
                                                          g.vertices[e[1]].sort_key()))
+
+
+@given(st.text("ab", max_size=3), st.text("01*", max_size=3),
+       st.text("ab", max_size=3), st.text("01*", max_size=3))
+def test_vertex_hash_is_cached_and_equality_unchanged(base, word, other_base, other_word):
+    import copy
+    import pickle
+
+    v, w = Vertex(base, word), Vertex(other_base, other_word)
+    assert (v == w) == ((base, word) == (other_base, other_word))
+    assert hash(v) == hash(Vertex(base, word)) == hash((base, word))
+    assert v == Vertex(base, word) and v != (base, word)
+    assert pickle.loads(pickle.dumps(v)) == v and copy.deepcopy(v) == v
+    assert hash(pickle.loads(pickle.dumps(v))) == hash(v)
+    lookup = {v: 1}
+    lookup[Vertex(base, word)] = 2           # an equal vertex is the same key
+    assert lookup == {v: 2} and len({v, Vertex(base, word), w}) == (1 if v == w else 2)
+    assert repr(v) == f"Vertex({v.label!r})"

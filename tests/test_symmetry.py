@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import extrig.rigidity
+import extrig.symmetry
+from dense_blocks import dense_block_decompose
 from extrig import documents
 from extrig.frameworks import (Configuration, ExtrusionSpec, Framework, extrude_framework,
                                extrusion_displacement)
@@ -15,8 +18,8 @@ from extrig.fixtures import (constrained_cube_pinned, point_line_extruded,
 from extrig.graphs import PHGraph, Vertex, group_elements, subgroup_elements, word_add
 from extrig.linalg import numeric_rank
 from extrig.rigidity import (EMPTY_PIN, CoordinateIndex, RowLayout, constraint_rows,
-                             infinitesimal_analysis, rigidity_matrix)
-from extrig.symmetry import (SymmetryPreconditionError, active_elements,
+                             hyperplane_pinning, infinitesimal_analysis, rigidity_matrix)
+from extrig.symmetry import (PermutationRep, SymmetryPreconditionError, active_elements,
                              block_decompose, build_reps, coordinate_action,
                              character_matrix, character_of, character_rows,
                              decompose_character, fowler_guest_count,
@@ -244,7 +247,16 @@ def test_extruded_bar_joint_never_isostatic():
 def test_projection_rank_mismatch_raises():
     reps = build_reps(prism())
     with pytest.raises(ValueError, match="does not match"):
-        symmetry_adapted_basis(reps.external, 0, 2)
+        symmetry_adapted_basis(reps.external, [2, 6])
+
+
+def test_orbit_sums_follow_signs_that_vary_along_an_orbit():
+    # the generator sends e0 to -e1 and e1 to -e0: the invariant vector is e0 - e1
+    rep = PermutationRep([(0,), (1,)], np.array([[0, 1], [1, 0]]),
+                         np.array([[1.0, 1.0], [-1.0, -1.0]]), np.arange(2))
+    bases = symmetry_adapted_basis(rep, [1, 1])
+    assert np.allclose(bases[0].dense()[:, 0], [2 ** -0.5, -(2 ** -0.5)])
+    assert np.allclose(bases[1].dense()[:, 0], [2 ** -0.5, 2 ** -0.5])
 
 
 def test_pinning_must_respect_orbits():
@@ -328,6 +340,11 @@ def test_same_base_edge_across_two_coordinates_is_rejected():
         build_reps(fw)
 
 
+def densified(bases) -> list:
+    """The isotypic bases of every irreducible as dense matrices."""
+    return [bases[i].dense() for i in range(len(bases))]
+
+
 def dense_projector_range(rep, table_row):
     """Orthonormal basis of the range of (1/|G|) sum chi_i(gamma) rho(gamma), by SVD."""
     proj = sum(c * rep[k] for k, c in enumerate(table_row)) / len(table_row)
@@ -349,7 +366,7 @@ def test_isotypic_bases_against_dense_projector(name, pinned):
     reps = build_reps(fw, pin)
     table = character_matrix(reps.elements)
     for rep, bases in ((reps.external, dec.external_bases), (reps.internal, dec.internal_bases)):
-        for i, basis in enumerate(bases):
+        for i, basis in enumerate(densified(bases)):
             assert np.allclose(basis.T @ basis, np.eye(basis.shape[1]), rtol=0, atol=1e-12)
             for k in range(len(rep)):
                 assert np.abs(rep[k] @ basis - table[i, k] * basis).max(initial=0.0) <= 1e-12
@@ -398,3 +415,109 @@ def test_block_counts_from_one_kernel(name, pinned):
         assert mob.stress_dims[i] == block.shape[0] - numeric_rank(block)
         assert mob.detected_flex_dims[i] == block.shape[1] - numeric_rank(block)
         assert np.array_equal(mob.detected_flexes[i], symmetric_flexes(fw, pin, i, decomposition=dec))
+
+
+def assert_blocks_match_dense(fw, pin=EMPTY_PIN):
+    """Orbit-assembled blocks against the dense B^T (R A_i): equal shapes, and
+    singular values within 1e-12 of max |R| (a column's sign is free)."""
+    dec = block_decompose(fw, pin)
+    blocks, resid, scale = dense_block_decompose(fw, pin)
+    assert dec.block_shapes == [b.shape for b in blocks]
+    for mine, ref in zip(dec.blocks, blocks):
+        if mine.size:
+            gap = np.linalg.svd(mine, compute_uv=False) - np.linalg.svd(ref, compute_uv=False)
+            assert np.abs(gap).max() <= 1e-12 * scale
+    assert dec.offdiag_residual <= 1e-12 and resid <= 1e-12 * max(scale, 1.0)
+
+
+@pytest.mark.parametrize("pinned", [True, False])
+@pytest.mark.parametrize("name", GALLERY)
+def test_blocks_match_dense_reference_on_gallery(name, pinned):
+    doc = documents.load(resources.files("extrig").joinpath("data", name))
+    fw, pin = doc.framework, (doc.pinning or EMPTY_PIN) if pinned else EMPTY_PIN
+    try:
+        build_reps(fw, pin)
+    except SymmetryPreconditionError:
+        with pytest.raises(SymmetryPreconditionError):
+            block_decompose(fw, pin)
+        return
+    assert_blocks_match_dense(fw, pin)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_bar_joint_extrusions())
+def test_blocks_match_dense_reference_on_random_extrusions(fw):
+    assert_blocks_match_dense(fw)
+
+
+@pytest.mark.parametrize("name,case", SYMMETRIC_CASES)
+def test_offdiag_residual_matches_dense_definition_off_symmetry(name, case):
+    # a perturbation below the symmetry gate: the residual sees it as the dense product does
+    fw, pin = case()
+    rng = np.random.default_rng(7)
+    pts, hyp = (x + 1e-8 * rng.normal(size=x.shape)
+                for x in (fw.config.points, fw.config.hyperplanes))
+    moved = Framework(fw.graph, Configuration(fw.dim, pts, hyp), fw.extrusion)
+    _, resid, scale = dense_block_decompose(moved, pin)
+    assert resid / scale >= 1e-10
+    assert block_decompose(moved, pin).offdiag_residual == pytest.approx(resid / scale, rel=1e-6)
+
+
+def test_fowler_guest_count_never_forms_the_rigidity_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("rigidity_matrix called")
+
+    monkeypatch.setattr(extrig.symmetry, "rigidity_matrix", refuse)
+    monkeypatch.setattr(extrig.rigidity, "rigidity_matrix", refuse)
+    for name, case in SYMMETRIC_CASES:
+        fw, pin = case()
+        mob = fowler_guest_count(fw, pin)
+        assert sum(int(x) for x in mob.freedoms) == CoordinateIndex(fw, pin).size, name
+
+
+@st.composite
+def random_point_hyperplane_extrusions(draw):
+    """A generic point-hyperplane base (d = 2, 3) with random pp, ph and angle
+    edges, extruded t <= 3 times.  Each base hyperplane is contracted along a
+    random set of at most d - 1 directions, its normal drawn orthogonal to
+    them.  When a ph edge meets a contracted hyperplane, the framework comes
+    with :func:`hyperplane_pinning` and its reduced active set."""
+    d = draw(st.integers(2, 3))
+    t = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    directions = rng.normal(size=(t, d))
+    pts = [Vertex(f"p{i}") for i in range(draw(st.integers(1, 3)))]
+    hyps = [Vertex(f"w{i}") for i in range(draw(st.integers(1, 3)))]
+    contracted = [draw(st.sets(st.integers(0, t - 1), max_size=d - 1)) for _ in hyps]
+    rows = []
+    for along in contracted:
+        normal = rng.normal(size=d)
+        if along:
+            q = np.linalg.qr(directions[sorted(along)].T)[0]
+            normal -= q @ (q.T @ normal)
+        rows.append(np.append(normal, rng.normal()))
+    pick = lambda pairs: tuple(e for e in pairs if draw(st.booleans()))  # noqa: E731
+    graph = PHGraph(points=tuple(pts), hyperplanes=tuple(hyps),
+                    edges_pp=pick(itertools.combinations(pts, 2)),
+                    edges_ph=pick(itertools.product(pts, hyps)),
+                    edges_hh_angle=pick(itertools.combinations(hyps, 2)))
+    base = Framework(graph, Configuration(d, rng.normal(size=(len(pts), d)), np.array(rows)))
+    fixed = [{w.base for w, along in zip(hyps, contracted) if h in along} for h in range(t)]
+    fw = extrude_framework(base, directions, fixed)
+    if any("*" in w.word for _, w in fw.graph.edges_ph):
+        pin, reduced = hyperplane_pinning(fw)
+        return Framework(fw.graph, fw.config, reduced), pin
+    return fw, EMPTY_PIN
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_point_hyperplane_extrusions())
+def test_point_hyperplane_blocks_partition_the_dense_analysis(case):
+    fw, pin = case
+    mob = fowler_guest_count(fw, pin)
+    ana = infinitesimal_analysis(fw, pin)
+    ranks = [shape[0] - mob.stress_dims[i] for i, shape in enumerate(mob.block_shapes)]
+    assert sum(ranks) == ana.rank
+    assert int(sum(mob.freedoms)) == ana.rank + ana.nullity
+    assert int(sum(mob.constraints)) == ana.rank + ana.stress_dim
+    assert_blocks_match_dense(fw, pin)
