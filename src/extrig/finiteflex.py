@@ -15,6 +15,7 @@ minimally pinned framework.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,9 +23,8 @@ from .frameworks import Configuration, Framework, affine_span_check
 from .graphs import complete_decorated
 from .linalg import (CONTAINMENT_TOL, RANK_TOL, intersect_columns, nullspace, numeric_rank,
                      orthonormal_columns, projection_residual)
-from .rigidity import (CoordinateIndex, EMPTY_PIN, PinningSpec, RowLayout, constraint_rows,
-                       trivial_motion_basis)
-from .symmetry import BlockDecomposition, block_decompose
+from .rigidity import CoordinateIndex, EMPTY_PIN, PinningSpec, RowLayout, trivial_motion_basis
+from .symmetry import block_decompose
 
 FINITE_FLEX_CERTIFIED = "FiniteFlexCertified"
 NO_SYMMETRIC_FLEX = "NoSymmetricFlex"
@@ -47,7 +47,10 @@ class MeasurementMap:
     index: CoordinateIndex
     layout: RowLayout
     base_full: np.ndarray
-    wg_basis: np.ndarray = None
+
+    @cached_property
+    def wg_basis(self) -> np.ndarray:
+        return parallel_respecting_basis(self.fw, self.index)
 
     @property
     def rows(self) -> list:
@@ -127,10 +130,9 @@ def measurement_map(fw: Framework, pin: PinningSpec = EMPTY_PIN,
                     complete: bool = False) -> MeasurementMap:
     graph = complete_decorated(fw.graph) if complete else fw.graph
     index = CoordinateIndex(fw, pin)
-    rows = constraint_rows(graph, fw.dim, pin, include_parallel=False)
-    return MeasurementMap(fw=fw, pin=pin, index=index, layout=RowLayout(graph, fw.dim, rows),
-                          base_full=index.full_vector(),
-                          wg_basis=parallel_respecting_basis(fw, index))
+    return MeasurementMap(fw=fw, pin=pin, index=index,
+                          layout=RowLayout(graph, fw.dim, pin, include_parallel=False),
+                          base_full=index.full_vector())
 
 
 @dataclass(frozen=True)
@@ -144,9 +146,10 @@ class AffineSubspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    def contains(self, vec, tol: float = CONTAINMENT_TOL) -> bool:
+    def contains(self, vec) -> bool:
         delta = np.asarray(vec, dtype=float) - self.base
-        return projection_residual(delta, self.basis) <= tol * (1.0 + np.linalg.norm(delta))
+        bound = CONTAINMENT_TOL * (1.0 + np.linalg.norm(delta))
+        return projection_residual(delta, self.basis) <= bound
 
     def point(self, coeff) -> np.ndarray:
         return self.base + self.basis @ np.asarray(coeff, dtype=float)
@@ -155,17 +158,15 @@ class AffineSubspace:
         return self.point(rng.uniform(-1.0, 1.0, self.dim) * scale)
 
 
-def restricted_jacobian(mm: MeasurementMap, sub: AffineSubspace, reduced=None,
-                        tol: float = CONTAINMENT_TOL) -> np.ndarray:
+def restricted_jacobian(mm: MeasurementMap, sub: AffineSubspace, reduced=None) -> np.ndarray:
     vec = mm.base_reduced() if reduced is None else np.asarray(reduced, dtype=float)
-    if not sub.contains(vec, tol):
+    if not sub.contains(vec):
         raise ValueError("configuration lies outside the affine subspace")
     return mm.jacobian(vec) @ sub.basis
 
 
 def symmetric_subspace(fw: Framework, pin: PinningSpec = EMPTY_PIN, irrep_index: int = 0,
-                       tol: float = RANK_TOL,
-                       decomposition: BlockDecomposition = None) -> AffineSubspace:
+                       tol: float = RANK_TOL) -> AffineSubspace:
     """Affine subspace through the configuration along one isotypic component.
 
     The component is intersected with the parallel-respecting directions so
@@ -173,8 +174,8 @@ def symmetric_subspace(fw: Framework, pin: PinningSpec = EMPTY_PIN, irrep_index:
     the fully-symmetric component of an extrusion framework this changes
     nothing.
     """
-    dec = decomposition if decomposition is not None else block_decompose(fw, pin, tol)
-    index = dec.index
+    dec = block_decompose(fw, pin, tol)
+    index = dec.reps.index
     basis = dec.external_bases[irrep_index].dense()
     if not fw.is_bar_joint():
         wg = parallel_respecting_basis(fw, index, tol)
@@ -231,19 +232,12 @@ def block_rank_at(fw: Framework, pin: PinningSpec, irrep_index: int, reduced,
 
 
 def regular_point_test(mm: MeasurementMap, sub: AffineSubspace, samples: int = 20,
-                       radius: float = None, seed: int = 0, tol: float = RANK_TOL,
-                       at=None) -> bool:
+                       radius: float = None, seed: int = 0, tol: float = RANK_TOL) -> bool:
     """True iff the configuration achieves the maximal restricted-Jacobian
-    rank among seeded random points of the subspace within ``radius``.
-
-    ``at`` tests a configuration other than the framework's own; it must
-    lie in the subspace.
-    """
+    rank among seeded random points of the subspace within ``radius``."""
     if sub.dim == 0:
         return True
-    here = mm.base_reduced() if at is None else np.asarray(at, dtype=float)
-    if at is not None and not sub.contains(here):
-        raise ValueError("configuration lies outside the affine subspace")
+    here = mm.base_reduced()
     if radius is None:
         radius = 0.1 * (1.0 + float(np.linalg.norm(here)))
     rank_here = numeric_rank(mm.jacobian(here) @ sub.basis, tol)
@@ -305,8 +299,7 @@ class LinearPushResult:
 
 
 def linear_push(fw: Framework, pin: PinningSpec, seed: int = 0, max_iter: int = None,
-                tol: float = RANK_TOL,
-                containment_tol: float = CONTAINMENT_TOL) -> LinearPushResult:
+                tol: float = RANK_TOL) -> LinearPushResult:
     """Grow an affine subspace from the single flex of a minimally pinned
     framework until the flex is certified linearly detectable or refuted.
 
@@ -362,7 +355,7 @@ def linear_push(fw: Framework, pin: PinningSpec, seed: int = 0, max_iter: int = 
                           f"{wg.shape[1] - rank_q} > 1, outside the single-flex hypothesis",
                           it, trace, subspace(basis))
         gen = kern_q[:, 0]
-        if projection_residual(gen, basis) <= containment_tol:
+        if projection_residual(gen, basis) <= CONTAINMENT_TOL:
             return LinearPushResult(LINEARLY_DETECTABLE, subspace(basis), it, trace, seed)
         extra = gen - basis @ (basis.T @ gen)
         basis = np.column_stack([basis, extra / np.linalg.norm(extra)])

@@ -132,6 +132,7 @@ class PHGraph:
     _classes: tuple = field(init=False, repr=False, compare=False, default=())
     _class_index: dict = field(init=False, repr=False, compare=False, default=None)
     _permutations: dict = field(init=False, repr=False, compare=False, default=None)
+    _edge_ends: tuple = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(sorted(self.points, key=Vertex.sort_key)))
@@ -151,6 +152,8 @@ class PHGraph:
         ends = self._edge_positions()
         for name, pairs in zip(_EDGE_FIELDS, ends):
             object.__setattr__(self, name, tuple((verts[a], verts[b]) for a, b in pairs))
+            pairs.flags.writeable = False
+        object.__setattr__(self, "_edge_ends", tuple(ends))
         object.__setattr__(self, "_classes", self._compute_parallel_classes())
         object.__setattr__(self, "_class_index",
                            {v: i for i, cls in enumerate(self._classes) for v in cls})
@@ -214,6 +217,13 @@ class PHGraph:
     @property
     def edges(self) -> tuple:
         return self.edges_pp + self.edges_ph + self.edges_hh_angle + self.edges_hh_par
+
+    @property
+    def edge_ends(self) -> tuple:
+        """Per edge field (pp, ph, hh-angle, hh-par), a read-only (m, 2) int
+        array: row i holds the positions in :attr:`vertices` of the ends of
+        edge i, lower position first."""
+        return self._edge_ends
 
     @property
     def position(self) -> dict:

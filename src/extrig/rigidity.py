@@ -3,8 +3,9 @@
 Column order: d coordinates per point vertex (sorted), then d+1 per
 hyperplane vertex (normal coordinates followed by the offset).  Row order:
 pp edges, ph edges, hh-angle edges, hh-par edges (d-1 rows each), then one
-normalization row per surviving hyperplane.  Pinning deletes columns and
-rows; it never zero-masks.
+normalization row per surviving hyperplane, as laid out by :class:`RowLayout`
+from the graph's integer edge ends.  Pinning deletes columns and rows; it
+never zero-masks.
 
 :data:`ROW_KINDS` is the one table of the constraint system: per row kind
 the measured value, its gradient (the rigidity row) and how the row moves
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -97,8 +99,8 @@ class CoordinateIndex:
     def size(self) -> int:
         return len(self.labels)
 
-    def full_vector(self, config=None) -> np.ndarray:
-        cfg = self.fw.config if config is None else config
+    def full_vector(self) -> np.ndarray:
+        cfg = self.fw.config
         return np.concatenate([cfg.points.ravel(), cfg.hyperplanes.ravel()])
 
     def split(self, full_vec):
@@ -125,28 +127,6 @@ class CoordinateIndex:
         graph = self.fw.graph
         start = int(column_start(graph, self.dim, graph.position[v]))
         return slice(start, start + (self.dim if graph.is_point(v) else self.dim + 1))
-
-
-def constraint_rows(graph: PHGraph, dim: int, pin: PinningSpec = EMPTY_PIN,
-                    include_parallel: bool = True) -> list:
-    """Ordered row labels of the (pinned) constraint system.
-
-    Labels: ("pp", edge), ("ph", edge), ("angle", edge), ("par", edge, i)
-    for i < d-1, and ("norm", vertex).
-    """
-    rows = [("pp", e) for e in graph.edges_pp]
-    rows += [("ph", e) for e in graph.edges_ph]
-    rows += [("angle", e) for e in graph.edges_hh_angle]
-    if include_parallel:
-        cls = graph.class_index
-        anchored = {cls[w] for w in pin.full_hyperplanes}
-        for e in graph.edges_hh_par:
-            if cls[e[0]] in anchored:
-                continue
-            rows += [("par", e, i) for i in range(dim - 1)]
-    removed = pin.full_hyperplanes | pin.parallel_only
-    rows += [("norm", w) for w in graph.hyperplanes if w not in removed]
-    return rows
 
 
 def parallel_axes(a) -> np.ndarray:
@@ -225,39 +205,87 @@ ROW_KINDS = {
 
 
 class RowLayout:
-    """Constraint rows grouped by kind, their ends as integer vertex positions.
+    """The constraint rows of a (pinned) graph, grouped by kind, their ends as
+    integer vertex positions.
 
-    Built once per row list; :meth:`matrix` and :meth:`values` then evaluate
-    the table at any point and hyperplane coordinates, and :meth:`action`
-    gives the internal representation's signed row permutations.
+    This is the one definition of the row order: pp edges, ph edges, hh-angle
+    edges, hh-par edges (d-1 rows each; none in a class with a fully pinned
+    hyperplane, none at all without ``include_parallel``), then one
+    normalization row per surviving hyperplane.  The ends are read off
+    :attr:`PHGraph.edge_ends`; the labels (:attr:`rows`) are derived from
+    them when read.  :meth:`matrix` and :meth:`values` evaluate the table at
+    any point and hyperplane coordinates, and :meth:`action` gives the
+    internal representation's signed row permutations.
     """
 
-    def __init__(self, graph: PHGraph, dim: int, rows):
+    def __init__(self, graph: PHGraph, dim: int, pin: PinningSpec = EMPTY_PIN,
+                 include_parallel: bool = True):
         self.graph = graph
-        self.rows = rows
-        self.shape = (len(rows), int(column_start(graph, dim, len(graph.vertices))))
-        n = len(graph.points)
-        grouped = {}
-        for r, lab in enumerate(rows):
-            ends = (lab[1],) if ROW_KINDS[lab[0]].ends == "h" else lab[1]
-            grouped.setdefault(lab[0], []).append(
-                (r, [graph.position[v] for v in ends], lab[2] if len(lab) > 2 else 0))
-        self.groups = []
-        for name, entries in grouped.items():
+        n, hyperplanes = len(graph.points), graph.hyperplanes
+        pp, ph, angle, par = graph.edge_ends
+        if include_parallel:
+            cls = graph.class_index
+            anchored = {cls[w] for w in pin.full_hyperplanes}
+            free = np.array([cls[w] not in anchored for w in hyperplanes], dtype=bool)
+            par = np.repeat(par[free[par[:, 0] - n]], dim - 1, axis=0)
+        else:
+            par = par[:0]
+        removed = pin.full_hyperplanes | pin.parallel_only
+        norm = np.array([i for i, w in enumerate(hyperplanes, n) if w not in removed],
+                        dtype=np.intp).reshape(-1, 1)
+        self.groups = {}
+        count = 0
+        for name, pairs in (("pp", pp), ("ph", ph), ("angle", angle), ("par", par), ("norm", norm)):
+            if not len(pairs):
+                continue
             kind = ROW_KINDS[name]
-            where = np.array([r for r, _, _ in entries])
-            positions = np.array([p for _, p, _ in entries]).reshape(len(entries), -1).T
+            where = np.arange(count, count + len(pairs))
+            count += len(pairs)
+            positions = pairs.T
             ends = tuple(pos - (n if k == "h" else 0) for pos, k in zip(positions, kind.ends))
             starts = tuple(column_start(graph, dim, pos) for pos in positions)
-            sub = np.array([s for _, _, s in entries])
-            self.groups.append((kind, where, positions, ends, starts, sub))
+            # a par edge's d-1 rows are consecutive, with sub-indices 0..d-2
+            sub = (np.arange(len(pairs)) % (dim - 1) if name == "par"
+                   else np.zeros(len(pairs), dtype=np.intp))
+            self.groups[name] = (kind, where, positions, ends, starts, sub)
+        self.shape = (count, int(column_start(graph, dim, len(graph.vertices))))
+
+    @cached_property
+    def rows(self) -> list:
+        """Row labels, in row order: ("pp", edge), ("ph", edge), ("angle", edge),
+        ("par", edge, i) for i < d-1, and ("norm", vertex)."""
+        verts, out = self.graph.vertices, []
+        for name, (_, _, positions, _, _, sub) in self.groups.items():
+            for ends, i in zip(positions.T.tolist(), sub.tolist()):
+                edge = tuple(verts[p] for p in ends)
+                out.append((name, *edge) if name == "norm" else
+                           (name, edge, i) if name == "par" else (name, edge))
+        return out
+
+    @cached_property
+    def flip(self) -> np.ndarray:
+        """Per row, the coordinate whose flip negates it in the internal
+        representation: :meth:`PHGraph.extrusion_coordinate` of a signed
+        row's ends, t when there is none."""
+        graph, t = self.graph, self.graph.extrusion_order
+        flip = np.full(self.shape[0], t, dtype=np.intp)
+        for kind, where, positions, *_ in self.groups.values():
+            if kind.signed:
+                coords = (graph.extrusion_coordinate((graph.vertices[u], graph.vertices[v]))
+                          for u, v in positions.T.tolist())
+                flip[where] = [t if h is None else h for h in coords]
+        return flip
+
+    def sign(self, gamma) -> np.ndarray:
+        """Per row, -1.0 where ``gamma`` flips the row's :attr:`flip` coordinate, else 1.0."""
+        return np.where(np.append(np.asarray(gamma, dtype=bool), False)[self.flip], -1.0, 1.0)
 
     def nonzeros(self, points, hyperplanes, scaled: bool = False):
         """``(row, column, value)`` arrays of the rows' nonzeros at the given
         coordinates, in full columns; ``scaled`` multiplies each kind by its
         Jacobian factor (the measurement map's Jacobian)."""
         rows, cols, values = [], [], []
-        for kind, where, _, ends, starts, sub in self.groups:
+        for kind, where, _, ends, starts, sub in self.groups.values():
             factor = kind.jacobian_factor if scaled else 1.0
             for start, block in zip(starts, kind.blocks(points, hyperplanes, ends, sub)):
                 rows.append(np.repeat(where, block.shape[1]))
@@ -275,8 +303,8 @@ class RowLayout:
         return out
 
     def values(self, points, hyperplanes) -> np.ndarray:
-        out = np.empty(len(self.rows))
-        for kind, where, _, ends, _, _ in self.groups:
+        out = np.empty(self.shape[0])
+        for kind, where, _, ends, _, _ in self.groups.values():
             out[where] = kind.value(points, hyperplanes, ends)
         return out
 
@@ -284,16 +312,13 @@ class RowLayout:
         """Per element, ``(target, sign)``: row ``i`` maps to row ``target[i]``, the
         row on the images of its ends, with sign ``sign[i]`` in the internal
         representation.  ValueError when an image is not in the row list."""
-        graph, size, t = self.graph, len(self.graph.vertices), self.graph.extrusion_order
-        # the coordinate whose flip negates a signed copy-joining row; t for none
-        coords = (graph.extrusion_coordinate(lab[1]) if ROW_KINDS[lab[0]].signed else None
-                  for lab in self.rows)
-        flip = np.array([t if h is None else h for h in coords], dtype=np.intp)
+        graph, size = self.graph, len(self.graph.vertices)
+        self.flip   # raises before any row is mapped
         out = []
         for gamma in elements:
             perm = graph.permutation(gamma)
-            target = np.empty(len(self.rows), dtype=np.intp)
-            for _, where, positions, _, _, sub in self.groups:
+            target = np.empty(self.shape[0], dtype=np.intp)
+            for _, where, positions, _, _, sub in self.groups.values():
                 # a row's key: its end positions, in vertex order, and its sub-index
                 dims = (size,) * len(positions) + (int(sub.max()) + 1,)
                 keys = np.ravel_multi_index((*positions, sub), dims)
@@ -305,8 +330,7 @@ class RowLayout:
                     lab = self.rows[where[missing[0]]]
                     raise ValueError(f"row {lab} maps outside the surviving rows under {gamma}")
                 target[where] = where[at]
-            sign = np.where(np.append(np.asarray(gamma, dtype=bool), False)[flip], -1.0, 1.0)
-            out.append((target, sign))
+            out.append((target, self.sign(gamma)))
         return out
 
 
@@ -332,9 +356,9 @@ def rigidity_matrix(fw: Framework, pin: PinningSpec = EMPTY_PIN) -> RigidityMatr
     if fw.dim >= 4 and fw.graph.edges_hh_par:
         raise ValueError("parallel constraint rows are only defined for d = 2 and d = 3")
     index = CoordinateIndex(fw, pin)
-    rows = constraint_rows(fw.graph, fw.dim, pin)
-    full = RowLayout(fw.graph, fw.dim, rows).matrix(fw.config.points, fw.config.hyperplanes)
-    return RigidityMatrix(matrix=full[:, index.keep], row_labels=rows, index=index, pinning=pin)
+    layout = RowLayout(fw.graph, fw.dim, pin)
+    full = layout.matrix(fw.config.points, fw.config.hyperplanes)
+    return RigidityMatrix(full[:, index.keep], layout.rows, index, pin)
 
 
 def trivial_motion_generators(fw: Framework) -> np.ndarray:
@@ -343,30 +367,26 @@ def trivial_motion_generators(fw: Framework) -> np.ndarray:
     Translations: p-dot = t, hyperplane velocity (0, <t, a>).  Rotations
     about the origin: p-dot = S p, hyperplane velocity (a S^T, 0).
     """
-    d = fw.dim
-    index = CoordinateIndex(fw)
+    d, graph = fw.dim, fw.graph
+    points, hyperplanes = fw.config.points, fw.config.hyperplanes
+    starts = column_start(graph, d, np.arange(len(graph.vertices) + 1))
+    size, n = starts[-1], len(points)
+    point_cols = starts[:n, None] + np.arange(d)
+    normal_cols = starts[n:-1, None] + np.arange(d)
     cols = []
     for c in range(d):
-        vec = np.zeros(index.full_size)
-        for v in fw.graph.points:
-            vec[index.vertex_slice(v)][c] = 1.0
-        for w in fw.graph.hyperplanes:
-            a, _ = fw.hyperplane(w)
-            sl = index.vertex_slice(w)
-            vec[sl.stop - 1] = a[c]
+        vec = np.zeros(size)
+        vec[point_cols[:, c]] = 1.0
+        vec[normal_cols[:, 0] + d] = hyperplanes[:, c]
         cols.append(vec)
     for i, j in itertools.combinations(range(d), 2):
         skew = np.zeros((d, d))
         skew[j, i], skew[i, j] = 1.0, -1.0
-        vec = np.zeros(index.full_size)
-        for v in fw.graph.points:
-            vec[index.vertex_slice(v)] = skew @ fw.point(v)
-        for w in fw.graph.hyperplanes:
-            a, _ = fw.hyperplane(w)
-            sl = index.vertex_slice(w)
-            vec[sl] = np.concatenate([a @ skew.T, [0.0]])
+        vec = np.zeros(size)
+        vec[point_cols] = points @ skew.T
+        vec[normal_cols] = hyperplanes[:, :-1] @ skew.T
         cols.append(vec)
-    return np.column_stack(cols) if cols else np.zeros((index.full_size, 0))
+    return np.column_stack(cols) if cols else np.zeros((size, 0))
 
 
 def trivial_motion_basis(fw: Framework, pin: PinningSpec = EMPTY_PIN,
@@ -461,6 +481,18 @@ def minimal_pinning(fw: Framework, tol: float = RANK_TOL) -> PinningSpec:
     return PinningSpec(coords=frozenset(coords))
 
 
+def live_contracted_hyperplanes(fw: Framework, pin: PinningSpec, directions) -> list:
+    """``(hyperplane, direction)`` pairs, direction by direction, for which the
+    rigidity matrix does not intertwine the representations along that
+    direction: the hyperplane is contracted along it, met by a ph edge, and
+    ``pin`` keeps its normal columns."""
+    fixed_sets = fw.extrusion.fixed_sets
+    removed = pin.full_hyperplanes | pin.parallel_only
+    ph_incident = {w for _, w in fw.graph.edges_ph}
+    return [(w, h) for h in directions for w in fw.graph.hyperplanes
+            if w.base in fixed_sets[h] and w in ph_incident and w not in removed]
+
+
 def hyperplane_pinning(fw: Framework, tol: float = RANK_TOL):
     """Pin one hyperplane that contains an extrusion direction.
 
@@ -482,19 +514,8 @@ def hyperplane_pinning(fw: Framework, tol: float = RANK_TOL):
     pin = PinningSpec(full_hyperplanes={target},
                       parallel_only=frozenset(cls) - {target})
 
-    ph_incident = {w for _, w in fw.graph.edges_ph}
-    removed = set(cls)
-    active = []
-    for h in range(spec.order):
-        if target.word[h] != STAR:
-            continue
-        handled = all(
-            w in removed
-            for w in fw.graph.hyperplanes
-            if w.base in spec.fixed_sets[h] and w in ph_incident
-        )
-        if handled:
-            active.append(h)
+    active = tuple(h for h in range(spec.order)
+                   if target.word[h] == STAR and not live_contracted_hyperplanes(fw, pin, (h,)))
     reduced = ExtrusionSpec(directions=spec.directions, fixed_sets=spec.fixed_sets,
-                            active=tuple(active))
+                            active=active)
     return pin, reduced

@@ -35,7 +35,7 @@ from .graphs import subgroup_elements
 from .linalg import (INT_TOL, RANK_TOL, SYMMETRY_TOL, nullspace, numeric_rank,
                      orthonormal_columns)
 from .rigidity import (CoordinateIndex, EMPTY_PIN, PinningSpec, RowLayout, column_start,
-                       constraint_rows, rigidity_matrix)
+                       live_contracted_hyperplanes, rigidity_matrix)
 
 
 class SymmetryPreconditionError(ValueError):
@@ -79,17 +79,17 @@ def character_of(matrices) -> np.ndarray:
     return np.array([float(np.trace(m)) for m in matrices])
 
 
-def decompose_character(char, elements, tol: float = INT_TOL) -> np.ndarray:
+def decompose_character(char, elements) -> np.ndarray:
     """Multiplicities of the irreducibles in a character vector.
 
     Coefficients are (1/|G|) sum_gamma chi(gamma) rho_i(gamma); they must be
-    integers up to ``tol`` or the representation is malformed.
+    integers up to ``INT_TOL`` or the representation is malformed.
     """
     char = np.asarray(char, dtype=float)
     table = character_matrix(elements)
     coeff = table @ char / len(elements)
     rounded = np.rint(coeff)
-    if np.max(np.abs(coeff - rounded), initial=0.0) > tol:
+    if np.max(np.abs(coeff - rounded), initial=0.0) > INT_TOL:
         raise ValueError(f"character does not decompose integrally: {coeff}")
     return rounded.astype(int)
 
@@ -100,13 +100,7 @@ def _check_ph_hypothesis(fw: Framework, pin: PinningSpec, active):
     intertwine the representations."""
     if fw.extrusion is None:
         return
-    removed = pin.full_hyperplanes | pin.parallel_only
-    ph_incident = {w for _, w in fw.graph.edges_ph}
-    offenders = []
-    for h in active:
-        for w in fw.graph.hyperplanes:
-            if w.base in fw.extrusion.fixed_sets[h] and w in ph_incident and w not in removed:
-                offenders.append((w, h))
+    offenders = live_contracted_hyperplanes(fw, pin, active)
     if offenders:
         names = ", ".join(f"{w} (direction {h})" for w, h in offenders)
         raise SymmetryPreconditionError(
@@ -149,11 +143,11 @@ class PermutationRep:
         """Character: the signs of the fixed indices (coupling entries are off-diagonal)."""
         return np.where(self.target == np.arange(self.target.shape[1]), self.sign, 0.0).sum(axis=1)
 
-    def restrict(self, keep, tol: float = INT_TOL) -> "PermutationRep":
+    def restrict(self, keep) -> "PermutationRep":
         """The representation on the kept indices, which must span an invariant subspace."""
         leaks = (np.abs(values[~keep[rows] & keep[cols]]).max(initial=0.0)
                  for rows, cols, values in self.coupling)
-        if np.any(keep[self.target] != keep) or max(leaks, default=0.0) > tol:
+        if np.any(keep[self.target] != keep) or max(leaks, default=0.0) > INT_TOL:
             raise ValueError("pinned coordinates are not invariant under the extrusion action")
         inside = np.cumsum(keep) - 1
         coupling = []
@@ -197,7 +191,7 @@ class RepBundle:
     layout: RowLayout          # the constraint rows
 
 
-def build_reps(fw: Framework, pin: PinningSpec = EMPTY_PIN, tol: float = INT_TOL,
+def build_reps(fw: Framework, pin: PinningSpec = EMPTY_PIN,
                check_symmetry: bool = True) -> RepBundle:
     """Both representations, restricted to the pinned coordinate/row spaces.
 
@@ -218,10 +212,10 @@ def build_reps(fw: Framework, pin: PinningSpec = EMPTY_PIN, tol: float = INT_TOL
                 f"framework is not extrusion-symmetric: {first[0]} at {first[1]}")
     _check_ph_hypothesis(fw, pin, active)
     index = CoordinateIndex(fw, pin)
-    external = coordinate_action(fw, elements).restrict(index.keep, tol)
-    layout = RowLayout(fw.graph, fw.dim, constraint_rows(fw.graph, fw.dim, pin))
+    external = coordinate_action(fw, elements).restrict(index.keep)
+    layout = RowLayout(fw.graph, fw.dim, pin)
     target, sign = map(np.array, zip(*layout.action(elements)))
-    internal = PermutationRep(elements, target, sign, np.arange(len(layout.rows)))
+    internal = PermutationRep(elements, target, sign, np.arange(layout.shape[0]))
     return RepBundle(elements=elements, external=external, internal=internal,
                      index=index, layout=layout)
 
@@ -246,77 +240,58 @@ def intertwining_residual(fw: Framework, pin: PinningSpec = EMPTY_PIN) -> float:
 # -- character table rows ----------------------------------------------------
 
 
-def character_rows(fw: Framework, pin: PinningSpec = EMPTY_PIN):
+def character_rows(fw: Framework, reps: RepBundle):
     """Named character rows of the freedom and constraint representations.
 
     Bar-joint frameworks get the four classic rows; point-hyperplane
-    frameworks get one row per summand.  All values are computed
-    combinatorially from fixed vertices and fixed edges with flip signs.
+    frameworks get one row per summand.  All values are counted from the
+    vertex permutations, never from the representations: fixed vertices
+    weighted by their coordinates kept in ``reps.index``, and the rows of
+    ``reps.layout`` whose ends are fixed as a set, with their signs.
     """
-    elements = active_elements(fw)
-    graph = fw.graph
-    d = fw.dim
-    index = CoordinateIndex(fw, pin)
-    rows = constraint_rows(graph, d, pin)
+    graph, d, layout = fw.graph, fw.dim, reps.layout
+    size, n = len(graph.vertices), len(graph.points)
+    perms = np.array([graph.permutation(gamma) for gamma in reps.elements])
+    signs = np.array([layout.sign(gamma) for gamma in reps.elements])
+    fixed = perms == np.arange(size)
+    kept = np.concatenate([[0], np.cumsum(reps.index.keep)])
+    coords = np.diff(kept[column_start(graph, d, np.arange(size + 1))])
 
-    pos = graph.position
-    perms = [graph.permutation(gamma) for gamma in elements]
+    def vertex_char(at, per_coord=True):
+        weights = coords[at] if per_coord else coords[at] > 0
+        return (fixed[:, at] * weights).sum(axis=1).astype(float)
 
-    def fixed_sum(vertices, weights):
-        at = np.array([pos[v] for v in vertices], dtype=int)
-        weights = np.array(weights, dtype=int)
-        return np.array([weights[perm[at] == at].sum() for perm in perms], dtype=float)
+    def row_char(kind):
+        if kind not in layout.groups:
+            return np.zeros(len(perms))
+        _, where, positions, *_ = layout.groups[kind]
+        still = (np.sort(perms[:, positions], axis=1) == positions).all(axis=1)
+        return np.where(still, signs[:, where], 0.0).sum(axis=1)
 
-    def vertex_char(vertices, per_coord=True):
-        coords = [int(index.keep[index.vertex_slice(v)].sum()) for v in vertices]
-        return fixed_sum(vertices, coords if per_coord else [1 if c else 0 for c in coords])
-
-    def edge_char(kind, signed, weight=1):
-        labels = [lab for lab in rows if lab[0] == kind and (kind != "par" or lab[2] == 0)]
-        ends = np.array([[pos[u], pos[v]] for _, (u, v), *_ in labels], dtype=int).reshape(-1, 2)
-        out = []
-        for gamma, perm in zip(elements, perms):
-            fixed = np.flatnonzero((np.sort(perm[ends], axis=1) == ends).all(axis=1))
-            out.append(sum((graph.edge_sign(gamma, labels[i][1]) if signed else 1) * weight
-                           for i in fixed))
-        return np.array(out, dtype=float)
-
-    def norm_char():
-        norms = [lab[1] for lab in rows if lab[0] == "norm"]
-        return fixed_sum(norms, [1] * len(norms))
-
+    points, hyperplanes = slice(0, n), slice(n, size)
     named = []
     if fw.is_bar_joint():
-        named.append(("chi(P_V)", vertex_char(graph.points, per_coord=False)))
-        named.append((f"chi(P_V x I{d})", vertex_char(graph.points)))
-        named.append(("chi(P'_E)", edge_char("pp", signed=True)))
+        named.append(("chi(P_V)", vertex_char(points, per_coord=False)))
+        named.append((f"chi(P_V x I{d})", vertex_char(points)))
+        named.append(("chi(P'_E)", row_char("pp")))
         ext_total = named[1][1]
         int_total = named[2][1]
         trans_name = f"chi(P_V x I{d})^(T)"
     else:
-        chi_vp = vertex_char(graph.points, per_coord=False)
-        chi_vpd = vertex_char(graph.points)
-        chi_vh = vertex_char(graph.hyperplanes)
-        chi_pp = edge_char("pp", signed=True)
-        chi_ph = edge_char("ph", signed=False)
-        par_name = "chi(P'_E_HHpar)" if d == 2 else f"chi(P'_E_HHpar x I{d - 1})"
-        chi_par = edge_char("par", signed=True, weight=d - 1)
-        chi_angle = edge_char("angle", signed=False)
-        chi_norm = norm_char()
-        named.append(("chi(P_VP)", chi_vp))
-        named.append((f"chi(P_VP x I{d})", chi_vpd))
-        named.append(("chi(P'_VH)", chi_vh))
-        named.append(("chi(P'_E_PP)", chi_pp))
-        named.append(("chi(P_E_PH)", chi_ph))
+        chi = {kind: row_char(kind) for kind in ("pp", "ph", "angle", "par", "norm")}
+        named.append(("chi(P_VP)", vertex_char(points, per_coord=False)))
+        named.append((f"chi(P_VP x I{d})", vertex_char(points)))
+        named.append(("chi(P'_VH)", vertex_char(hyperplanes)))
+        named += [("chi(P'_E_PP)", chi["pp"]), ("chi(P_E_PH)", chi["ph"])]
         if graph.edges_hh_angle:
-            named.append(("chi(P_E_HHangle)", chi_angle))
-        named.append((par_name, chi_par))
-        named.append(("chi(P_VH)", chi_norm))
-        ext_total = chi_vpd + chi_vh
-        int_total = chi_pp + chi_ph + chi_angle + chi_par + chi_norm
+            named.append(("chi(P_E_HHangle)", chi["angle"]))
+        par_name = "chi(P'_E_HHpar)" if d == 2 else f"chi(P'_E_HHpar x I{d - 1})"
+        named += [(par_name, chi["par"]), ("chi(P_VH)", chi["norm"])]
+        ext_total = named[1][1] + named[2][1]
+        int_total = chi["pp"] + chi["ph"] + chi["angle"] + chi["par"] + chi["norm"]
         trans_name = "chi(P'_V)^(T)"
 
-    trans = translation_character(fw, pin)
+    trans = translation_character(fw, reps.index.pin)
     named.append((trans_name, trans))
     return named, ext_total, int_total, trans
 
@@ -519,14 +494,13 @@ def symmetry_adapted_basis(rep: PermutationRep, expected, tol: float = RANK_TOL)
 class BlockDecomposition:
     """Symmetry-adapted change of basis B^T R A and its diagonal blocks."""
 
-    elements: list
+    reps: RepBundle             # the representations, index and rows it was built from
     freedoms: np.ndarray        # lambda_i
     constraints: np.ndarray     # mu_i
     external_bases: OrbitBases  # A_i, orthonormal columns in pinned coordinates
     internal_bases: OrbitBases  # B_i
     blocks: list                # mu_i x lambda_i
     offdiag_residual: float
-    index: CoordinateIndex
 
     @property
     def block_shapes(self):
@@ -566,10 +540,9 @@ def block_decompose(fw: Framework, pin: PinningSpec = EMPTY_PIN,
     blocks = [filled[offsets[i]:offsets[i + 1]].reshape(mu[i], lam[i]) for i in range(len(lam))]
     scale = np.abs(value).max(initial=0.0)
     resid = _offdiag_residual(ext, itn, row, col, value)
-    return BlockDecomposition(elements=reps.elements, freedoms=lam, constraints=mu,
+    return BlockDecomposition(reps=reps, freedoms=lam, constraints=mu,
                               external_bases=ext, internal_bases=itn, blocks=blocks,
-                              offdiag_residual=resid / scale if scale else resid,
-                              index=reps.index)
+                              offdiag_residual=resid / scale if scale else resid)
 
 
 def _offdiag_residual(ext: OrbitBases, itn: OrbitBases, row, col, value) -> float:
@@ -614,15 +587,15 @@ def _offdiag_residual(ext: OrbitBases, itn: OrbitBases, row, col, value) -> floa
 
 
 def symmetric_flexes(fw: Framework, pin: PinningSpec = EMPTY_PIN, irrep_index: int = 0,
-                     tol: float = RANK_TOL, decomposition: BlockDecomposition = None) -> np.ndarray:
+                     tol: float = RANK_TOL) -> np.ndarray:
     """Full-coordinate kernel vectors of one diagonal block.
 
     Columns satisfy R v = 0 and Ext(gamma) v = rho_i(gamma) v; pinned
     coordinates are zero.
     """
-    dec = decomposition if decomposition is not None else block_decompose(fw, pin, tol)
+    dec = block_decompose(fw, pin, tol)
     kern = nullspace(dec.blocks[irrep_index], tol)
-    return dec.index.scatter(dec.external_bases[irrep_index] @ kern)
+    return dec.reps.index.scatter(dec.external_bases[irrep_index] @ kern)
 
 
 # -- mobility counts -----------------------------------------------------------
@@ -667,9 +640,9 @@ def fowler_guest_count(fw: Framework, pin: PinningSpec = EMPTY_PIN,
     detected motion is necessarily non-trivial; for d >= 3 a rotation may
     masquerade as one, which is flagged as a caveat.
     """
-    named, ext_total, int_total, trans = character_rows(fw, pin)
     dec = block_decompose(fw, pin, tol)
-    elements = dec.elements
+    named, ext_total, int_total, trans = character_rows(fw, dec.reps)
+    elements = dec.reps.elements
     lam = decompose_character(ext_total, elements)
     mu = decompose_character(int_total, elements)
     nu = decompose_character(trans, elements)
@@ -683,7 +656,7 @@ def fowler_guest_count(fw: Framework, pin: PinningSpec = EMPTY_PIN,
     for i, block in enumerate(dec.blocks):
         kern = nullspace(block, tol)
         flex_dims[i] = kern.shape[1]
-        flexes[i] = dec.index.scatter(dec.external_bases[i] @ kern)
+        flexes[i] = dec.reps.index.scatter(dec.external_bases[i] @ kern)
         stress_dims[i] = block.shape[0] - (block.shape[1] - kern.shape[1])
     caveats = []
     if fw.dim >= 3:

@@ -251,6 +251,27 @@ def test_non_symmetric_document_exits_3_naming_the_violation(tmp_path):
         assert "hint" not in res.stderr and "Traceback" not in res.stderr
 
 
+def test_symmetry_report_shows_broken_below_the_gate(tmp_path):
+    # the report checks every element at --tol, the gate the active ones at
+    # SYMMETRY_TOL: a 1e-8 shift fails the first and passes the second
+    doc = json.loads((DATA / "prism.json").read_text())
+    moved = next(v for v in doc["vertices"] if v["id"] == "p1|1")
+    moved["coords"][0] += 1e-8
+    path = tmp_path / "nudged.json"
+    path.write_text(json.dumps(doc))
+    res = run_cli("analyze", str(path))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[1] == \
+        "extrusion symmetry: BROKEN (2 violations) (max residual 1.00e-08)"
+    assert res.stdout.splitlines()[-1] == "verdict: +1 rho_0 flex"
+    res = run_cli("analyze", str(path), "--json")
+    assert res.returncode == 0, res.stderr
+    symmetry = json.loads(res.stdout)["symmetry"]
+    assert not symmetry["ok"]
+    assert [v[:2] for v in symmetry["violations"]] == [["point-translation", "p1|0 gamma=(1,)"],
+                                                       ["point-translation", "p1|1 gamma=(1,)"]]
+
+
 def _set(path, value):
     """Mutation of a document: the entry at ``path`` (keys and indices) becomes ``value``."""
     def mutate(doc):
