@@ -187,7 +187,7 @@ def cmd_pin(args) -> int:
             pin = minimal_pinning(fw, args.tol)
             out_fw = fw
         else:
-            pin, reduced = hyperplane_pinning(fw, args.tol)
+            pin, reduced = hyperplane_pinning(fw)
             out_fw = Framework(fw.graph, fw.config, reduced)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

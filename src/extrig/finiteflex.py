@@ -11,6 +11,14 @@ Restricting the Jacobian to an affine subspace whose points achieve
 locally maximal rank turns an infinitesimal flex into a certified finite
 one; the linear push grows such a subspace from a single flex of a
 minimally pinned framework.
+
+The certificate compares the graph's restricted rank with the complete
+graph's.  For a bar-joint framework whose points affinely span, the
+complete graph's kernel is exactly the trivial motions (Asimow & Roth,
+"The rigidity of graphs", 1978), so that rank is read off the trivial
+motions of the pinning and no complete graph is built.  Point-hyperplane
+frameworks take it from the complete decorated graph's measurement map,
+whose kernel is not characterised here.
 """
 from __future__ import annotations
 
@@ -231,12 +239,12 @@ def block_rank_at(fw: Framework, pin: PinningSpec, irrep_index: int, reduced,
     return numeric_rank(block_decompose(moved, pin, tol).blocks[irrep_index], tol)
 
 
-def regular_point_test(mm: MeasurementMap, sub: AffineSubspace, samples: int = 20,
-                       radius: float = None, seed: int = 0, tol: float = RANK_TOL) -> bool:
-    """True iff the configuration achieves the maximal restricted-Jacobian
-    rank among seeded random points of the subspace within ``radius``."""
+def _regularity(mm: MeasurementMap, sub: AffineSubspace, samples: int, radius: float,
+                seed: int, tol: float) -> tuple:
+    """(rank of the restricted Jacobian at the configuration, whether no
+    seeded sample of the subspace within ``radius`` exceeds it)."""
     if sub.dim == 0:
-        return True
+        return 0, True
     here = mm.base_reduced()
     if radius is None:
         radius = 0.1 * (1.0 + float(np.linalg.norm(here)))
@@ -245,8 +253,33 @@ def regular_point_test(mm: MeasurementMap, sub: AffineSubspace, samples: int = 2
     for _ in range(samples):
         q = here + sub.basis @ (rng.uniform(-1.0, 1.0, sub.dim) * radius)
         if numeric_rank(mm.jacobian(q) @ sub.basis, tol) > rank_here:
-            return False
-    return True
+            return rank_here, False
+    return rank_here, True
+
+
+def regular_point_test(mm: MeasurementMap, sub: AffineSubspace, samples: int = 20,
+                       radius: float = None, seed: int = 0, tol: float = RANK_TOL) -> bool:
+    """True iff the configuration achieves the maximal restricted-Jacobian
+    rank among seeded random points of the subspace within ``radius``."""
+    return _regularity(mm, sub, samples, radius, seed, tol)[1]
+
+
+def _complete_rank(fw: Framework, pin: PinningSpec, sub: AffineSubspace, tol: float) -> int:
+    """Rank, at the configuration, of the complete graph's measurement
+    Jacobian restricted to the subspace.
+
+    Bar-joint: the complete graph's kernel is the trivial motions T of the
+    pinning (Asimow & Roth 1978, given affinely spanning points), so the
+    rank is dim S - dim(S n T) = rank(S - T T^T S), taken here as
+    rank [T S] - dim T so that the rank cut stays on the unit scale of the
+    orthonormal columns even when S lies inside T.  Point-hyperplane: the
+    complete decorated graph's measurement Jacobian.
+    """
+    if fw.is_bar_joint():
+        triv = trivial_motion_basis(fw, pin, tol)
+        return numeric_rank(np.hstack([triv, sub.basis]), tol) - triv.shape[1]
+    mm_k = measurement_map(fw, pin, complete=True)
+    return numeric_rank(mm_k.jacobian(mm_k.base_reduced()) @ sub.basis, tol)
 
 
 @dataclass
@@ -265,19 +298,19 @@ def finite_flex_test(fw: Framework, pin: PinningSpec = EMPTY_PIN, irrep_index: i
 
     At a regular point of the subspace, a strict rank deficit of the graph
     measurement against the complete decorated graph proves a finite flex.
-    Pass ``subspace`` to override the isotypic component (e.g. the uniform
-    velocity subspace of a copy-permutation action).
+    The complete graph's rank comes from the trivial motions for bar-joint
+    frameworks (Asimow & Roth, valid once the affine-span check below
+    passes), from the complete decorated graph for point-hyperplane
+    frameworks.  Pass ``subspace`` to override the isotypic component (e.g.
+    the uniform velocity subspace of a copy-permutation action).
     """
     if not affine_span_check(fw, tol):
         raise ValueError("points and hyperplanes do not affinely span the ambient space")
     sub = subspace
     if sub is None:
         sub = symmetric_subspace(fw, pin, irrep_index, tol)
-    mm_g = measurement_map(fw, pin)
-    mm_k = measurement_map(fw, pin, complete=True)
-    rank_g = numeric_rank(mm_g.jacobian(mm_g.base_reduced()) @ sub.basis, tol)
-    rank_k = numeric_rank(mm_k.jacobian(mm_k.base_reduced()) @ sub.basis, tol)
-    regular = regular_point_test(mm_g, sub, samples=samples, radius=radius, seed=seed, tol=tol)
+    rank_g, regular = _regularity(measurement_map(fw, pin), sub, samples, radius, seed, tol)
+    rank_k = _complete_rank(fw, pin, sub, tol)
     if not regular:
         det = NOT_REGULAR
     elif rank_g < rank_k:

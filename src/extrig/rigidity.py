@@ -493,7 +493,7 @@ def live_contracted_hyperplanes(fw: Framework, pin: PinningSpec, directions) -> 
             if w.base in fixed_sets[h] and w in ph_incident and w not in removed]
 
 
-def hyperplane_pinning(fw: Framework, tol: float = RANK_TOL):
+def hyperplane_pinning(fw: Framework):
     """Pin one hyperplane that contains an extrusion direction.
 
     The chosen hyperplane (lexicographically first among candidates) is

@@ -51,7 +51,7 @@ CALLS = {
                                {"CoordinateIndex": 2, "RowLayout": 1}),
     "build_report": (prism_twofold_report, {"CoordinateIndex": 3, "RowLayout": 2}),
     "finite_flex_test": (lambda: finite_flex_test(prism()),
-                         {"CoordinateIndex": 3, "RowLayout": 3}),
+                         {"CoordinateIndex": 3, "RowLayout": 2}),
     "minimal_pinning": (lambda: minimal_pinning(prism()), {"CoordinateIndex": 5}),
 }
 

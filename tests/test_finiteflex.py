@@ -1,6 +1,11 @@
+from importlib import resources
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import extrig.finiteflex
+from extrig import documents
 from extrig.finiteflex import (FINITE_FLEX_CERTIFIED, LINEARLY_DETECTABLE, NO_SYMMETRIC_FLEX,
                                NOT_LINEARLY_DETECTABLE, NOT_REGULAR, PRECONDITION_FAILED,
                                AffineSubspace, block_rank_at, finite_flex_test, linear_push,
@@ -10,9 +15,16 @@ from extrig.fixtures import (constrained_cube, constrained_cube_pinned, k33_orth
                              k33_pinnings, point_line_extruded_fixed, point_line_twofold,
                              point_line_twofold_pinned, prism, prism_twofold, triangle,
                              triangle_cycle, triangle_cycle_classes)
+from extrig.frameworks import affine_span_check
 from extrig.graphs import Vertex
-from extrig.linalg import numeric_rank
-from extrig.rigidity import EMPTY_PIN, minimal_pinning, rigidity_matrix, trivial_motion_basis
+from extrig.linalg import RANK_TOL, numeric_rank
+from extrig.rigidity import (EMPTY_PIN, PinningSpec, minimal_pinning, rigidity_matrix,
+                             trivial_motion_basis)
+from extrig.symmetry import SymmetryPreconditionError, block_decompose
+from extrusions import random_bar_joint_extrusions
+
+GALLERY = sorted(p.name for p in (resources.files("extrig") / "data").iterdir()
+                 if p.name.endswith(".json"))
 
 JACOBIAN_FIXTURES = [prism, prism_twofold, point_line_twofold, constrained_cube,
                      triangle_cycle, k33_orthogonal]
@@ -138,6 +150,123 @@ def test_complete_rank_counts_subspace_trivial_motions():
     assert preserved == 2
     assert res.rank_complete == sub.dim - preserved
     assert res.rank_graph <= res.rank_complete
+
+
+def complete_graph_oracle(fw, pin, sub):
+    """Rank of the complete decorated graph's measurement Jacobian restricted
+    to the subspace, at the configuration.
+
+    The cut is relative to the Jacobian's own largest singular value, not the
+    product's: the subspace columns are orthonormal, and a subspace of trivial
+    motions makes the product zero up to round-off, which a cut relative to
+    the product's largest singular value would count as rank.
+    """
+    mm = measurement_map(fw, pin, complete=True)
+    jac = mm.jacobian(mm.base_reduced())
+    prod = jac @ sub.basis
+    if prod.size == 0:
+        return 0
+    sigma = np.linalg.svd(prod, compute_uv=False)
+    return int(np.sum(sigma > RANK_TOL * max(prod.shape) * np.linalg.norm(jac, 2)))
+
+
+def assert_ranks_match_oracle(fw, pin, sub):
+    res = finite_flex_test(fw, pin, subspace=sub, samples=0)
+    mm = measurement_map(fw, pin)
+    assert res.rank_graph == numeric_rank(mm.jacobian(mm.base_reduced()) @ sub.basis)
+    assert res.rank_complete == complete_graph_oracle(fw, pin, sub)
+
+
+def isotypic_subspaces(fw, pin):
+    """Every isotypic subspace of the pinned framework; none when the symmetry
+    analysis rejects the pinning (not invariant, or a live contracted
+    hyperplane)."""
+    try:
+        count = len(block_decompose(fw, pin).blocks)
+    except ValueError as exc:
+        assert isinstance(exc, SymmetryPreconditionError) or "not invariant" in str(exc)
+        return []
+    return [symmetric_subspace(fw, pin, i) for i in range(count)]
+
+
+def copy_classes(fw):
+    """The extrusion copies of each base point, as one class each."""
+    classes = {}
+    for v in fw.graph.points:
+        classes.setdefault(v.base, []).append(v)
+    return list(classes.values())
+
+
+def drawn_pinnings(fw, data):
+    """No pinning, the minimal pinning, and a drawn set of coordinates pinned
+    on every copy of a base point (invariant, and often leaving trivial motions)."""
+    classes = copy_classes(fw)
+    chosen = data.draw(st.sets(st.tuples(st.integers(0, len(classes) - 1),
+                                         st.integers(0, fw.dim - 1)), max_size=4))
+    orbit_pin = PinningSpec(coords=frozenset((v, c) for k, c in chosen for v in classes[k]))
+    return [EMPTY_PIN, minimal_pinning(fw), orbit_pin]
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_bar_joint_extrusions(), st.data())
+def test_trivial_motion_rank_matches_complete_graph_on_random_extrusions(fw, data):
+    if not affine_span_check(fw):
+        with pytest.raises(ValueError, match="affinely span"):
+            finite_flex_test(fw)
+        return
+    for pin in drawn_pinnings(fw, data):
+        for sub in isotypic_subspaces(fw, pin):
+            assert_ranks_match_oracle(fw, pin, sub)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_bar_joint_extrusions(), st.data())
+def test_trivial_motion_rank_matches_complete_graph_on_uniform_velocities(fw, data):
+    if not affine_span_check(fw):
+        with pytest.raises(ValueError, match="affinely span"):
+            finite_flex_test(fw, subspace=uniform_velocity_subspace(fw, copy_classes(fw)))
+        return
+    points = fw.graph.points
+    labels = data.draw(st.lists(st.integers(0, 3), min_size=len(points), max_size=len(points)))
+    drawn = [[v for v, k in zip(points, labels) if k == c] for c in range(4)]
+    for classes in (copy_classes(fw), [c for c in drawn if c]):
+        for pin in drawn_pinnings(fw, data):
+            assert_ranks_match_oracle(fw, pin, uniform_velocity_subspace(fw, classes, pin))
+
+
+@pytest.mark.parametrize("name", GALLERY)
+def test_flex_ranks_match_complete_graph_on_gallery(name):
+    doc = documents.load(resources.files("extrig").joinpath("data", name))
+    fw = doc.framework
+    pins = {EMPTY_PIN, doc.pinning or EMPTY_PIN}
+    for pin in pins:
+        for sub in isotypic_subspaces(fw, pin):
+            assert_ranks_match_oracle(fw, pin, sub)
+        if fw.is_bar_joint():
+            for classes in (copy_classes(fw), [list(fw.graph.points)]):
+                assert_ranks_match_oracle(fw, pin, uniform_velocity_subspace(fw, classes, pin))
+
+
+def test_complete_rank_of_a_translation_subspace_is_zero():
+    # one class moving as a whole: the subspace is the translations, the
+    # complete graph's kernel; S - T T^T S is round-off here, so the rank is
+    # taken from [T S] on the unit scale of the orthonormal columns
+    fw = prism()
+    sub = uniform_velocity_subspace(fw, [list(fw.graph.points)])
+    assert sub.dim == 2
+    assert finite_flex_test(fw, subspace=sub).rank_complete == 0
+
+
+def test_bar_joint_certificate_never_builds_the_complete_graph(monkeypatch):
+    def refuse(graph):
+        raise AssertionError("complete decorated graph built")
+
+    monkeypatch.setattr(extrig.finiteflex, "complete_decorated", refuse)
+    assert finite_flex_test(prism()).determination == FINITE_FLEX_CERTIFIED
+    assert finite_flex_test(triangle()).determination == NO_SYMMETRIC_FLEX
+    fw, pin = point_line_twofold_pinned()
+    with pytest.raises(AssertionError, match="complete decorated graph built"):
+        finite_flex_test(fw, pin)
 
 
 def test_uniform_velocity_subspace_cycle():

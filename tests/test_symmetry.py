@@ -26,6 +26,7 @@ from extrig.symmetry import (PermutationRep, SymmetryPreconditionError, active_e
                              intertwining_residual, irreducible_characters,
                              symmetric_flexes, symmetry_adapted_basis,
                              translation_character)
+from extrusions import random_bar_joint_extrusions
 
 SYMMETRIC_CASES = [
     ("prism", lambda: (prism(), EMPTY_PIN)),
@@ -375,20 +376,6 @@ def test_isotypic_bases_against_dense_projector(name, pinned):
             assert ref.shape[1] == basis.shape[1]
             assert np.abs(basis - ref @ (ref.T @ basis)).max(initial=0.0) <= 1e-12
             assert np.abs(ref - basis @ (basis.T @ ref)).max(initial=0.0) <= 1e-12
-
-
-@st.composite
-def random_bar_joint_extrusions(draw):
-    """A generic bar-joint base of 2..5 points with random bars, extruded t <= 3 times."""
-    d = draw(st.integers(2, 3))
-    n = draw(st.integers(2, 5))
-    t = draw(st.integers(1, 3))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    pts = [Vertex(f"p{i}") for i in range(n)]
-    bars = tuple(e for e in itertools.combinations(pts, 2) if draw(st.booleans()))
-    base = Framework(PHGraph(points=tuple(pts), hyperplanes=(), edges_pp=bars),
-                     Configuration(d, rng.normal(size=(n, d)), np.zeros((0, d + 1))))
-    return extrude_framework(base, rng.normal(size=(t, d)))
 
 
 @settings(max_examples=40, deadline=None)
