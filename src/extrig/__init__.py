@@ -9,7 +9,8 @@ from .graphs import (PHGraph, Vertex, complete_decorated, extrusion_product,
                      group_elements, remove_edge, subgroup_elements)
 from .rigidity import (InfinitesimalAnalysis, PinningSpec, RigidityMatrix,
                        hyperplane_pinning, infinitesimal_analysis, maxwell_rhs,
-                       minimal_pinning, rigidity_matrix, trivial_motion_basis)
+                       minimal_pinning, rigidity_matrix, trivial_motion_basis,
+                       trivial_motion_dim)
 from .symmetry import (BlockDecomposition, MobilityReport, RepBundle,
                        SymmetryPreconditionError, block_decompose, build_reps,
                        character_of, decompose_character, fowler_guest_count,

@@ -31,7 +31,8 @@ from .frameworks import Configuration, Framework, affine_span_check
 from .graphs import complete_decorated
 from .linalg import (CONTAINMENT_TOL, RANK_TOL, intersect_columns, nullspace, numeric_rank,
                      orthonormal_columns, projection_residual)
-from .rigidity import CoordinateIndex, EMPTY_PIN, PinningSpec, RowLayout, trivial_motion_basis
+from .rigidity import (CoordinateIndex, EMPTY_PIN, PinningSpec, RowLayout, trivial_motion_basis,
+                       trivial_motion_dim)
 from .symmetry import block_decompose
 
 FINITE_FLEX_CERTIFIED = "FiniteFlexCertified"
@@ -239,6 +240,13 @@ def block_rank_at(fw: Framework, pin: PinningSpec, irrep_index: int, reduced,
     return numeric_rank(block_decompose(moved, pin, tol).blocks[irrep_index], tol)
 
 
+def _product_rank(jac, basis, tol: float) -> int:
+    """Rank of J S for S with orthonormal columns, cut against |J|_F rather
+    than the largest singular value of J S, so that a product which is
+    round-off (S inside the kernel of J) has rank 0."""
+    return numeric_rank(jac @ basis, tol, scale=float(np.linalg.norm(jac)))
+
+
 def _regularity(mm: MeasurementMap, sub: AffineSubspace, samples: int, radius: float,
                 seed: int, tol: float) -> tuple:
     """(rank of the restricted Jacobian at the configuration, whether no
@@ -248,11 +256,11 @@ def _regularity(mm: MeasurementMap, sub: AffineSubspace, samples: int, radius: f
     here = mm.base_reduced()
     if radius is None:
         radius = 0.1 * (1.0 + float(np.linalg.norm(here)))
-    rank_here = numeric_rank(mm.jacobian(here) @ sub.basis, tol)
+    rank_here = _product_rank(mm.jacobian(here), sub.basis, tol)
     rng = np.random.default_rng(seed)
     for _ in range(samples):
         q = here + sub.basis @ (rng.uniform(-1.0, 1.0, sub.dim) * radius)
-        if numeric_rank(mm.jacobian(q) @ sub.basis, tol) > rank_here:
+        if _product_rank(mm.jacobian(q), sub.basis, tol) > rank_here:
             return rank_here, False
     return rank_here, True
 
@@ -279,7 +287,7 @@ def _complete_rank(fw: Framework, pin: PinningSpec, sub: AffineSubspace, tol: fl
         triv = trivial_motion_basis(fw, pin, tol)
         return numeric_rank(np.hstack([triv, sub.basis]), tol) - triv.shape[1]
     mm_k = measurement_map(fw, pin, complete=True)
-    return numeric_rank(mm_k.jacobian(mm_k.base_reduced()) @ sub.basis, tol)
+    return _product_rank(mm_k.jacobian(mm_k.base_reduced()), sub.basis, tol)
 
 
 @dataclass
@@ -362,7 +370,7 @@ def linear_push(fw: Framework, pin: PinningSpec, seed: int = 0, max_iter: int = 
     n_pinned = mm.index.full_size - mm.index.size
     if n_pinned != expected:
         return failed(f"pinning removes {n_pinned} coordinates, expected {expected}")
-    if trivial_motion_basis(fw, pin, tol).shape[1] != 0:
+    if trivial_motion_dim(fw, pin, tol) != 0:
         return failed("pinned framework retains trivial motions")
     jac = mm.jacobian(base) @ wg
     kern = nullspace(jac, tol)

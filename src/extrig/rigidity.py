@@ -16,7 +16,7 @@ under the extrusion action.  The rigidity matrix, the measurement map of
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -402,32 +402,57 @@ def trivial_motion_basis(fw: Framework, pin: PinningSpec = EMPTY_PIN,
     return orthonormal_columns(gens[index.keep, :], tol)
 
 
+def trivial_motion_dim(fw: Framework, pin: PinningSpec = EMPTY_PIN,
+                       tol: float = RANK_TOL) -> int:
+    """Dimension of the trivial motions compatible with the pinning, from
+    singular values only: the generator combinations that vanish on the
+    deleted coordinates, less those that vanish everywhere."""
+    gens = trivial_motion_generators(fw)
+    keep = CoordinateIndex(fw, pin).keep
+    return numeric_rank(gens, tol) - numeric_rank(gens[~keep, :], tol)
+
+
 @dataclass
 class InfinitesimalAnalysis:
+    """Rank, motion and self-stress counts of a (pinned) rigidity matrix.
+
+    The counts come from one values-only rank decision on ``matrix``.  The
+    bases ``nullspace_basis`` (n x nullity) and ``stress_basis``
+    (m x stress_dim) are computed on first read, from one full SVD of
+    ``matrix`` cut at the recorded ``rank``, so their widths always equal
+    the counts.
+    """
+
     rank: int
     nullity: int
-    nullspace_basis: np.ndarray
     trivial_dim: int
     flex_dim: int
     stress_dim: int
-    stress_basis: np.ndarray
+    matrix: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def _kernels(self):
+        return kernels(self.matrix, rank=self.rank)
+
+    @property
+    def nullspace_basis(self) -> np.ndarray:
+        return self._kernels[0]
+
+    @property
+    def stress_basis(self) -> np.ndarray:
+        return self._kernels[1]
 
 
 def infinitesimal_analysis(fw: Framework, pin: PinningSpec = EMPTY_PIN,
                            tol: float = RANK_TOL) -> InfinitesimalAnalysis:
     """Rank, motion space, and self-stress space of the (pinned) framework."""
     rig = rigidity_matrix(fw, pin)
-    null, stresses = kernels(rig.matrix, tol)
-    trivial = trivial_motion_basis(fw, pin, tol).shape[1]
-    return InfinitesimalAnalysis(
-        rank=rig.shape[1] - null.shape[1],
-        nullity=null.shape[1],
-        nullspace_basis=null,
-        trivial_dim=trivial,
-        flex_dim=null.shape[1] - trivial,
-        stress_dim=stresses.shape[1],
-        stress_basis=stresses,
-    )
+    rows, cols = rig.shape
+    rank = rig.rank(tol)
+    trivial = trivial_motion_dim(fw, pin, tol)
+    return InfinitesimalAnalysis(rank=rank, nullity=cols - rank, trivial_dim=trivial,
+                                 flex_dim=cols - rank - trivial, stress_dim=rows - rank,
+                                 matrix=rig.matrix)
 
 
 def maxwell_rhs(fw: Framework) -> int:
@@ -455,7 +480,7 @@ def minimal_pinning(fw: Framework, tol: float = RANK_TOL) -> PinningSpec:
         raise ValueError("configuration does not affinely span the ambient space")
     d = fw.dim
     coords = set((fw.graph.points[0], c) for c in range(d))
-    current = trivial_motion_basis(fw, PinningSpec(coords=coords), tol).shape[1]
+    current = trivial_motion_dim(fw, PinningSpec(coords=coords), tol)
     for v in fw.graph.points:
         if current == 0:
             break
@@ -463,7 +488,7 @@ def minimal_pinning(fw: Framework, tol: float = RANK_TOL) -> PinningSpec:
             if (v, c) in coords:
                 continue
             trial = coords | {(v, c)}
-            dim_after = trivial_motion_basis(fw, PinningSpec(coords=trial), tol).shape[1]
+            dim_after = trivial_motion_dim(fw, PinningSpec(coords=trial), tol)
             if dim_after < current:
                 coords = trial
                 current = dim_after
@@ -476,7 +501,7 @@ def minimal_pinning(fw: Framework, tol: float = RANK_TOL) -> PinningSpec:
         raise ValueError(f"pinning used {len(coords)} coordinates, expected {expected}")
     for dropped in sorted(coords, key=lambda vc: (vc[0].sort_key(), vc[1])):
         rest = coords - {dropped}
-        if trivial_motion_basis(fw, PinningSpec(coords=rest), tol).shape[1] == 0:
+        if trivial_motion_dim(fw, PinningSpec(coords=rest), tol) == 0:
             raise ValueError(f"pinning is not minimal: {dropped} is redundant")
     return PinningSpec(coords=frozenset(coords))
 

@@ -148,7 +148,8 @@ class PermutationRep:
         leaks = (np.abs(values[~keep[rows] & keep[cols]]).max(initial=0.0)
                  for rows, cols, values in self.coupling)
         if np.any(keep[self.target] != keep) or max(leaks, default=0.0) > INT_TOL:
-            raise ValueError("pinned coordinates are not invariant under the extrusion action")
+            raise SymmetryPreconditionError(
+                "pinned coordinates are not invariant under the extrusion action")
         inside = np.cumsum(keep) - 1
         coupling = []
         for rows, cols, values in self.coupling:
@@ -196,9 +197,9 @@ def build_reps(fw: Framework, pin: PinningSpec = EMPTY_PIN,
     """Both representations, restricted to the pinned coordinate/row spaces.
 
     Raises :class:`SymmetryPreconditionError` when the configuration is
-    not extrusion-symmetric or the point-hyperplane hypothesis fails, and
-    ValueError when the pinning is not compatible with the group action
-    (deleted coordinates must form an invariant set).
+    not extrusion-symmetric, the point-hyperplane hypothesis fails, or the
+    pinning is not compatible with the group action (deleted coordinates
+    must form an invariant set).
     """
     elements = active_elements(fw)
     active = fw.extrusion.active if fw.extrusion is not None else ()

@@ -217,6 +217,22 @@ def test_push_cli_matches_golden(tmp_path):
     assert got == expected
 
 
+def test_analyze_of_a_minimal_pinning_exits_3_naming_the_pinning(tmp_path):
+    # the README session: a minimal pinning is not invariant under the extrusion
+    # action, so the block decomposition does not apply (a precondition, not exit 4)
+    doc = tmp_path / "prism.json"
+    doc.write_text((DATA / "prism.json").read_text())
+    pinned = tmp_path / "prism_min.json"
+    assert run_cli("pin", "--mode", "minimal", str(doc), "-o", str(pinned)).returncode == 0
+    for args in ((), ("--json",)):
+        res = run_cli("analyze", str(pinned), *args)
+        assert res.returncode == 3, res.stderr
+        assert res.stderr.startswith("error: pinned coordinates are not invariant"), res.stderr
+        assert "Traceback" not in res.stderr and not res.stdout
+    res = run_cli("sketch", str(pinned), "--flex", "rho_0:0", "-o", str(tmp_path / "s.svg"))
+    assert res.returncode == 3 and "pinned coordinates" in res.stderr, res.stderr
+
+
 def test_push_requires_pinned_document(tmp_path):
     doc = tmp_path / "prism.json"
     doc.write_text((DATA / "prism.json").read_text())

@@ -1,19 +1,33 @@
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from extrig.linalg import kernels, nullspace, numeric_rank, orthonormal_columns
+import extrig.linalg
+from extrig.linalg import RANK_TOL, _rank, kernels, nullspace, numeric_rank, orthonormal_columns
 
 
-@st.composite
-def low_rank_matrices(draw):
-    """A random m x n matrix of known rank r, with nonzero singular values in [0.5, 2] * scale."""
-    m, n = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+def low_rank_matrix(draw, m, n):
+    """A random m x n matrix of drawn rank r, with nonzero singular values in [0.5, 2] * scale."""
     r = draw(st.integers(0, min(m, n)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     u = np.linalg.qr(rng.normal(size=(m, m)))[0][:, :r] if m else np.zeros((0, 0))
     v = np.linalg.qr(rng.normal(size=(n, n)))[0][:, :r] if n else np.zeros((0, 0))
     scale = 10.0 ** draw(st.integers(-6, 6))
     return (u * (rng.uniform(0.5, 2.0, r) * scale)) @ v.T, r
+
+
+@st.composite
+def low_rank_matrices(draw):
+    return low_rank_matrix(draw, draw(st.integers(0, 9)), draw(st.integers(0, 9)))
+
+
+@st.composite
+def shaped_low_rank_matrices(draw):
+    """Low-rank matrices inside the QR band n < m < 11n/6, its transpose, square and very tall."""
+    n = draw(st.integers(6, 40))
+    band = draw(st.integers(n + 1, -(-11 * n // 6) - 1))
+    m, n = draw(st.sampled_from([(band, n), (n, band), (n, n), (5 * n, n)]))
+    return low_rank_matrix(draw, m, n)
 
 
 @settings(max_examples=200, deadline=None)
@@ -36,6 +50,48 @@ def test_rank_decisions_agree(case):
     assert np.abs(left.T @ mat).max(initial=0.0) <= 1e-12 * norm
     assert np.allclose(right.T @ right, np.eye(n - r), rtol=0, atol=1e-12)
     assert np.allclose(left.T @ left, np.eye(m - r), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shaped_low_rank_matrices())
+@example((np.zeros((9, 6)), 0)).via("all zero, in the QR band")
+@example((np.zeros((6, 9)), 0)).via("all zero, wide")
+@example((np.zeros((0, 6)), 0)).via("empty")
+def test_values_only_rank_equals_the_full_svd_cut(case):
+    # the QR reduction keeps the singular values, and so the decision; the
+    # column floor is lowered so that these small matrices take it too
+    mat, r = case
+    full = _rank(np.linalg.svd(mat, compute_uv=False), mat.shape, RANK_TOL) if mat.size else 0
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(extrig.linalg, "_QR_MIN_COLUMNS", 1)
+        assert numeric_rank(mat) == full == r
+    assert numeric_rank(mat) == r
+
+
+def test_qr_reduction_only_inside_the_band(monkeypatch):
+    # above 11n/6 LAPACK reduces by itself, below the column floor the extra
+    # factorisation costs more than it saves
+    shapes = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda mat, mode: shapes.append(mat.shape) or qr(mat, mode))
+    rng = np.random.default_rng(5)
+    n = extrig.linalg._QR_MIN_COLUMNS
+    for shape in ((n, n), (n + 1, n), (469, n), (470, n), (3 * n, n), (n, 300),
+                  (61, 60), (60, 100)):
+        numeric_rank(rng.normal(size=shape))
+    assert n == 256 and shapes == [(n + 1, n), (469, n), (300, n)]
+
+
+def test_reference_scale_makes_a_round_off_product_rank_zero():
+    # J S with S spanning the kernel of J: round-off relative to its own
+    # largest singular value, zero relative to |J|_F
+    rng = np.random.default_rng(3)
+    jac = rng.normal(size=(9, 4)) @ rng.normal(size=(4, 6))
+    kern = nullspace(jac)
+    prod = jac @ kern
+    assert kern.shape[1] == 2 and np.abs(prod).max() > 0.0
+    assert numeric_rank(prod, scale=np.linalg.norm(jac)) == 0
+    assert numeric_rank(jac @ np.eye(6)[:, :3], scale=np.linalg.norm(jac)) == 3
 
 
 def test_rank_threshold_is_relative_to_shape_and_largest_value():

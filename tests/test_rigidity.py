@@ -2,17 +2,19 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from extrig import documents
 from extrig.finiteflex import measurement_map
-from extrig.frameworks import Configuration, Framework
+from extrig.frameworks import Configuration, Framework, affine_span_check
 from extrig.graphs import PHGraph, Vertex
 from extrig.fixtures import (constrained_cube, constrained_cube_pinned, k33_orthogonal,
                              k33_pinnings, point_line_twofold, point_line_twofold_pinned,
                              prism, prism_pinned, prism_twofold, triangle, triangle_cycle)
 from extrig.rigidity import (EMPTY_PIN, PinningSpec, hyperplane_pinning,
                              infinitesimal_analysis, maxwell_rhs, minimal_pinning, parallel_axes,
-                             rigidity_matrix, trivial_motion_basis)
+                             rigidity_matrix, trivial_motion_basis, trivial_motion_dim)
+from extrusions import random_bar_joint_extrusions
 
 ALL_UNPINNED = [triangle, prism, prism_twofold, point_line_twofold, constrained_cube,
                 triangle_cycle, k33_orthogonal]
@@ -301,3 +303,68 @@ def test_stress_basis_from_the_one_factorisation(name, pinned):
     assert np.abs(ref - stresses @ (stresses.T @ ref)).max(initial=0.0) <= 1e-10
     assert ana.rank == rig.rank()
     assert ana.rank + ana.nullity == cols and ana.rank + ana.stress_dim == rows
+
+
+@pytest.mark.parametrize("pinned", [True, False])
+@pytest.mark.parametrize("name", GALLERY)
+def test_nullspace_basis_from_the_one_factorisation(name, pinned):
+    fw, pin = gallery_document(name)
+    pin = pin if pinned else EMPTY_PIN
+    rig = rigidity_matrix(fw, pin)
+    ana = infinitesimal_analysis(fw, pin)
+    null = ana.nullspace_basis
+    assert null.shape == (rig.shape[1], ana.nullity)
+    assert np.allclose(null.T @ null, np.eye(ana.nullity), rtol=0, atol=1e-12)
+    assert np.linalg.norm(rig.matrix @ null, 2) <= 1e-10 * np.linalg.norm(rig.matrix, 2)
+
+
+@pytest.mark.parametrize("name", GALLERY)
+def test_infinitesimal_analysis_requests_no_singular_vectors_until_a_basis_is_read(
+        monkeypatch, name):
+    fw, pin = gallery_document(name)
+    rig = rigidity_matrix(fw, pin).matrix
+    sigma = np.linalg.svd(rig, compute_uv=False)
+    calls = []
+    svd = np.linalg.svd
+
+    def recorded(mat, *args, **kwargs):
+        out = svd(mat, *args, **kwargs)
+        calls.append((kwargs.get("compute_uv", True), mat, out))
+        return out
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    ana = infinitesimal_analysis(fw, pin)
+    assert calls and not any(uv for uv, _, _ in calls)
+    # one of them is R (or its triangular factor); the rest are the
+    # d(d+1)/2-column trivial-motion generators
+    of_rig = [out for _, _, out in calls if out.shape == sigma.shape and np.allclose(out, sigma)]
+    assert len(of_rig) == 1
+    assert all(fw.dim * (fw.dim + 1) // 2 in mat.shape for _, mat, out in calls
+               if out is not of_rig[0])
+    calls.clear()
+    null, stresses = ana.nullspace_basis, ana.stress_basis
+    assert len(calls) == 1 and calls[0][0] and np.array_equal(calls[0][1], rig)
+    assert null.shape[1] == ana.nullity and stresses.shape[1] == ana.stress_dim
+
+
+def check_trivial_dim(fw, pin):
+    assert trivial_motion_dim(fw, pin) == trivial_motion_basis(fw, pin).shape[1]
+
+
+@pytest.mark.parametrize("name", GALLERY)
+def test_trivial_motion_dim_equals_the_basis_width_on_gallery(name):
+    fw, pin = gallery_document(name)
+    for p in {EMPTY_PIN, pin}:
+        check_trivial_dim(fw, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_bar_joint_extrusions(), st.data())
+def test_trivial_motion_dim_equals_the_basis_width_on_random_extrusions(fw, data):
+    coords = [(v, c) for v in fw.graph.points for c in range(fw.dim)]
+    drawn = data.draw(st.sets(st.sampled_from(coords), max_size=2 * fw.dim))
+    pins = [EMPTY_PIN, PinningSpec(coords=frozenset(drawn))]
+    if affine_span_check(fw):
+        pins.append(minimal_pinning(fw))
+    for pin in pins:
+        check_trivial_dim(fw, pin)
