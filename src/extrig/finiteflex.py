@@ -12,6 +12,18 @@ locally maximal rank turns an infinitesimal flex into a certified finite
 one; the linear push grows such a subspace from a single flex of a
 minimally pinned framework.
 
+Regularity is sampled on one row per orbit.  An extrusion element that
+flips only directions along which the subspace's character is +1 keeps
+every point q of the subspace extrusion-symmetric, so J(q) intertwines
+the representations and the rows of J(q) S are equal up to sign along the
+element's row orbits.  Then (J S)^T (J S) is the sum over orbits of
+|orbit| k^T k for one representative row k, which is exact: the
+representatives weighted by sqrt(|orbit|) have the singular values of
+J S, and an orbit whose stabiliser negates it has J S rows that vanish.
+This is the orbit rigidity matrix (Schulze & Whiteley 2011) read per
+irreducible (Kangwai & Guest 2000).  The rank cut stays on the shape of
+J S and on |J|_F, taken from the nonzeros of every row.
+
 The certificate compares the graph's restricted rank with the complete
 graph's.  For a bar-joint framework whose points affinely span, the
 complete graph's kernel is exactly the trivial motions (Asimow & Roth,
@@ -27,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .frameworks import Configuration, Framework, affine_span_check
+from .frameworks import Framework, affine_span_check
 from .graphs import complete_decorated
 from .linalg import (CONTAINMENT_TOL, RANK_TOL, intersect_columns, nullspace, numeric_rank,
                      orthonormal_columns, projection_residual)
@@ -146,10 +158,17 @@ def measurement_map(fw: Framework, pin: PinningSpec = EMPTY_PIN,
 
 @dataclass(frozen=True)
 class AffineSubspace:
-    """base + span(orthonormal basis columns), in pinned coordinates."""
+    """base + span(orthonormal basis columns), in pinned coordinates.
+
+    ``fixed_by`` lists extrusion elements under which every point of the
+    subspace is a symmetric configuration; regularity sampling reads the
+    restricted Jacobian on one row per orbit of them.  Empty means no
+    symmetry is known, and every row is its own orbit.
+    """
 
     base: np.ndarray
     basis: np.ndarray
+    fixed_by: tuple = ()
 
     @property
     def dim(self) -> int:
@@ -182,6 +201,14 @@ def symmetric_subspace(fw: Framework, pin: PinningSpec = EMPTY_PIN, irrep_index:
     that every point of the subspace is a valid decorated configuration; for
     the fully-symmetric component of an extrusion framework this changes
     nothing.
+
+    The subspace is fixed by the active elements that flip only directions
+    on which the irreducible's character is +1.  Moving along the component
+    displaces the copies of a vertex across such a direction alike, so they
+    stay one extrusion vector apart and the element remains a symmetry.  An
+    element with character +1 that flips two directions of character -1 is
+    not one: the copies across either direction move apart by opposite
+    amounts, and the copy edges its orbit pairs change length differently.
     """
     dec = block_decompose(fw, pin, tol)
     index = dec.reps.index
@@ -190,7 +217,10 @@ def symmetric_subspace(fw: Framework, pin: PinningSpec = EMPTY_PIN, irrep_index:
         wg = parallel_respecting_basis(fw, index, tol)
         if wg.shape[1] < index.size:
             basis = intersect_columns(basis, wg, tol)
-    return AffineSubspace(base=index.reduce(index.full_vector()), basis=basis)
+    elements = dec.reps.elements
+    flips = np.array(elements, dtype=bool).reshape(len(elements), -1)
+    fixed_by = tuple(g for g, f in zip(elements, flips) if not (f & flips[irrep_index]).any())
+    return AffineSubspace(base=index.reduce(index.full_vector()), basis=basis, fixed_by=fixed_by)
 
 
 def uniform_velocity_subspace(fw: Framework, classes, pin: PinningSpec = EMPTY_PIN,
@@ -219,32 +249,53 @@ def uniform_velocity_subspace(fw: Framework, classes, pin: PinningSpec = EMPTY_P
     return AffineSubspace(base=index.reduce(index.full_vector()), basis=basis)
 
 
-def framework_at(fw: Framework, index: CoordinateIndex, reduced) -> Framework:
-    """Framework with the same graph, pinning values, and extrusion spec, at
-    new values of the unpinned coordinates."""
-    pts, hyp = index.split(index.expand(np.asarray(reduced, dtype=float)))
-    return Framework(fw.graph, Configuration(fw.dim, pts, hyp), fw.extrusion)
-
-
-def block_rank_at(fw: Framework, pin: PinningSpec, irrep_index: int, reduced,
-                  tol: float = RANK_TOL) -> int:
-    """Rank of one diagonal block of the rigidity matrix re-evaluated at a
-    pushed configuration.
-
-    A push along the fully-symmetric component keeps the extrusion symmetry,
-    so the block structure survives and regularity of that component can be
-    probed on the block alone; this agrees with the restricted measurement
-    Jacobian rank at the same point.
-    """
-    moved = framework_at(fw, CoordinateIndex(fw, pin), reduced)
-    return numeric_rank(block_decompose(moved, pin, tol).blocks[irrep_index], tol)
-
-
 def _product_rank(jac, basis, tol: float) -> int:
     """Rank of J S for S with orthonormal columns, cut against |J|_F rather
     than the largest singular value of J S, so that a product which is
     round-off (S inside the kernel of J) has rank 0."""
     return numeric_rank(jac @ basis, tol, scale=float(np.linalg.norm(jac)))
+
+
+class _OrbitSampler:
+    """Rank of J(q) S at points q of a subspace, from one row per orbit.
+
+    Built once per subspace from the measurement rows' signed permutations
+    under ``sub.fixed_by``: one representative per orbit, weighted by
+    sqrt(|orbit|); orbits whose stabiliser carries a -1 sign are dropped,
+    since their rows of J S vanish.  The positions of the kept rows'
+    nonzeros in the compressed rows are recorded here, so a sample only
+    evaluates the row table's nonzero values.
+    """
+
+    def __init__(self, mm: MeasurementMap, sub: AffineSubspace):
+        layout, keep = mm.layout, mm.index.keep
+        m = layout.shape[0]
+        moves = layout.action(sub.fixed_by)
+        target = np.array([np.arange(m)] + [t for t, _ in moves])
+        sign = np.array([np.ones(m)] + [s for _, s in moves])
+        first = target.min(axis=0)
+        reps = np.flatnonzero(first == np.arange(m))
+        size = np.bincount(np.searchsorted(reps, first), minlength=len(reps))
+        vanish = ((target[:, reps] == reps) & (sign[:, reps] < 0)).any(axis=0)
+        slot = np.full(m, -1)
+        slot[reps[~vanish]] = np.arange(int((~vanish).sum()))
+        row, col, _ = layout.nonzeros(*mm._coordinates(mm.base_reduced()), scaled=True)
+        self.kept = keep[col]
+        self.used = self.kept & (slot[row] >= 0)
+        self.at = slot[row[self.used]] * mm.index.size + (np.cumsum(keep) - 1)[col[self.used]]
+        self.weight = np.sqrt(size[~vanish][slot[row[self.used]]])
+        self.rows = int((~vanish).sum())
+        self.mm, self.basis, self.shape = mm, sub.basis, (m, sub.dim)
+
+    def rank(self, reduced, tol: float) -> int:
+        """Rank of J S at ``reduced``, cut on the shape of J S against |J|_F."""
+        mm = self.mm
+        value = mm.layout.nonzeros(*mm._coordinates(reduced), scaled=True)[2]
+        rows = np.zeros(self.rows * mm.index.size)
+        rows[self.at] = self.weight * value[self.used]
+        prod = rows.reshape(self.rows, mm.index.size) @ self.basis
+        return numeric_rank(prod, tol, scale=float(np.linalg.norm(value[self.kept])),
+                            shape=self.shape)
 
 
 def _regularity(mm: MeasurementMap, sub: AffineSubspace, samples: int, radius: float,
@@ -256,11 +307,12 @@ def _regularity(mm: MeasurementMap, sub: AffineSubspace, samples: int, radius: f
     here = mm.base_reduced()
     if radius is None:
         radius = 0.1 * (1.0 + float(np.linalg.norm(here)))
-    rank_here = _product_rank(mm.jacobian(here), sub.basis, tol)
+    sampler = _OrbitSampler(mm, sub)
+    rank_here = sampler.rank(here, tol)
     rng = np.random.default_rng(seed)
     for _ in range(samples):
         q = here + sub.basis @ (rng.uniform(-1.0, 1.0, sub.dim) * radius)
-        if _product_rank(mm.jacobian(q), sub.basis, tol) > rank_here:
+        if sampler.rank(q, tol) > rank_here:
             return rank_here, False
     return rank_here, True
 

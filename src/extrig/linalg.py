@@ -17,7 +17,8 @@ values (Chan, "An improved algorithm for computing the singular value
 decomposition", ACM TOMS 1982).  Above 11n/6 LAPACK's dgesdd makes that
 reduction by itself; below the column floor the extra factorisation costs
 more than it saves.  The cut is still taken only in :func:`_rank`, on the
-original shape.
+original shape, or on the shape of the matrix the caller's compressed one
+stands for.
 
 Every other tolerance of the package is defined here too, once; none of
 them is an option.
@@ -50,15 +51,17 @@ def _rank(sigma, shape, tol: float, scale: float = None) -> int:
     return int(np.sum(sigma > tol * max(shape) * (sigma[0] if scale is None else scale)))
 
 
-def numeric_rank(mat, tol: float = RANK_TOL, scale: float = None) -> int:
+def numeric_rank(mat, tol: float = RANK_TOL, scale: float = None, shape: tuple = None) -> int:
     """Numerical rank of a dense matrix, from its singular values alone.
 
-    ``scale`` is the reference of the cut (see :func:`_rank`)."""
+    ``scale`` is the reference of the cut (see :func:`_rank`).  ``shape``
+    replaces the matrix's own shape in the cut when ``mat`` stands for a
+    larger matrix with the same singular values (rows compressed by orbit)."""
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     if mat.size == 0:
         return 0
-    shape = mat.shape
-    tall = mat.T if shape[1] > shape[0] else mat
+    shape = mat.shape if shape is None else shape
+    tall = mat.T if mat.shape[1] > mat.shape[0] else mat
     m, n = tall.shape
     if _QR_MIN_COLUMNS <= n < m < 11 * n / 6:
         tall = np.linalg.qr(tall, mode="r")

@@ -470,7 +470,9 @@ def minimal_pinning(fw: Framework, tol: float = RANK_TOL) -> PinningSpec:
     Pins the d coordinates of the first point vertex, then walks the
     remaining point coordinates in lexicographic order, keeping those that
     strictly reduce the surviving trivial motion space.  Verifies minimality
-    by a single-removal test.
+    by a single-removal test.  The generators and their rank are formed
+    once; each trial ranks only their rows at the pinned coordinates, as
+    :func:`trivial_motion_dim` does.
     """
     if not fw.graph.points:
         raise ValueError("minimal pinning requires at least one point vertex")
@@ -478,17 +480,24 @@ def minimal_pinning(fw: Framework, tol: float = RANK_TOL) -> PinningSpec:
 
     if not affine_span_check(fw, tol):
         raise ValueError("configuration does not affinely span the ambient space")
-    d = fw.dim
-    coords = set((fw.graph.points[0], c) for c in range(d))
-    current = trivial_motion_dim(fw, PinningSpec(coords=coords), tol)
-    for v in fw.graph.points:
+    d, graph = fw.dim, fw.graph
+    gens = trivial_motion_generators(fw)
+    full_rank = numeric_rank(gens, tol)
+    start = {v: int(column_start(graph, d, graph.position[v])) for v in graph.points}
+
+    def surviving(coords) -> int:
+        return full_rank - numeric_rank(gens[sorted(start[v] + c for v, c in coords)], tol)
+
+    coords = set((graph.points[0], c) for c in range(d))
+    current = surviving(coords)
+    for v in graph.points:
         if current == 0:
             break
         for c in range(d):
             if (v, c) in coords:
                 continue
             trial = coords | {(v, c)}
-            dim_after = trivial_motion_dim(fw, PinningSpec(coords=trial), tol)
+            dim_after = surviving(trial)
             if dim_after < current:
                 coords = trial
                 current = dim_after
@@ -500,8 +509,7 @@ def minimal_pinning(fw: Framework, tol: float = RANK_TOL) -> PinningSpec:
     if len(coords) != expected:
         raise ValueError(f"pinning used {len(coords)} coordinates, expected {expected}")
     for dropped in sorted(coords, key=lambda vc: (vc[0].sort_key(), vc[1])):
-        rest = coords - {dropped}
-        if trivial_motion_dim(fw, PinningSpec(coords=rest), tol) == 0:
+        if surviving(coords - {dropped}) == 0:
             raise ValueError(f"pinning is not minimal: {dropped} is redundant")
     return PinningSpec(coords=frozenset(coords))
 

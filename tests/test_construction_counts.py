@@ -52,7 +52,7 @@ CALLS = {
     "build_report": (prism_twofold_report, {"CoordinateIndex": 3, "RowLayout": 2}),
     "finite_flex_test": (lambda: finite_flex_test(prism()),
                          {"CoordinateIndex": 3, "RowLayout": 2}),
-    "minimal_pinning": (lambda: minimal_pinning(prism()), {"CoordinateIndex": 5}),
+    "minimal_pinning": (lambda: minimal_pinning(prism()), {}),
 }
 
 

@@ -8,7 +8,7 @@ import extrig.finiteflex
 from extrig import documents
 from extrig.finiteflex import (FINITE_FLEX_CERTIFIED, LINEARLY_DETECTABLE, NO_SYMMETRIC_FLEX,
                                NOT_LINEARLY_DETECTABLE, NOT_REGULAR, PRECONDITION_FAILED,
-                               AffineSubspace, block_rank_at, finite_flex_test, linear_push,
+                               AffineSubspace, _OrbitSampler, finite_flex_test, linear_push,
                                measurement_map, regular_point_test, restricted_jacobian,
                                symmetric_subspace, uniform_velocity_subspace)
 from extrig.fixtures import (constrained_cube, constrained_cube_pinned, k33_orthogonal,
@@ -21,7 +21,8 @@ from extrig.linalg import RANK_TOL, numeric_rank
 from extrig.rigidity import (EMPTY_PIN, PinningSpec, minimal_pinning, rigidity_matrix,
                              trivial_motion_basis)
 from extrig.symmetry import SymmetryPreconditionError, block_decompose
-from extrusions import random_bar_joint_extrusions
+from extrusions import random_bar_joint_extrusions, random_point_hyperplane_extrusions
+from flex_oracles import block_rank_at, dense_regularity
 
 GALLERY = sorted(p.name for p in (resources.files("extrig") / "data").iterdir()
                  if p.name.endswith(".json"))
@@ -313,6 +314,96 @@ def test_block_path_agrees_with_measurement_path():
             q = sub.sample(rng, 0.2 * (1.0 + np.linalg.norm(sub.base)))
             rank_meas = numeric_rank(mm.jacobian(q) @ sub.basis)
             assert rank_meas == block_rank_at(fw, pin, 0, q)
+
+
+def sampled_points(sub, seed):
+    """The configuration and seeded points of the subspace, near and far."""
+    rng = np.random.default_rng(seed)
+    scale = 1.0 + float(np.linalg.norm(sub.base))
+    return [sub.base] + [sub.sample(rng, r * scale) for r in (0.1, 0.1, 1.0)]
+
+
+def assert_sampler_matches_dense(fw, pin, bar_joint):
+    """On every isotypic subspace, the rank from one row per orbit equals
+    the rank of the dense J(q) S cut against |J|_F, at every sampled point."""
+    subspaces = isotypic_subspaces(fw, pin)
+    mm = measurement_map(fw, pin)
+    for i, sub in enumerate(subspaces):
+        sampler = _OrbitSampler(mm, sub)
+        for q in sampled_points(sub, i):
+            jac = mm.jacobian(q)
+            dense = numeric_rank(jac @ sub.basis, RANK_TOL, scale=float(np.linalg.norm(jac)))
+            assert sampler.rank(q, RANK_TOL) == dense
+    if bar_joint and subspaces:
+        # the fully-symmetric subspace is fixed by the whole active group:
+        # its compressed rows are the rows of block 0
+        dec = block_decompose(fw, pin)
+        assert _OrbitSampler(mm, subspaces[0]).rows == dec.blocks[0].shape[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_bar_joint_extrusions(), st.data())
+def test_orbit_sampler_matches_dense_rank_on_bar_joint_extrusions(fw, data):
+    classes = copy_classes(fw)
+    chosen = data.draw(st.sets(st.tuples(st.integers(0, len(classes) - 1),
+                                         st.integers(0, fw.dim - 1)), max_size=4))
+    orbit_pin = PinningSpec(coords=frozenset((v, c) for k, c in chosen for v in classes[k]))
+    for pin in (EMPTY_PIN, orbit_pin):
+        assert_sampler_matches_dense(fw, pin, bar_joint=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_point_hyperplane_extrusions())
+def test_orbit_sampler_matches_dense_rank_on_point_hyperplane_extrusions(case):
+    fw, pin = case
+    assert_sampler_matches_dense(fw, pin, bar_joint=False)
+
+
+def test_subspace_is_fixed_by_elements_flipping_only_character_one_directions():
+    # at t = 2 the irreducible rho_11 has character +1 on 11, but 11 flips two
+    # directions of character -1, so it does not fix the points of the subspace
+    fw = prism_twofold()
+    fixed = [symmetric_subspace(fw, irrep_index=i).fixed_by for i in range(4)]
+    assert fixed == [((0, 0), (0, 1), (1, 0), (1, 1)), ((0, 0), (1, 0)),
+                     ((0, 0), (0, 1)), ((0, 0),)]
+    assert uniform_velocity_subspace(triangle_cycle(), triangle_cycle_classes()).fixed_by == ()
+
+
+def dense_flex_test(monkeypatch, *args, **kwargs):
+    """finite_flex_test with regularity sampled on the dense J(q) S."""
+    with monkeypatch.context() as patched:
+        patched.setattr(extrig.finiteflex, "_regularity", dense_regularity)
+        return finite_flex_test(*args, **kwargs)
+
+
+@pytest.mark.parametrize("name", GALLERY)
+def test_finite_flex_test_matches_dense_sampling_on_gallery(monkeypatch, name):
+    doc = documents.load(resources.files("extrig").joinpath("data", name))
+    fw = doc.framework
+    for pin in {EMPTY_PIN, doc.pinning or EMPTY_PIN}:
+        for i in range(len(isotypic_subspaces(fw, pin))):
+            for seed in (0, 1):
+                got = finite_flex_test(fw, pin, i, seed=seed)
+                assert got == dense_flex_test(monkeypatch, fw, pin, i, seed=seed)
+
+
+def trivial_group_case():
+    fw = triangle_cycle()
+    sub = uniform_velocity_subspace(fw, triangle_cycle_classes())
+    return (fw,), {"subspace": sub}, FINITE_FLEX_CERTIFIED
+
+
+def not_regular_case():
+    fw, pin = constrained_cube_pinned()
+    return (fw, pin, 0), {"seed": 3}, NOT_REGULAR
+
+
+@pytest.mark.parametrize("case", [trivial_group_case, not_regular_case])
+def test_finite_flex_test_matches_dense_sampling(monkeypatch, case):
+    args, kwargs, determination = case()
+    got = finite_flex_test(*args, **kwargs)
+    assert got == dense_flex_test(monkeypatch, *args, **kwargs)
+    assert got.determination == determination
 
 
 def test_linear_push_prism():

@@ -17,8 +17,8 @@ from extrig.fixtures import (constrained_cube_pinned, point_line_extruded,
                              prism_pinned, prism_twofold, triangle)
 from extrig.graphs import PHGraph, Vertex, group_elements, subgroup_elements, word_add
 from extrig.linalg import numeric_rank
-from extrig.rigidity import (EMPTY_PIN, CoordinateIndex, RowLayout, hyperplane_pinning,
-                             infinitesimal_analysis, rigidity_matrix)
+from extrig.rigidity import (EMPTY_PIN, CoordinateIndex, RowLayout, infinitesimal_analysis,
+                             rigidity_matrix)
 from extrig.symmetry import (PermutationRep, SymmetryPreconditionError, active_elements,
                              block_decompose, build_reps, coordinate_action,
                              character_matrix, character_of, character_rows,
@@ -26,7 +26,7 @@ from extrig.symmetry import (PermutationRep, SymmetryPreconditionError, active_e
                              intertwining_residual, irreducible_characters,
                              symmetric_flexes, symmetry_adapted_basis,
                              translation_character)
-from extrusions import random_bar_joint_extrusions
+from extrusions import random_bar_joint_extrusions, random_point_hyperplane_extrusions
 
 SYMMETRIC_CASES = [
     ("prism", lambda: (prism(), EMPTY_PIN)),
@@ -461,41 +461,6 @@ def test_fowler_guest_count_never_forms_the_rigidity_matrix(monkeypatch):
         fw, pin = case()
         mob = fowler_guest_count(fw, pin)
         assert sum(int(x) for x in mob.freedoms) == CoordinateIndex(fw, pin).size, name
-
-
-@st.composite
-def random_point_hyperplane_extrusions(draw):
-    """A generic point-hyperplane base (d = 2, 3) with random pp, ph and angle
-    edges, extruded t <= 3 times.  Each base hyperplane is contracted along a
-    random set of at most d - 1 directions, its normal drawn orthogonal to
-    them.  When a ph edge meets a contracted hyperplane, the framework comes
-    with :func:`hyperplane_pinning` and its reduced active set."""
-    d = draw(st.integers(2, 3))
-    t = draw(st.integers(1, 3))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    directions = rng.normal(size=(t, d))
-    pts = [Vertex(f"p{i}") for i in range(draw(st.integers(1, 3)))]
-    hyps = [Vertex(f"w{i}") for i in range(draw(st.integers(1, 3)))]
-    contracted = [draw(st.sets(st.integers(0, t - 1), max_size=d - 1)) for _ in hyps]
-    rows = []
-    for along in contracted:
-        normal = rng.normal(size=d)
-        if along:
-            q = np.linalg.qr(directions[sorted(along)].T)[0]
-            normal -= q @ (q.T @ normal)
-        rows.append(np.append(normal, rng.normal()))
-    pick = lambda pairs: tuple(e for e in pairs if draw(st.booleans()))  # noqa: E731
-    graph = PHGraph(points=tuple(pts), hyperplanes=tuple(hyps),
-                    edges_pp=pick(itertools.combinations(pts, 2)),
-                    edges_ph=pick(itertools.product(pts, hyps)),
-                    edges_hh_angle=pick(itertools.combinations(hyps, 2)))
-    base = Framework(graph, Configuration(d, rng.normal(size=(len(pts), d)), np.array(rows)))
-    fixed = [{w.base for w, along in zip(hyps, contracted) if h in along} for h in range(t)]
-    fw = extrude_framework(base, directions, fixed)
-    if any("*" in w.word for _, w in fw.graph.edges_ph):
-        pin, reduced = hyperplane_pinning(fw)
-        return Framework(fw.graph, fw.config, reduced), pin
-    return fw, EMPTY_PIN
 
 
 @settings(max_examples=60, deadline=None)
