@@ -25,12 +25,15 @@ irreducible (Kangwai & Guest 2000).  The rank cut stays on the shape of
 J S and on |J|_F, taken from the nonzeros of every row.
 
 The certificate compares the graph's restricted rank with the complete
-graph's.  For a bar-joint framework whose points affinely span, the
-complete graph's kernel is exactly the trivial motions (Asimow & Roth,
-"The rigidity of graphs", 1978), so that rank is read off the trivial
-motions of the pinning and no complete graph is built.  Point-hyperplane
-frameworks take it from the complete decorated graph's measurement map,
-whose kernel is not characterised here.
+decorated graph's, read off the trivial motions T of the pinning for both
+framework kinds: no complete graph is built.  That needs the complete
+graph's kernel, on the parallel-respecting domain, to be exactly T.  For
+bar-joint frameworks whose points affinely span this is Asimow & Roth,
+"The rigidity of graphs" (1978).  For point-hyperplane frameworks
+:func:`~extrig.frameworks.complete_kernel_check` decides it (see
+Eftekhari et al., "Point-hyperplane frameworks, slider joints, and rigidity
+preserving transformations", 2019); :func:`finite_flex_test` refuses a
+framework that fails it.
 """
 from __future__ import annotations
 
@@ -39,8 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .frameworks import Framework, affine_span_check
-from .graphs import complete_decorated
+from .frameworks import Framework, affine_span_check, complete_kernel_check
 from .linalg import (CONTAINMENT_TOL, RANK_TOL, intersect_columns, nullspace, numeric_rank,
                      orthonormal_columns, projection_residual)
 from .rigidity import (CoordinateIndex, EMPTY_PIN, PinningSpec, RowLayout, trivial_motion_basis,
@@ -77,10 +79,6 @@ class MeasurementMap:
     def rows(self) -> list:
         return self.layout.rows
 
-    @property
-    def n_coords(self) -> int:
-        return self.index.size
-
     def base_reduced(self) -> np.ndarray:
         return self.base_full[self.index.keep]
 
@@ -96,21 +94,6 @@ class MeasurementMap:
         """Jacobian at a reduced coordinate vector, pinned columns removed: the
         rigidity rows, pp and normalization rows doubled (squared quantities)."""
         return self.layout.matrix(*self._coordinates(reduced), scaled=True)[:, self.index.keep]
-
-    def parallel_residual(self, reduced) -> float:
-        """How far the configuration strays from keeping class normals parallel."""
-        _, hyp = self._coordinates(reduced)
-        graph = self.fw.graph
-        worst = 0.0
-        for cls in graph.parallel_classes:
-            if len(cls) < 2:
-                continue
-            normals = hyp[[graph.position[w] - len(graph.points) for w in cls], :-1]
-            norms = np.linalg.norm(normals, axis=1)
-            units = normals / norms[:, None]
-            units *= np.sign(units @ units[0])[:, None]
-            worst = max(worst, float(np.abs(units - units[0]).max()))
-        return worst
 
 
 def parallel_respecting_basis(fw: Framework, index: CoordinateIndex,
@@ -147,12 +130,10 @@ def parallel_respecting_basis(fw: Framework, index: CoordinateIndex,
     return nullspace(np.stack(conditions), tol)
 
 
-def measurement_map(fw: Framework, pin: PinningSpec = EMPTY_PIN,
-                    complete: bool = False) -> MeasurementMap:
-    graph = complete_decorated(fw.graph) if complete else fw.graph
+def measurement_map(fw: Framework, pin: PinningSpec = EMPTY_PIN) -> MeasurementMap:
     index = CoordinateIndex(fw, pin)
     return MeasurementMap(fw=fw, pin=pin, index=index,
-                          layout=RowLayout(graph, fw.dim, pin, include_parallel=False),
+                          layout=RowLayout(fw.graph, fw.dim, pin, include_parallel=False),
                           base_full=index.full_vector())
 
 
@@ -249,13 +230,6 @@ def uniform_velocity_subspace(fw: Framework, classes, pin: PinningSpec = EMPTY_P
     return AffineSubspace(base=index.reduce(index.full_vector()), basis=basis)
 
 
-def _product_rank(jac, basis, tol: float) -> int:
-    """Rank of J S for S with orthonormal columns, cut against |J|_F rather
-    than the largest singular value of J S, so that a product which is
-    round-off (S inside the kernel of J) has rank 0."""
-    return numeric_rank(jac @ basis, tol, scale=float(np.linalg.norm(jac)))
-
-
 class _OrbitSampler:
     """Rank of J(q) S at points q of a subspace, from one row per orbit.
 
@@ -325,21 +299,18 @@ def regular_point_test(mm: MeasurementMap, sub: AffineSubspace, samples: int = 2
 
 
 def _complete_rank(fw: Framework, pin: PinningSpec, sub: AffineSubspace, tol: float) -> int:
-    """Rank, at the configuration, of the complete graph's measurement
-    Jacobian restricted to the subspace.
+    """Rank, at the configuration, of the complete decorated graph's
+    measurement Jacobian restricted to the subspace.
 
-    Bar-joint: the complete graph's kernel is the trivial motions T of the
-    pinning (Asimow & Roth 1978, given affinely spanning points), so the
-    rank is dim S - dim(S n T) = rank(S - T T^T S), taken here as
-    rank [T S] - dim T so that the rank cut stays on the unit scale of the
-    orthonormal columns even when S lies inside T.  Point-hyperplane: the
-    complete decorated graph's measurement Jacobian.
+    Given the preconditions of :func:`finite_flex_test`, that Jacobian's
+    kernel on the parallel-respecting domain is the trivial motions T of
+    the pinning and S lies in that domain, so the rank is
+    dim S - dim(S n T) = rank(S - T T^T S), taken here as rank [T S] - dim T
+    so that the rank cut stays on the unit scale of the orthonormal columns
+    even when S lies inside T.
     """
-    if fw.is_bar_joint():
-        triv = trivial_motion_basis(fw, pin, tol)
-        return numeric_rank(np.hstack([triv, sub.basis]), tol) - triv.shape[1]
-    mm_k = measurement_map(fw, pin, complete=True)
-    return _product_rank(mm_k.jacobian(mm_k.base_reduced()), sub.basis, tol)
+    triv = trivial_motion_basis(fw, pin, tol)
+    return numeric_rank(np.hstack([triv, sub.basis]), tol) - triv.shape[1]
 
 
 @dataclass
@@ -358,18 +329,28 @@ def finite_flex_test(fw: Framework, pin: PinningSpec = EMPTY_PIN, irrep_index: i
 
     At a regular point of the subspace, a strict rank deficit of the graph
     measurement against the complete decorated graph proves a finite flex.
-    The complete graph's rank comes from the trivial motions for bar-joint
-    frameworks (Asimow & Roth, valid once the affine-span check below
-    passes), from the complete decorated graph for point-hyperplane
-    frameworks.  Pass ``subspace`` to override the isotypic component (e.g.
-    the uniform velocity subspace of a copy-permutation action).
+    The complete graph's rank comes from the trivial motions
+    (:func:`_complete_rank`), which needs its kernel to be exactly them:
+    ValueError unless the points and hyperplanes affinely span and
+    :func:`~extrig.frameworks.complete_kernel_check` passes.  Pass
+    ``subspace`` to override the isotypic component (e.g. the uniform
+    velocity subspace of a copy-permutation action); for a point-hyperplane
+    framework it must lie in the parallel-respecting directions
+    ``MeasurementMap.wg_basis`` (else ValueError), since the measurement
+    map has no parallel rows.
     """
     if not affine_span_check(fw, tol):
         raise ValueError("points and hyperplanes do not affinely span the ambient space")
+    if not complete_kernel_check(fw, tol):
+        raise ValueError("the complete decorated graph has motions beyond the trivial ones")
     sub = subspace
     if sub is None:
         sub = symmetric_subspace(fw, pin, irrep_index, tol)
-    rank_g, regular = _regularity(measurement_map(fw, pin), sub, samples, radius, seed, tol)
+    mm = measurement_map(fw, pin)
+    if (subspace is not None and not fw.is_bar_joint()
+            and projection_residual(sub.basis, mm.wg_basis) > CONTAINMENT_TOL * np.sqrt(sub.dim)):
+        raise ValueError("subspace leaves the directions that keep parallel classes parallel")
+    rank_g, regular = _regularity(mm, sub, samples, radius, seed, tol)
     rank_k = _complete_rank(fw, pin, sub, tol)
     if not regular:
         det = NOT_REGULAR

@@ -333,6 +333,27 @@ def affine_span_check(fw: Framework, tol: float = RANK_TOL) -> bool:
     return numeric_rank(centered, tol) == d
 
 
+def complete_kernel_check(fw: Framework, tol: float = RANK_TOL) -> bool:
+    """True iff the complete decorated graph's infinitesimal motions that
+    keep each parallel class parallel are exactly the trivial motions.
+
+    With a point p_0, the complete graph fixes the offsets given p_0 and
+    the Gram matrix of V: the p_i - p_0 plus one unit normal per parallel
+    class.  The motions fixing a Gram matrix of rank k exceed the rotations
+    by (|V| - k)(d - k) dimensions: none iff k = d or V is linearly
+    independent.  Without points nothing measures an offset, so the
+    translations must move them all: every normal linearly independent.
+    """
+    graph, points = fw.graph, fw.config.points
+    if len(points):
+        normals = [fw.hyperplane(cls[0])[0] for cls in graph.parallel_classes]
+    else:
+        normals = [fw.hyperplane(w)[0] for w in graph.hyperplanes]
+    vecs = np.vstack([points[1:] - points[:1]] + [a / np.linalg.norm(a) for a in normals])
+    k = numeric_rank(vecs, tol)
+    return k == len(vecs) or (len(points) > 0 and k == fw.dim)
+
+
 def normalize_hyperplanes(fw: Framework) -> Framework:
     """Rescale every hyperplane row to unit normal; ranks are unaffected."""
     hyper = fw.config.hyperplanes.copy()

@@ -28,10 +28,6 @@ import numpy as np
 STAR = "*"
 _CHAR_ORDER = {"0": 0, "1": 1, STAR: 2}
 
-NOT_FIXED = "not-fixed"
-FIXED_SWAPPED = "fixed-swapped"
-FIXED_POINTWISE = "fixed-pointwise"
-
 
 @dataclass(frozen=True)
 class Vertex:
@@ -279,14 +275,6 @@ class PHGraph:
             raise ValueError(f"vertex {v} not in graph")
         return self._vertices[self.permutation(gamma)[i]]
 
-    def classify_edge(self, gamma, edge) -> str:
-        """How ``gamma`` moves an edge: not fixed, endpoints swapped, or both fixed."""
-        u, v = edge
-        iu, iv = self.act(gamma, u), self.act(gamma, v)
-        if {iu, iv} != {u, v}:
-            return NOT_FIXED
-        return FIXED_POINTWISE if iu == u else FIXED_SWAPPED
-
     @staticmethod
     def extrusion_coordinate(edge):
         """Position in which the endpoint words of a copy-joining edge differ.
@@ -300,17 +288,6 @@ class PHGraph:
         if len(diff) != 1:
             raise ValueError(f"edge {u}-{v} joins copies differing in {len(diff)} coordinates")
         return diff[0]
-
-    def edge_sign(self, gamma, edge) -> int:
-        """Sign contributed by ``edge`` to the internal representation of ``gamma``.
-
-        -1 exactly when the edge joins two copies of one base vertex and
-        ``gamma`` flips the coordinate in which their words differ.
-        """
-        h = self.extrusion_coordinate(edge)
-        if h is None:
-            return 1
-        return -1 if gamma[h] == 1 else 1
 
 
 def extrusion_product(base: PHGraph, fixed_sets) -> PHGraph:

@@ -117,12 +117,6 @@ class CoordinateIndex:
         out[self.keep] = red_vec
         return out
 
-    def expand(self, red_vec) -> np.ndarray:
-        """Full vector whose pinned entries keep their framework values."""
-        out = self.full_vector().copy()
-        out[self.keep] = red_vec
-        return out
-
     def vertex_slice(self, v: Vertex) -> slice:
         graph = self.fw.graph
         start = int(column_start(graph, self.dim, graph.position[v]))

@@ -24,35 +24,55 @@ def random_bar_joint_extrusions(draw):
 
 
 @st.composite
-def random_point_hyperplane_extrusions(draw):
-    """A generic point-hyperplane base (d = 2, 3) with random pp, ph and angle
-    edges, extruded t <= 3 times.  Each base hyperplane is contracted along a
-    random set of at most d - 1 directions, its normal drawn orthogonal to
-    them.  When a ph edge meets a contracted hyperplane, the framework comes
-    with :func:`hyperplane_pinning` and its reduced active set."""
+def _point_hyperplane_extrusions(draw, min_points, degenerate):
     d = draw(st.integers(2, 3))
     t = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    directions = rng.normal(size=(t, d))
-    pts = [Vertex(f"p{i}") for i in range(draw(st.integers(1, 3)))]
+    # the shared direction u: every normal, extrusion direction and base
+    # point difference is drawn orthogonal to it
+    shared = rng.normal(size=(int(degenerate and draw(st.booleans())), d))
+    shared /= np.linalg.norm(shared, axis=1, keepdims=True)
+    off = lambda vecs, q: vecs - (vecs @ q) @ q.T  # noqa: E731
+    directions = off(rng.normal(size=(t, d)), shared.T)
+    pts = [Vertex(f"p{i}") for i in range(draw(st.integers(min_points, 3)))]
     hyps = [Vertex(f"w{i}") for i in range(draw(st.integers(1, 3)))]
-    contracted = [draw(st.sets(st.integers(0, t - 1), max_size=d - 1)) for _ in hyps]
+    contracted = [draw(st.sets(st.integers(0, t - 1), max_size=d - 1 - len(shared)))
+                  for _ in hyps]
     rows = []
     for along in contracted:
-        normal = rng.normal(size=d)
-        if along:
-            q = np.linalg.qr(directions[sorted(along)].T)[0]
-            normal -= q @ (q.T @ normal)
-        rows.append(np.append(normal, rng.normal()))
+        q = np.linalg.qr(np.vstack([directions[sorted(along)], shared]).T)[0]
+        rows.append(np.append(off(rng.normal(size=d), q), rng.normal()))
     pick = lambda pairs: tuple(e for e in pairs if draw(st.booleans()))  # noqa: E731
     graph = PHGraph(points=tuple(pts), hyperplanes=tuple(hyps),
                     edges_pp=pick(itertools.combinations(pts, 2)),
                     edges_ph=pick(itertools.product(pts, hyps)),
                     edges_hh_angle=pick(itertools.combinations(hyps, 2)))
-    base = Framework(graph, Configuration(d, rng.normal(size=(len(pts), d)), np.array(rows)))
+    points = rng.normal(size=(len(pts), d))
+    if len(shared):
+        points[1:] = points[:1] + off(points[1:] - points[:1], shared.T)
+    base = Framework(graph, Configuration(d, points, np.array(rows)))
     fixed = [{w.base for w, along in zip(hyps, contracted) if h in along} for h in range(t)]
     fw = extrude_framework(base, directions, fixed)
     if any("*" in w.word for _, w in fw.graph.edges_ph):
         pin, reduced = hyperplane_pinning(fw)
         return Framework(fw.graph, fw.config, reduced), pin
     return fw, EMPTY_PIN
+
+
+def random_point_hyperplane_extrusions():
+    """A generic point-hyperplane base (d = 2, 3) of 1..3 points with random
+    pp, ph and angle edges, extruded t <= 3 times.  Each base hyperplane is
+    contracted along a random set of at most d - 1 directions, its normal
+    drawn orthogonal to them.  When a ph edge meets a contracted hyperplane,
+    the framework comes with :func:`hyperplane_pinning` and its reduced
+    active set."""
+    return _point_hyperplane_extrusions(min_points=1, degenerate=False)
+
+
+def degenerate_point_hyperplane_extrusions():
+    """As :func:`random_point_hyperplane_extrusions`, but with 0..3 base
+    points and, half the time, a shared direction orthogonal to every
+    normal, extrusion direction and base point difference, so that the
+    normals and point differences often span less than the space, or
+    parallel copies are all there is."""
+    return _point_hyperplane_extrusions(min_points=0, degenerate=True)

@@ -15,7 +15,7 @@ import extrig.rigidity
 from extrig import documents
 from extrig.cli import build_report
 from extrig.finiteflex import finite_flex_test
-from extrig.fixtures import prism
+from extrig.fixtures import point_line_twofold_pinned, prism
 from extrig.graphs import PHGraph
 from extrig.rigidity import EMPTY_PIN, RowLayout, infinitesimal_analysis, minimal_pinning
 from extrig.symmetry import fowler_guest_count
@@ -52,6 +52,11 @@ CALLS = {
     "build_report": (prism_twofold_report, {"CoordinateIndex": 3, "RowLayout": 2}),
     "finite_flex_test": (lambda: finite_flex_test(prism()),
                          {"CoordinateIndex": 3, "RowLayout": 2}),
+    # the complete decorated graph gets no layout: its rank comes from the
+    # trivial motions
+    "finite_flex_test_point_hyperplane": (lambda: finite_flex_test(*point_line_twofold_pinned()),
+                                          {"CoordinateIndex": 3, "RowLayout": 2,
+                                           "parallel_respecting_basis": 1}),
     "minimal_pinning": (lambda: minimal_pinning(prism()), {}),
 }
 

@@ -15,14 +15,17 @@ from extrig.fixtures import (constrained_cube, constrained_cube_pinned, k33_orth
                              k33_pinnings, point_line_extruded_fixed, point_line_twofold,
                              point_line_twofold_pinned, prism, prism_twofold, triangle,
                              triangle_cycle, triangle_cycle_classes)
-from extrig.frameworks import affine_span_check
-from extrig.graphs import Vertex
+from extrig.frameworks import (Configuration, Framework, affine_span_check,
+                               complete_kernel_check, extrude_framework)
+from extrig.graphs import PHGraph, Vertex
 from extrig.linalg import RANK_TOL, numeric_rank
 from extrig.rigidity import (EMPTY_PIN, PinningSpec, minimal_pinning, rigidity_matrix,
                              trivial_motion_basis)
 from extrig.symmetry import SymmetryPreconditionError, block_decompose
-from extrusions import random_bar_joint_extrusions, random_point_hyperplane_extrusions
-from flex_oracles import block_rank_at, dense_regularity
+from extrusions import (degenerate_point_hyperplane_extrusions, random_bar_joint_extrusions,
+                        random_point_hyperplane_extrusions)
+from flex_oracles import (block_rank_at, complete_graph_oracle, complete_kernel_excess,
+                          dense_regularity, restricted_rank_oracle)
 
 GALLERY = sorted(p.name for p in (resources.files("extrig") / "data").iterdir()
                  if p.name.endswith(".json"))
@@ -90,14 +93,32 @@ def test_measurement_rows_against_rigidity_rows():
         assert np.allclose(jac[i], factor * rig.matrix[rig_rows[lab]])
 
 
+def parallel_residual(mm, reduced) -> float:
+    """How far a configuration strays from keeping class normals parallel."""
+    full = mm.base_full.copy()
+    full[mm.index.keep] = reduced
+    hyp = mm.index.split(full)[1]
+    graph = mm.fw.graph
+    worst = 0.0
+    for cls in graph.parallel_classes:
+        normals = hyp[[graph.position[w] - len(graph.points) for w in cls], :-1]
+        units = normals / np.linalg.norm(normals, axis=1)[:, None]
+        units *= np.sign(units @ units[0])[:, None]
+        worst = max(worst, float(np.abs(units - units[0]).max()))
+    return worst
+
+
 def test_parallel_residual_tracks_class_drift():
     fw = constrained_cube()
     mm = measurement_map(fw)
     base = mm.base_reduced()
-    assert mm.parallel_residual(base) <= 1e-12
+    assert parallel_residual(mm, base) <= 1e-12
     drift = base.copy()
     drift[mm.index.pos[(Vertex("w2", "0**"), 1)]] += 0.2
-    assert mm.parallel_residual(drift) > 1e-3
+    assert parallel_residual(mm, drift) > 1e-3
+    # moving along the parallel-respecting domain keeps every class parallel
+    along = base + mm.wg_basis @ np.random.default_rng(0).uniform(-0.2, 0.2, mm.wg_basis.shape[1])
+    assert parallel_residual(mm, along) <= 1e-12
 
 
 def test_affine_subspace_membership():
@@ -109,12 +130,12 @@ def test_affine_subspace_membership():
     mm = measurement_map(prism())
     with pytest.raises(ValueError, match="outside"):
         restricted_jacobian(mm, AffineSubspace(mm.base_reduced() + 10.0,
-                                               np.zeros((mm.n_coords, 0))))
+                                               np.zeros((mm.index.size, 0))))
 
 
 def test_zero_dimensional_subspace_is_regular():
     mm = measurement_map(prism())
-    sub = AffineSubspace(mm.base_reduced(), np.zeros((mm.n_coords, 0)))
+    sub = AffineSubspace(mm.base_reduced(), np.zeros((mm.index.size, 0)))
     assert regular_point_test(mm, sub)
 
 
@@ -151,29 +172,6 @@ def test_complete_rank_counts_subspace_trivial_motions():
     assert preserved == 2
     assert res.rank_complete == sub.dim - preserved
     assert res.rank_graph <= res.rank_complete
-
-
-def restricted_rank_oracle(jac, basis):
-    """Rank of J S for orthonormal S, from a plain SVD of the product.
-
-    The cut is relative to the Jacobian's own largest singular value, not the
-    product's: a subspace inside the kernel of J (trivial motions, or motions
-    the graph's edges do not see) makes the product zero up to round-off,
-    which a cut relative to the product's largest singular value would count
-    as rank.
-    """
-    prod = jac @ basis
-    if prod.size == 0:
-        return 0
-    sigma = np.linalg.svd(prod, compute_uv=False)
-    return int(np.sum(sigma > RANK_TOL * max(prod.shape) * np.linalg.norm(jac, 2)))
-
-
-def complete_graph_oracle(fw, pin, sub):
-    """Rank of the complete decorated graph's measurement Jacobian restricted
-    to the subspace, at the configuration."""
-    mm = measurement_map(fw, pin, complete=True)
-    return restricted_rank_oracle(mm.jacobian(mm.base_reduced()), sub.basis)
 
 
 def assert_ranks_match_oracle(fw, pin, sub):
@@ -272,16 +270,119 @@ def test_graph_rank_of_a_translation_subspace_is_zero():
     assert regular_point_test(measurement_map(fw), sub)
 
 
-def test_bar_joint_certificate_never_builds_the_complete_graph(monkeypatch):
-    def refuse(graph):
-        raise AssertionError("complete decorated graph built")
+def test_certificate_never_builds_the_complete_graph(monkeypatch):
+    # no graph at all is built: the complete graph's rank comes from the
+    # trivial motions for both framework kinds
+    def refuse(self):
+        raise AssertionError("graph built")
 
-    monkeypatch.setattr(extrig.finiteflex, "complete_decorated", refuse)
-    assert finite_flex_test(prism()).determination == FINITE_FLEX_CERTIFIED
-    assert finite_flex_test(triangle()).determination == NO_SYMMETRIC_FLEX
-    fw, pin = point_line_twofold_pinned()
-    with pytest.raises(AssertionError, match="complete decorated graph built"):
-        finite_flex_test(fw, pin)
+    cases = [((prism(),), FINITE_FLEX_CERTIFIED), ((triangle(),), NO_SYMMETRIC_FLEX),
+             (point_line_twofold_pinned(), FINITE_FLEX_CERTIFIED)]
+    monkeypatch.setattr(PHGraph, "__post_init__", refuse)
+    for args, determination in cases:
+        assert finite_flex_test(*args).determination == determination
+
+
+def framework_of(d, points, hyperplanes, parallel=()):
+    """Framework on points p0.. and hyperplane rows (a, r) w0..; the index
+    pairs in ``parallel`` are parallel edges, the only edges: the complete
+    graph's motions depend on the vertices and the parallel classes alone."""
+    pts = tuple(Vertex(f"p{i}") for i in range(len(points)))
+    hyps = tuple(Vertex(f"w{i}") for i in range(len(hyperplanes)))
+    graph = PHGraph(points=pts, hyperplanes=hyps,
+                    edges_hh_par=tuple((hyps[i], hyps[j]) for i, j in parallel))
+    return Framework(graph, Configuration(d, np.array(points, dtype=float).reshape(-1, d),
+                                          np.array(hyperplanes, dtype=float)))
+
+
+VERTICAL_PLANES = [(1, 0, 0, 0), (0, 1, 0, 1), (1, 1, 0, 3)]
+
+# (d, points, hyperplanes, parallel pairs, whether the complete graph's
+# motions are the trivial ones)
+DEGENERATE = {
+    "no points, two parallel lines": (2, [], [(1, 0, 0), (1, 0, 1)], [(0, 1)], False),
+    "no points, two lines": (2, [], [(1, 0, 0), (0, 1, 1)], [], True),
+    "no points, three lines": (2, [], [(1, 0, 0), (0, 1, 1), (1, 1, 3)], [], False),
+    "no points, three planes": (3, [], [(1, 0, 0, 0), (0, 1, 0, 1), (0, 0, 1, 2)], [], True),
+    "no points, four planes": (3, [], [(1, 0, 0, 0), (0, 1, 0, 1), (0, 0, 1, 2), (1, 1, 1, 1)],
+                               [], False),
+    "one point, two planes sharing a direction": (3, [(0.3, 0.2, 0.1)], VERTICAL_PLANES[:2],
+                                                  [], True),
+    "one point, three planes sharing a direction": (3, [(0.3, 0.2, 0.1)], VERTICAL_PLANES,
+                                                    [], False),
+    "two points off three vertical planes' direction": (3, [(0, 0, 0), (0.2, 0.5, 1)],
+                                                        VERTICAL_PLANES, [], True),
+    "two points across three vertical planes": (3, [(0, 0, 0), (1, 2, 0)], VERTICAL_PLANES,
+                                                [], False),
+    "one point, two parallel lines in one class": (2, [(0.5, 0.5)], [(1, 0, 0), (1, 0, 2)],
+                                                   [(0, 1)], True),
+    "one point, two parallel lines in two classes": (2, [(0.5, 0.5)], [(1, 0, 0), (1, 0, 2)],
+                                                     [], False),
+    "two points along a line's normal": (2, [(0, 0), (1, 0)], [(1, 0, 3)], [], False),
+    "two points and a line": (2, [(0, 0), (1, 1)], [(1, 0, 3)], [], True),
+}
+
+
+@pytest.mark.parametrize("name", DEGENERATE)
+def test_complete_kernel_check_on_degenerate_frameworks(name):
+    d, points, hyperplanes, parallel, trivial = DEGENERATE[name]
+    fw = framework_of(d, points, hyperplanes, parallel)
+    assert affine_span_check(fw)
+    assert complete_kernel_check(fw) == trivial
+    assert (complete_kernel_excess(fw) == 0) == trivial
+    if not trivial:
+        with pytest.raises(ValueError, match="beyond the trivial"):
+            finite_flex_test(fw)
+        return
+    # on the whole parallel-respecting domain the complete rank still
+    # matches the complete graph's
+    mm = measurement_map(fw)
+    sub = AffineSubspace(mm.base_reduced(), mm.wg_basis)
+    res = finite_flex_test(fw, subspace=sub)
+    assert res.rank_complete == complete_graph_oracle(fw, EMPTY_PIN, sub)
+
+
+def test_point_free_extrusion_matches_complete_graph():
+    # two planes containing the extrusion direction, no points: the normals
+    # are independent, and the isotypic subspaces run the whole certificate
+    fw = extrude_framework(framework_of(3, [], [(1, 0, 0, 0), (0, 1, 0, 1)]), [(0, 0, 1)],
+                           [{"w0", "w1"}])
+    assert complete_kernel_check(fw)
+    for sub in isotypic_subspaces(fw, EMPTY_PIN):
+        assert_ranks_match_oracle(fw, EMPTY_PIN, sub)
+    assert finite_flex_test(fw).determination == FINITE_FLEX_CERTIFIED
+
+
+def test_subspace_must_keep_parallel_classes_parallel():
+    # one point, two parallel lines in one class: turning one line about the
+    # point leaves the domain; the complete graph does not see it (no
+    # parallel rows) while the trivial motions give rank 1
+    fw = framework_of(2, [(0.5, 0.5)], [(1, 0, 0), (1, 0, 2)], [(0, 1)])
+    mm = measurement_map(fw)
+    turn = np.zeros(mm.index.size)
+    start = mm.index.vertex_slice(Vertex("w1")).start
+    turn[start:start + 3] = (0.0, 1.0, 0.5)   # da = (0, 1), dr = <p, da>
+    sub = AffineSubspace(mm.base_reduced(), (turn / np.linalg.norm(turn))[:, None])
+    assert complete_graph_oracle(fw, EMPTY_PIN, sub) == 0
+    with pytest.raises(ValueError, match="parallel classes parallel"):
+        finite_flex_test(fw, subspace=sub)
+
+
+@settings(max_examples=40, deadline=None)
+@given(degenerate_point_hyperplane_extrusions())
+def test_complete_rank_matches_complete_graph_on_degenerate_extrusions(case):
+    fw, pin = case
+    trivial = complete_kernel_check(fw)
+    assert (complete_kernel_excess(fw) == 0) == trivial
+    if not affine_span_check(fw):
+        with pytest.raises(ValueError, match="affinely span"):
+            finite_flex_test(fw, pin)
+    elif not trivial:
+        with pytest.raises(ValueError, match="beyond the trivial"):
+            finite_flex_test(fw, pin)
+    else:
+        for sub in isotypic_subspaces(fw, pin):
+            assert_ranks_match_oracle(fw, pin, sub)
 
 
 def test_uniform_velocity_subspace_cycle():

@@ -299,7 +299,8 @@ def reference_reps(fw, pin, gamma):
             image = word_image(gamma, lab[1])
         else:
             image = tuple(sorted((word_image(gamma, w) for w in lab[1]), key=graph.position.get))
-        sign = graph.edge_sign(gamma, lab[1]) if lab[0] in ("pp", "par") else 1.0
+        flip = graph.extrusion_coordinate(lab[1]) if lab[0] in ("pp", "par") else None
+        sign = -1.0 if flip is not None and gamma[flip] == 1 else 1.0
         itn[row_pos[(lab[0], image, *lab[2:])], i] = sign
     return ext, itn, index.keep
 
