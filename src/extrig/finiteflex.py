@@ -47,7 +47,8 @@ from .linalg import (CONTAINMENT_TOL, RANK_TOL, intersect_columns, nullspace, nu
                      orthonormal_columns, projection_residual)
 from .rigidity import (CoordinateIndex, EMPTY_PIN, PinningSpec, RowLayout, trivial_motion_basis,
                        trivial_motion_dim)
-from .symmetry import block_decompose
+from .symmetry import block_decompose  # noqa: F401  (perfbench traces it under this name)
+from .symmetry import build_reps, decompose_character, symmetry_adapted_basis
 
 FINITE_FLEX_CERTIFIED = "FiniteFlexCertified"
 NO_SYMMETRIC_FLEX = "NoSymmetricFlex"
@@ -190,15 +191,19 @@ def symmetric_subspace(fw: Framework, pin: PinningSpec = EMPTY_PIN, irrep_index:
     element with character +1 that flips two directions of character -1 is
     not one: the copies across either direction move apart by opposite
     amounts, and the copy edges its orbit pairs change length differently.
+
+    Only the external representation is read: the isotypic bases A_i of
+    :func:`~extrig.symmetry.block_decompose`, without its blocks.
     """
-    dec = block_decompose(fw, pin, tol)
-    index = dec.reps.index
-    basis = dec.external_bases[irrep_index].dense()
+    reps = build_reps(fw, pin)
+    index = reps.index
+    freedoms = decompose_character(reps.external.traces(), reps.elements)
+    basis = symmetry_adapted_basis(reps.external, freedoms, tol)[irrep_index].dense()
     if not fw.is_bar_joint():
         wg = parallel_respecting_basis(fw, index, tol)
         if wg.shape[1] < index.size:
             basis = intersect_columns(basis, wg, tol)
-    elements = dec.reps.elements
+    elements = reps.elements
     flips = np.array(elements, dtype=bool).reshape(len(elements), -1)
     fixed_by = tuple(g for g, f in zip(elements, flips) if not (f & flips[irrep_index]).any())
     return AffineSubspace(base=index.reduce(index.full_vector()), basis=basis, fixed_by=fixed_by)

@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .graphs import PHGraph, STAR, Vertex, extrusion_product, group_elements
+from .graphs import (PHGraph, STAR, Vertex, extrusion_product, group_elements,
+                     subgroup_elements)
 from .linalg import COINCIDENT_TOL, RANK_TOL, numeric_rank
 
 
@@ -98,6 +100,36 @@ class Framework:
 
     def is_bar_joint(self) -> bool:
         return len(self.graph.hyperplanes) == 0
+
+    @cached_property
+    def symmetry_residuals(self) -> np.ndarray:
+        """Read-only (2^t, |points| + 2 |hyperplanes|) array of the residuals of
+        the extrusion-symmetry laws, one row per element of Z2^t in the order
+        of :func:`group_elements`: a column per point (point translation),
+        then two per hyperplane (equal normals, then offset shift).
+
+        Computed on first use and kept: the graph, the read-only arrays of
+        the configuration and the extrusion spec of a framework never change.
+        """
+        spec, graph = self.extrusion, self.graph
+        if spec is None:
+            raise ValueError("framework has no extrusion specification")
+        elements = group_elements(spec.order)
+        out = np.empty((len(elements), len(graph.points) + 2 * len(graph.hyperplanes)))
+        steps = word_steps([v.word for v in graph.vertices], spec.order)
+        for row, gamma in zip(out, elements):
+            disp = displacements(spec, steps, gamma)
+            res = []
+            for v, shift in zip(graph.points, disp):
+                res.append(np.linalg.norm(self.point(graph.act(gamma, v)) - (self.point(v) + shift)))
+            for w, shift in zip(graph.hyperplanes, disp[len(graph.points):]):
+                a, r = self.hyperplane(w)
+                ia, ir = self.hyperplane(graph.act(gamma, w))
+                res.append(np.linalg.norm(ia - a))
+                res.append(abs(ir - (r + float(np.dot(a, shift)))))
+            row[:] = res
+        out.flags.writeable = False
+        return out
 
 
 _STEP = {"0": 1.0, "1": -1.0, STAR: 0.0}
@@ -212,46 +244,43 @@ def verify_extrusion_symmetry(fw: Framework, tol: float = RANK_TOL,
     Violations are reported, never raised.  ``active_only`` restricts the
     checks to the active symmetry subgroup (e.g. after a fully-symmetric
     push, which need not preserve the inactive directions).
+
+    The residuals of laws (i), (ii) and (iv) are computed once per framework,
+    over all of Z2^t, and kept on it (:attr:`Framework.symmetry_residuals`);
+    that is sound because a framework's graph, spec and read-only
+    configuration arrays never change.  Each call thresholds the rows of its
+    elements at its own ``tol``; containment is checked per call.
     """
     if fw.extrusion is None:
         raise ValueError("framework has no extrusion specification")
     spec = fw.extrusion
     graph = fw.graph
-    violations = []
-    max_res = 0.0
     scale = 1.0 + max(
         float(np.abs(fw.config.points).max()) if len(fw.config.points) else 0.0,
         float(np.abs(fw.config.hyperplanes).max()) if len(fw.config.hyperplanes) else 0.0,
         float(np.abs(spec.directions).max()),
     )
 
-    def record(law, v, gamma, res):
-        nonlocal max_res
-        res = float(res)
-        max_res = max(max_res, res)
-        if res > tol * scale:
-            violations.append((law, f"{v} gamma={gamma}", res))
-
     if active_only:
-        from .graphs import subgroup_elements
-
         elements = subgroup_elements(spec.order, spec.active)
         directions = spec.active
     else:
         elements = group_elements(spec.order)
         directions = range(spec.order)
 
-    steps = word_steps([v.word for v in graph.vertices], spec.order)
-    for gamma in elements:
-        disp = displacements(spec, steps, gamma)
-        for v, shift in zip(graph.points, disp):
-            record("point-translation", v, gamma,
-                   np.linalg.norm(fw.point(graph.act(gamma, v)) - (fw.point(v) + shift)))
-        for w, shift in zip(graph.hyperplanes, disp[len(graph.points):]):
-            a, r = fw.hyperplane(w)
-            ia, ir = fw.hyperplane(graph.act(gamma, w))
-            record("equal-normals", w, gamma, np.linalg.norm(ia - a))
-            record("offset-shift", w, gamma, abs(ir - (r + float(np.dot(a, shift)))))
+    # row of each element in group_elements: its bits, direction 0 the most significant
+    rows = [sum(b << (spec.order - 1 - h) for h, b in enumerate(gamma)) for gamma in elements]
+    table = fw.symmetry_residuals[rows]
+    # fmax skips NaN residuals, as max(max_res, res) did in the scalar loop
+    max_res = float(np.fmax.reduce(table, axis=None, initial=0.0))
+    violations = []
+    hits = np.nonzero(table > tol * scale)
+    if hits[0].size:
+        columns = ([("point-translation", v) for v in graph.points]
+                   + [(law, w) for w in graph.hyperplanes for law in ("equal-normals", "offset-shift")])
+        for e, c in zip(*hits):
+            law, v = columns[c]
+            violations.append((law, f"{v} gamma={elements[e]}", float(table[e, c])))
 
     for h in directions:
         tau = spec.directions[h]

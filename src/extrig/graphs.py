@@ -186,13 +186,27 @@ class PHGraph:
 
         Composed from one permutation per direction, which must map the
         vertices onto themselves and preserve every edge set (ValueError).
+        A vertex's key is the rank of its base and its word read in base 3
+        (digits 0, 1, * as 0, 1, 2); flipping direction h adds or subtracts
+        the place value of digit h unless it is a star.
         """
-        pos, t, n = self._position, self.extrusion_order, len(self._vertices)
+        t, verts = self.extrusion_order, self._vertices
+        n = len(verts)
         perms = {(): np.arange(n)}
+        if t:
+            # |bases| 3^t fits an int64 long before the 2^t permutations fit memory
+            rank = np.unique([v.base for v in verts], return_inverse=True)[1].reshape(n)
+            digits = np.array([[_CHAR_ORDER[c] for c in v.word] for v in verts],
+                              dtype=np.int64).reshape(n, t)
+            place = 3 ** np.arange(t - 1, -1, -1, dtype=np.int64)
+            keys = rank * 3 ** t + digits @ place
+            # a key shared by repeated vertices finds the last one, as a dict would
+            order = np.argsort(keys, kind="stable")
+            sorted_keys = keys[order]
         for h in range(t):
-            e_h = tuple(int(i == h) for i in range(t))
-            gen = np.array([pos.get(Vertex(v.base, word_add(v.word, e_h)), -1)
-                            for v in self._vertices], dtype=np.intp)
+            image = keys + np.where(digits[:, h] == 2, 0, 1 - 2 * digits[:, h]) * place[h]
+            at = np.searchsorted(sorted_keys, image, side="right") - 1
+            gen = np.where((at >= 0) & (sorted_keys[at] == image), order[at], -1).astype(np.intp)
             if np.any(gen < 0):
                 raise ValueError(f"extrusion action for direction {h} does not permute the vertices")
             for pairs in ends:   # sorted and distinct: compare the sorted keys lo * n + hi
@@ -310,23 +324,41 @@ def extrusion_product(base: PHGraph, fixed_sets) -> PHGraph:
     if t == 0:
         return base
 
-    def mask(v: Vertex, bits) -> Vertex:
-        word = "".join(STAR if v.base in fixed_sets[h] else str(bits[h]) for h in range(t))
-        return Vertex(v.base, word)
+    # copy k of a vertex sits at the bits of k, direction 0 the most significant;
+    # a vertex contracted along the directions in its mask has one copy per
+    # choice of the other bits: copy k is copy k & ~mask
+    bit = [1 << (t - 1 - h) for h in range(t)]
+    elements = range(2 ** t)
+    words = {}   # mask -> the word of each copy
 
-    all_bits = list(itertools.product((0, 1), repeat=t))
-    points = {mask(v, bits) for v in base.points for bits in all_bits}
-    hyperplanes = {mask(v, bits) for v in base.hyperplanes for bits in all_bits}
+    def copies(v: Vertex) -> tuple:
+        mask = sum(b for b, fs in zip(bit, fixed_sets) if v.base in fs)
+        if mask not in words:
+            words[mask] = ["".join(STAR if mask & b else "1" if k & b else "0" for b in bit)
+                           for k in elements]
+        out = []
+        for k, word in zip(elements, words[mask]):
+            out.append(out[k & ~mask] if k & mask else Vertex(v.base, word))
+        return mask, out
 
-    # the masked copies of one edge keep its orientation, so a set drops repeats
-    carried = {name: {(mask(u, bits), mask(v, bits)) for u, v in getattr(base, name)
-                      for bits in all_bits} for name in _EDGE_FIELDS}
+    copy = {v: copies(v) for v in base.vertices}
+    made = {v: [w for k, w in enumerate(cv) if not k & mask] for v, (mask, cv) in copy.items()}
+    points = [w for v in made if base.is_point(v) for w in made[v]]
+    hyperplanes = [w for v in made if not base.is_point(v) for w in made[v]]
+
+    # the copies of an edge repeat along the directions contracting both ends
+    carried = {}
+    for name in _EDGE_FIELDS:
+        carried[name] = []
+        for u, v in getattr(base, name):
+            (mu, cu), (mv, cv) = copy[u], copy[v]
+            carried[name] += [(cu[k], cv[k]) for k in elements if not k & mu & mv]
     # copy-joining edges, skipping contracted coordinates
-    for v in base.vertices:
-        name = "edges_pp" if base.is_point(v) else "edges_hh_par"
-        for h, bits in itertools.product(range(t), all_bits):
-            if bits[h] == 0 and v.base not in fixed_sets[h]:
-                carried[name].add((mask(v, bits), mask(v, bits[:h] + (1,) + bits[h + 1:])))
+    for v, (mask, cv) in copy.items():
+        joined = carried["edges_pp" if base.is_point(v) else "edges_hh_par"]
+        for b in bit:
+            if not mask & b:
+                joined += [(cv[k], cv[k | b]) for k in elements if not k & (mask | b)]
 
     return PHGraph(points=tuple(points), hyperplanes=tuple(hyperplanes), extrusion_order=t,
                    fixed_sets=tuple(fixed_sets), **{k: tuple(e) for k, e in carried.items()})

@@ -243,6 +243,7 @@ class RowLayout:
                    else np.zeros(len(pairs), dtype=np.intp))
             self.groups[name] = (kind, where, positions, ends, starts, sub)
         self.shape = (count, int(column_start(graph, dim, len(graph.vertices))))
+        self._pattern = None   # (row, column) of the nonzeros, see nonzeros
 
     @cached_property
     def rows(self) -> list:
@@ -277,17 +278,24 @@ class RowLayout:
     def nonzeros(self, points, hyperplanes, scaled: bool = False):
         """``(row, column, value)`` arrays of the rows' nonzeros at the given
         coordinates, in full columns; ``scaled`` multiplies each kind by its
-        Jacobian factor (the measurement map's Jacobian)."""
-        rows, cols, values = [], [], []
+        Jacobian factor (the measurement map's Jacobian).  The row and column
+        arrays depend only on the layout: they are built on the first call
+        and returned read-only after."""
+        pieces, values = [], []
         for kind, where, _, ends, starts, sub in self.groups.values():
             factor = kind.jacobian_factor if scaled else 1.0
             for start, block in zip(starts, kind.blocks(points, hyperplanes, ends, sub)):
-                rows.append(np.repeat(where, block.shape[1]))
-                cols.append((start[:, None] + np.arange(block.shape[1])).ravel())
+                pieces.append((where, start, block.shape[1]))
                 values.append(factor * block.ravel())
-        if not rows:
+        if not values:
             return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp), np.zeros(0)
-        return np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
+        if self._pattern is None:
+            rows = np.concatenate([np.repeat(where, width) for where, _, width in pieces])
+            cols = np.concatenate([(start[:, None] + np.arange(width)).ravel()
+                                   for _, start, width in pieces])
+            rows.flags.writeable = cols.flags.writeable = False
+            self._pattern = rows, cols
+        return (*self._pattern, np.concatenate(values))
 
     def matrix(self, points, hyperplanes, scaled: bool = False) -> np.ndarray:
         """Dense full-column rows at the given coordinates (see :meth:`nonzeros`)."""

@@ -3,7 +3,9 @@
 Counted by wrapping the constructors of ``CoordinateIndex`` and of
 ``RowLayout`` (the one definition of the row order), and
 ``parallel_respecting_basis``, which only the linear push and
-point-hyperplane subspaces read.
+point-hyperplane subspaces read.  ``PHGraph.act`` is called only by the
+symmetry residual pass, once per vertex and element of Z2^t: 2^t |V| calls
+mean one pass per framework, however many symmetry checks read it.
 """
 from collections import Counter
 from importlib import resources
@@ -38,25 +40,32 @@ def counts(monkeypatch):
 
     for cls in (extrig.rigidity.CoordinateIndex, extrig.rigidity.RowLayout):
         monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
+    monkeypatch.setattr(PHGraph, "act", counted("PHGraph.act", PHGraph.act))
     monkeypatch.setattr(extrig.finiteflex, "parallel_respecting_basis",
                         counted("parallel_respecting_basis",
                                 extrig.finiteflex.parallel_respecting_basis))
     return seen
 
 
+# PHGraph.act: 2^t |V| for prism (t = 1, 6 vertices), prism_twofold (t = 2,
+# 12) and point_line_twofold_pinned (t = 2, 8; the pass covers the inactive
+# direction too)
 CALLS = {
     "fowler_guest_count": (lambda: fowler_guest_count(prism()),
-                           {"CoordinateIndex": 1, "RowLayout": 1}),
+                           {"CoordinateIndex": 1, "RowLayout": 1, "PHGraph.act": 2 * 6}),
     "infinitesimal_analysis": (lambda: infinitesimal_analysis(prism()),
                                {"CoordinateIndex": 2, "RowLayout": 1}),
-    "build_report": (prism_twofold_report, {"CoordinateIndex": 3, "RowLayout": 2}),
+    # the report's check and the block decomposition's gate share one pass
+    "build_report": (prism_twofold_report, {"CoordinateIndex": 3, "RowLayout": 2,
+                                            "PHGraph.act": 4 * 12}),
     "finite_flex_test": (lambda: finite_flex_test(prism()),
-                         {"CoordinateIndex": 3, "RowLayout": 2}),
+                         {"CoordinateIndex": 3, "RowLayout": 2, "PHGraph.act": 2 * 6}),
     # the complete decorated graph gets no layout: its rank comes from the
     # trivial motions
     "finite_flex_test_point_hyperplane": (lambda: finite_flex_test(*point_line_twofold_pinned()),
                                           {"CoordinateIndex": 3, "RowLayout": 2,
-                                           "parallel_respecting_basis": 1}),
+                                           "parallel_respecting_basis": 1,
+                                           "PHGraph.act": 4 * 8}),
     "minimal_pinning": (lambda: minimal_pinning(prism()), {}),
 }
 

@@ -460,6 +460,27 @@ def test_orbit_sampler_matches_dense_rank_on_point_hyperplane_extrusions(case):
     assert_sampler_matches_dense(fw, pin, bar_joint=False)
 
 
+def assert_subspace_reads_the_block_basis(fw, pin=EMPTY_PIN):
+    dec = block_decompose(fw, pin)
+    for i in range(len(dec.blocks)):
+        assert np.array_equal(symmetric_subspace(fw, pin, i).basis,
+                              dec.external_bases[i].dense())
+
+
+@pytest.mark.parametrize("name", ["prism.json", "prism_twofold.json"])
+def test_symmetric_subspace_is_the_block_decomposition_basis_on_gallery(name):
+    doc = documents.load(resources.files("extrig") / "data" / name)
+    assert_subspace_reads_the_block_basis(doc.framework)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_bar_joint_extrusions())
+def test_symmetric_subspace_is_the_block_decomposition_basis(fw):
+    """Read from the external representation alone, the bar-joint subspace is
+    bitwise the A_i of the whole block decomposition."""
+    assert_subspace_reads_the_block_basis(fw)
+
+
 def test_subspace_is_fixed_by_elements_flipping_only_character_one_directions():
     # at t = 2 the irreducible rho_11 has character +1 on 11, but 11 flips two
     # directions of character -1, so it does not fix the points of the subspace

@@ -1,8 +1,12 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from extrusion_oracles import scalar_verify_extrusion_symmetry
+from extrusions import random_bar_joint_extrusions, random_point_hyperplane_extrusions
 from extrig.frameworks import (Configuration, ExtrusionSpec, Framework, affine_span_check,
                                apply_affine, apply_infinitesimal_rotation, displacements,
                                extrude_framework, extrusion_displacement,
@@ -83,6 +87,69 @@ def test_verify_reports_perturbation():
     report = verify_extrusion_symmetry(broken, 1e-9)
     assert not report.ok
     assert any(law == "point-translation" for law, _, _ in report.violations)
+
+
+def assert_reports_equal(fw, tol, active_only):
+    got = verify_extrusion_symmetry(fw, tol, active_only)
+    want = scalar_verify_extrusion_symmetry(fw, tol, active_only)
+    assert got.ok == want.ok
+    assert got.max_residual == want.max_residual and type(got.max_residual) is float
+    assert got.violations == want.violations
+    assert got.notes == want.notes
+
+
+@st.composite
+def symmetry_checks(draw):
+    """A generated extrusion, unperturbed or with coordinates moved by a drawn
+    amount, a random active set, and the (tol, active_only) calls to make on
+    it, in a drawn order."""
+    fw = draw(st.one_of(random_bar_joint_extrusions(),
+                        random_point_hyperplane_extrusions().map(lambda pair: pair[0])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    size = draw(st.sampled_from([0.0, 1e-13, 1e-10, 1e-7, 1e-3]))
+    moved = [arr + size * rng.normal(size=arr.shape) * (rng.random(arr.shape) < 0.3)
+             for arr in (fw.config.points, fw.config.hyperplanes)]
+    active = tuple(h for h in range(fw.extrusion.order) if draw(st.booleans()))
+    fw = Framework(fw.graph, Configuration(fw.dim, *moved), replace(fw.extrusion, active=active))
+    calls = list(itertools.product((1e-12, 1e-9, 1e-6), (False, True))) * 2
+    return fw, draw(st.permutations(calls))
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetry_checks())
+def test_verify_matches_the_scalar_check_on_repeated_calls(case):
+    """Residuals kept on the framework give every call, in any order, the
+    report of the loop that evaluates each law per call."""
+    fw, calls = case
+    for tol, active_only in calls:
+        assert_reports_equal(fw, tol, active_only)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_verify_matches_the_scalar_check_on_non_finite_coordinates(value):
+    fw = prism_twofold()
+    broken = []
+    for i in (0, 3):
+        pts = fw.config.points.copy()
+        pts[i, 0] = value
+        broken.append(Framework(fw.graph, Configuration(2, pts, fw.config.hyperplanes), fw.extrusion))
+    fw = point_line_twofold()
+    hyp = fw.config.hyperplanes.copy()
+    hyp[1, -1] = value
+    broken.append(Framework(fw.graph, Configuration(2, fw.config.points, hyp), fw.extrusion))
+    for case in broken:
+        for tol, active_only in itertools.product((1e-12, 1e-6), (False, True)):
+            assert_reports_equal(case, tol, active_only)
+
+
+def test_residuals_are_kept_on_the_framework_and_read_only():
+    fw = prism_twofold()
+    table = fw.symmetry_residuals
+    assert table.shape == (4, len(fw.graph.points) + 2 * len(fw.graph.hyperplanes))
+    assert not table.flags.writeable and fw.symmetry_residuals is table
+    verify_extrusion_symmetry(fw, 1e-9)
+    assert fw.symmetry_residuals is table
 
 
 def test_verify_flags_dependent_directions():

@@ -2,8 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from extrusion_oracles import masked_extrusion_product, word_permutations
 from extrig.graphs import (PHGraph, Vertex, complete_decorated, extrusion_product, group_elements,
                            remove_edge, subgroup_elements, word_add)
 from extrig.fixtures import (constrained_cube, point_line_base, point_line_twofold,
@@ -37,9 +38,9 @@ def test_word_add_is_group_action(t, data):
 
 
 @st.composite
-def random_extrusions(draw):
-    """extrusion_product of a small random base with t <= 3 and random
-    hyperplane fixed sets (starred word positions)."""
+def random_extrusion_inputs(draw):
+    """A small random base and t <= 3 random hyperplane fixed sets (starred
+    word positions)."""
     pts = [Vertex(f"p{i}") for i in range(draw(st.integers(1, 3)))]
     hyps = [Vertex(f"w{i}") for i in range(draw(st.integers(0, 3)))]
     label = [draw(st.integers(0, 1)) for _ in hyps]   # angle edges only across labels
@@ -58,7 +59,28 @@ def random_extrusions(draw):
                    edges_hh_angle=tuple(edges["hh-angle"]), edges_hh_par=tuple(edges["hh-par"]))
     t = draw(st.integers(1, 3))
     fixed = [[w.base for w in hyps if draw(st.booleans())] for _ in range(t)]
-    return extrusion_product(base, fixed)
+    return base, fixed
+
+
+def random_extrusions():
+    """extrusion_product of :func:`random_extrusion_inputs`."""
+    return random_extrusion_inputs().map(lambda inputs: extrusion_product(*inputs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_extrusion_inputs())
+def test_extrusion_product_matches_the_masked_construction(inputs):
+    """Same fields in the same order, same edge positions, and every element's
+    permutation equal to the one read off the words."""
+    graph, oracle = extrusion_product(*inputs), masked_extrusion_product(*inputs)
+    assert graph == oracle
+    assert graph.vertices == oracle.vertices
+    for ends, want in zip(graph.edge_ends, oracle.edge_ends):
+        assert np.array_equal(ends, want) and ends.dtype == want.dtype
+    assert graph.parallel_classes == oracle.parallel_classes
+    for gamma, perm in word_permutations(oracle).items():
+        assert np.array_equal(graph.permutation(gamma), perm)
+        assert np.array_equal(oracle.permutation(gamma), perm)
 
 
 @given(random_extrusions())

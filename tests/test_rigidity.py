@@ -11,7 +11,7 @@ from extrig.graphs import PHGraph, Vertex
 from extrig.fixtures import (constrained_cube, constrained_cube_pinned, k33_orthogonal,
                              k33_pinnings, point_line_twofold, point_line_twofold_pinned,
                              prism, prism_pinned, prism_twofold, triangle, triangle_cycle)
-from extrig.rigidity import (EMPTY_PIN, PinningSpec, hyperplane_pinning,
+from extrig.rigidity import (EMPTY_PIN, PinningSpec, RowLayout, hyperplane_pinning,
                              infinitesimal_analysis, maxwell_rhs, minimal_pinning, parallel_axes,
                              rigidity_matrix, trivial_motion_basis, trivial_motion_dim)
 from extrusions import random_bar_joint_extrusions
@@ -274,6 +274,25 @@ def test_measurement_jacobian_is_scaled_rigidity_matrix(name):
     factor = np.array([2.0 if rig.row_labels[i][0] in ("pp", "norm") else 1.0 for i in keep])
     assert mm.rows == [rig.row_labels[i] for i in keep]
     assert np.array_equal(mm.jacobian(mm.base_reduced()), factor[:, None] * rig.matrix[keep])
+
+
+@pytest.mark.parametrize("name", GALLERY)
+def test_nonzero_pattern_is_built_once_per_layout(name):
+    """Later calls return the first call's read-only row and column arrays,
+    equal to those of a new layout at other coordinates; the values match
+    the new layout's bitwise."""
+    fw, pin = gallery_document(name)
+    moved = (1.1 * fw.config.points + 0.3, 0.9 * fw.config.hyperplanes - 0.2)
+    for include_parallel in (True, False):
+        layout = RowLayout(fw.graph, fw.dim, pin, include_parallel=include_parallel)
+        row, col, _ = layout.nonzeros(fw.config.points, fw.config.hyperplanes)
+        assert not row.flags.writeable and not col.flags.writeable
+        for scaled in (False, True):
+            again = layout.nonzeros(*moved, scaled)
+            assert again[0] is row and again[1] is col
+            fresh = RowLayout(fw.graph, fw.dim, pin, include_parallel=include_parallel)
+            for got, want in zip(again, fresh.nonzeros(*moved, scaled)):
+                assert np.array_equal(got, want) and got.dtype == want.dtype
 
 
 def reference_left_nullspace(mat, tol=1e-9):
