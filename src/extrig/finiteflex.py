@@ -22,7 +22,10 @@ representatives weighted by sqrt(|orbit|) have the singular values of
 J S, and an orbit whose stabiliser negates it has J S rows that vanish.
 This is the orbit rigidity matrix (Schulze & Whiteley 2011) read per
 irreducible (Kangwai & Guest 2000).  The rank cut stays on the shape of
-J S and on |J|_F, taken from the nonzeros of every row.
+J S and on |J|_F, taken from the nonzeros of every row.  Every sample is
+ranked on orbit rows of the same shape, so none exceeds min(orbit rows,
+dim S): a configuration at that bound has maximal rank, so it is regular
+(Asimow & Roth 1978), and no sample is drawn.
 
 The certificate compares the graph's restricted rank with the complete
 decorated graph's, read off the trivial motions T of the pinning for both
@@ -118,12 +121,10 @@ def parallel_respecting_basis(fw: Framework, index: CoordinateIndex,
             a_other, _ = fw.hyperplane(other)
             beta = float(np.dot(a_other, a_rep) / np.dot(a_rep, a_rep))
             for c in range(d):
-                row = np.zeros(index.size)
-                lab_o, lab_r = (other, c), (rep, c)
-                if lab_o in index.pos:
-                    row[index.pos[lab_o]] = 1.0
-                if lab_r in index.pos:
-                    row[index.pos[lab_r]] = -beta
+                row = np.zeros(index.full_size)
+                row[index.vertex_slice(other).start + c] = 1.0
+                row[index.vertex_slice(rep).start + c] = -beta
+                row = row[index.keep]
                 if np.any(row):
                     conditions.append(row)
     if not conditions:
@@ -280,7 +281,8 @@ class _OrbitSampler:
 def _regularity(mm: MeasurementMap, sub: AffineSubspace, samples: int, radius: float,
                 seed: int, tol: float) -> tuple:
     """(rank of the restricted Jacobian at the configuration, whether no
-    seeded sample of the subspace within ``radius`` exceeds it)."""
+    seeded sample of the subspace within ``radius`` exceeds it); no sample
+    is drawn when the rank is already min(orbit rows, dim S)."""
     if sub.dim == 0:
         return 0, True
     here = mm.base_reduced()
@@ -288,6 +290,8 @@ def _regularity(mm: MeasurementMap, sub: AffineSubspace, samples: int, radius: f
         radius = 0.1 * (1.0 + float(np.linalg.norm(here)))
     sampler = _OrbitSampler(mm, sub)
     rank_here = sampler.rank(here, tol)
+    if rank_here == min(sampler.rows, sub.dim):
+        return rank_here, True
     rng = np.random.default_rng(seed)
     for _ in range(samples):
         q = here + sub.basis @ (rng.uniform(-1.0, 1.0, sub.dim) * radius)

@@ -128,6 +128,7 @@ class PHGraph:
     _classes: tuple = field(init=False, repr=False, compare=False, default=())
     _class_index: dict = field(init=False, repr=False, compare=False, default=None)
     _permutations: dict = field(init=False, repr=False, compare=False, default=None)
+    _word_digits: tuple = field(init=False, repr=False, compare=False, default=None)
     _edge_ends: tuple = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
@@ -200,6 +201,7 @@ class PHGraph:
                               dtype=np.int64).reshape(n, t)
             place = 3 ** np.arange(t - 1, -1, -1, dtype=np.int64)
             keys = rank * 3 ** t + digits @ place
+            object.__setattr__(self, "_word_digits", (rank, digits))
             # a key shared by repeated vertices finds the last one, as a dict would
             order = np.argsort(keys, kind="stable")
             sorted_keys = keys[order]
@@ -289,19 +291,12 @@ class PHGraph:
             raise ValueError(f"vertex {v} not in graph")
         return self._vertices[self.permutation(gamma)[i]]
 
-    @staticmethod
-    def extrusion_coordinate(edge):
-        """Position in which the endpoint words of a copy-joining edge differ.
-
-        Returns None for edges whose endpoints have distinct bases.
-        """
-        u, v = edge
-        if u.base != v.base:
-            return None
-        diff = [h for h, (a, b) in enumerate(zip(u.word, v.word)) if a != b]
-        if len(diff) != 1:
-            raise ValueError(f"edge {u}-{v} joins copies differing in {len(diff)} coordinates")
-        return diff[0]
+    @property
+    def word_digits(self):
+        """``(base rank, digits)`` per vertex position: equal ranks mean equal
+        bases, and ``digits[i, h]`` is 0, 1 or 2 for a 0, 1 or * at word
+        position h.  None without extrusion structure."""
+        return self._word_digits
 
 
 def extrusion_product(base: PHGraph, fixed_sets) -> PHGraph:

@@ -66,38 +66,39 @@ class CoordinateIndex:
     """Bookkeeping between the full stacked coordinate vector and the pinned one."""
 
     def __init__(self, fw: Framework, pin: PinningSpec = EMPTY_PIN):
-        d = fw.dim
-        graph = fw.graph
-        labels = [(v, c) for v in graph.vertices for c in range(d if graph.is_point(v) else d + 1)]
-        pinned = set()
+        d, graph = fw.dim, fw.graph
+        starts = column_start(graph, d, np.arange(len(graph.vertices) + 1))
+        keep = np.ones(starts[-1], dtype=bool)
         for v, c in pin.coords:
             if v not in graph.position:
                 raise ValueError(f"pinned coordinate references unknown vertex {v}")
             width = d if graph.is_point(v) else d + 1
             if not 0 <= c < width:
                 raise ValueError(f"pinned coordinate index {c} out of range for {v}")
-            pinned.add((v, c))
+            keep[starts[graph.position[v]] + int(c)] = False
         for name, hyps, width in (("fully pinned", pin.full_hyperplanes, d + 1),
                                   ("parallel-only", pin.parallel_only, d)):
             for w in hyps:
                 if w not in graph.position or graph.is_point(w):
                     raise ValueError(f"{name} vertex {w} is not a hyperplane")
-                pinned.update((w, c) for c in range(width))
-        self.fw = fw
-        self.pin = pin
-        self.dim = d
-        self.full_labels = labels
-        self.keep = np.array([lab not in pinned for lab in labels], dtype=bool)
-        self.labels = [lab for lab, k in zip(labels, self.keep) if k]
-        self.pos = {lab: i for i, lab in enumerate(self.labels)}
+                start = starts[graph.position[w]]
+                keep[start:start + width] = False
+        self.fw, self.pin, self.dim, self.keep = fw, pin, d, keep
+        self.full_size, self.size = len(keep), int(np.count_nonzero(keep))
 
-    @property
-    def full_size(self) -> int:
-        return len(self.full_labels)
+    @cached_property
+    def full_labels(self) -> list:
+        """(vertex, coordinate) per full column, built on first read."""
+        graph, d = self.fw.graph, self.dim
+        return [(v, c) for v in graph.vertices for c in range(d if graph.is_point(v) else d + 1)]
 
-    @property
-    def size(self) -> int:
-        return len(self.labels)
+    @cached_property
+    def labels(self) -> list:
+        return [lab for lab, k in zip(self.full_labels, self.keep) if k]
+
+    @cached_property
+    def pos(self) -> dict:
+        return {lab: i for i, lab in enumerate(self.labels)}
 
     def full_vector(self) -> np.ndarray:
         cfg = self.fw.config
@@ -260,15 +261,23 @@ class RowLayout:
     @cached_property
     def flip(self) -> np.ndarray:
         """Per row, the coordinate whose flip negates it in the internal
-        representation: :meth:`PHGraph.extrusion_coordinate` of a signed
-        row's ends, t when there is none."""
+        representation: the one word digit in which the ends of a signed
+        row differ when they are copies of one base vertex, t otherwise."""
         graph, t = self.graph, self.graph.extrusion_order
         flip = np.full(self.shape[0], t, dtype=np.intp)
-        for kind, where, positions, *_ in self.groups.values():
-            if kind.signed:
-                coords = (graph.extrusion_coordinate((graph.vertices[u], graph.vertices[v]))
-                          for u, v in positions.T.tolist())
-                flip[where] = [t if h is None else h for h in coords]
+        if not t:
+            return flip
+        rank, digits = graph.word_digits
+        for _, where, (u, v), *_ in (g for g in self.groups.values() if g[0].signed):
+            copies = rank[u] == rank[v]
+            differ = digits[u[copies]] != digits[v[copies]]
+            count = differ.sum(axis=1)
+            bad = np.flatnonzero(count != 1)
+            if bad.size:
+                i = np.flatnonzero(copies)[bad[0]]
+                raise ValueError(f"edge {graph.vertices[u[i]]}-{graph.vertices[v[i]]} joins "
+                                 f"copies differing in {count[bad[0]]} coordinates")
+            flip[where[copies]] = np.argmax(differ, axis=1)
         return flip
 
     def sign(self, gamma) -> np.ndarray:
@@ -316,22 +325,25 @@ class RowLayout:
         representation.  ValueError when an image is not in the row list."""
         graph, size = self.graph, len(self.graph.vertices)
         self.flip   # raises before any row is mapped
+        keyed = []
+        for _, where, positions, _, _, sub in self.groups.values():
+            # a row's key: its end positions, in vertex order, and its sub-index
+            dims = (size,) * len(positions) + (int(sub.max()) + 1,)
+            keys = np.ravel_multi_index((*positions, sub), dims)
+            order = np.argsort(keys)
+            keyed.append((where, positions, sub, dims, keys[order], order))
         out = []
         for gamma in elements:
             perm = graph.permutation(gamma)
             target = np.empty(self.shape[0], dtype=np.intp)
-            for _, where, positions, _, _, sub in self.groups.values():
-                # a row's key: its end positions, in vertex order, and its sub-index
-                dims = (size,) * len(positions) + (int(sub.max()) + 1,)
-                keys = np.ravel_multi_index((*positions, sub), dims)
+            for where, positions, sub, dims, keys, order in keyed:
                 image = np.ravel_multi_index((*np.sort(perm[positions], axis=0), sub), dims)
-                order = np.argsort(keys)
-                at = order[np.minimum(np.searchsorted(keys, image, sorter=order), len(keys) - 1)]
+                at = np.minimum(np.searchsorted(keys, image), len(keys) - 1)
                 missing = np.flatnonzero(keys[at] != image)
                 if missing.size:
                     lab = self.rows[where[missing[0]]]
                     raise ValueError(f"row {lab} maps outside the surviving rows under {gamma}")
-                target[where] = where[at]
+                target[where] = where[order[at]]
             out.append((target, self.sign(gamma)))
         return out
 
@@ -341,9 +353,13 @@ class RigidityMatrix:
     """Pinned constraint Jacobian with row and column bookkeeping."""
 
     matrix: np.ndarray
-    row_labels: list
+    layout: RowLayout
     index: CoordinateIndex
     pinning: PinningSpec
+
+    @property
+    def row_labels(self) -> list:
+        return self.layout.rows
 
     @property
     def shape(self):
@@ -360,7 +376,7 @@ def rigidity_matrix(fw: Framework, pin: PinningSpec = EMPTY_PIN) -> RigidityMatr
     index = CoordinateIndex(fw, pin)
     layout = RowLayout(fw.graph, fw.dim, pin)
     full = layout.matrix(fw.config.points, fw.config.hyperplanes)
-    return RigidityMatrix(full[:, index.keep], layout.rows, index, pin)
+    return RigidityMatrix(full[:, index.keep], layout, index, pin)
 
 
 def trivial_motion_generators(fw: Framework) -> np.ndarray:

@@ -6,8 +6,12 @@ and requested element in one Python loop, recording as it goes, as
 residuals on the framework.  :func:`masked_extrusion_product` builds each edge
 copy by masking both of its ends with the copy's bits, and
 :func:`word_permutations` reads each element's vertex permutation off the
-words by :func:`extrig.graphs.word_add` and a position lookup.  None is a
-code path of the package.
+words by :func:`extrig.graphs.word_add` and a position lookup.
+:func:`row_flips` and :func:`row_action` map the rows of a
+:class:`~extrig.rigidity.RowLayout` one label at a time, from
+:func:`extrusion_coordinate` and the word images of the ends, and
+:func:`pairwise_coincident` compares every pair of extruded points.  None
+is a code path of the package.
 """
 import itertools
 
@@ -16,7 +20,8 @@ import numpy as np
 from extrig.frameworks import SymmetryReport, _contained, displacements, word_steps
 from extrig.graphs import (_EDGE_FIELDS, STAR, PHGraph, Vertex, group_elements,
                            subgroup_elements, word_add)
-from extrig.linalg import RANK_TOL, numeric_rank
+from extrig.linalg import COINCIDENT_TOL, RANK_TOL, numeric_rank
+from extrig.rigidity import ROW_KINDS
 
 
 def scalar_verify_extrusion_symmetry(fw, tol=RANK_TOL, active_only=False) -> SymmetryReport:
@@ -106,3 +111,58 @@ def word_permutations(graph) -> dict:
     return {gamma: np.array([pos[Vertex(v.base, word_add(v.word, gamma))]
                              for v in graph.vertices], dtype=np.intp).reshape(-1)
             for gamma in group_elements(graph.extrusion_order)}
+
+
+def extrusion_coordinate(edge):
+    """Position in which the endpoint words of a copy-joining edge differ.
+
+    Returns None for edges whose endpoints have distinct bases.
+    """
+    u, v = edge
+    if u.base != v.base:
+        return None
+    diff = [h for h, (a, b) in enumerate(zip(u.word, v.word)) if a != b]
+    if len(diff) != 1:
+        raise ValueError(f"edge {u}-{v} joins copies differing in {len(diff)} coordinates")
+    return diff[0]
+
+
+def row_flips(layout) -> np.ndarray:
+    """Per row label, the :func:`extrusion_coordinate` of a signed row's ends,
+    t when there is none."""
+    t = layout.graph.extrusion_order
+    coords = [extrusion_coordinate(lab[1]) if ROW_KINDS[lab[0]].signed else None
+              for lab in layout.rows]
+    return np.array([t if h is None else h for h in coords], dtype=np.intp)
+
+
+def row_action(layout, elements) -> list:
+    """Per element, ``(target, sign)`` of the rows: each label's image is the
+    label on the word images of its ends, looked up among the labels."""
+    graph, rows = layout.graph, layout.rows
+    at = {lab: i for i, lab in enumerate(rows)}
+    flips = row_flips(layout)
+    out = []
+    for gamma in elements:
+        target = []
+        for lab in rows:
+            ends = (lab[1],) if lab[0] == "norm" else lab[1]
+            image = sorted((Vertex(v.base, word_add(v.word, gamma)) for v in ends),
+                           key=graph.position.get)
+            image = (lab[0], *image) if lab[0] == "norm" else (lab[0], tuple(image), *lab[2:])
+            if image not in at:
+                raise ValueError(f"row {lab} maps outside the surviving rows under {gamma}")
+            target.append(at[image])
+        sign = [-1.0 if h < len(gamma) and gamma[h] else 1.0 for h in flips]
+        out.append((np.array(target, dtype=np.intp), np.array(sign)))
+    return out
+
+
+def pairwise_coincident(points) -> bool:
+    """Whether two rows of ``points`` lie closer than COINCIDENT_TOL, from the
+    full table of pairwise distances."""
+    if len(points) < 2:
+        return False
+    dists = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
+    np.fill_diagonal(dists, np.inf)
+    return bool(np.any(dists < COINCIDENT_TOL))

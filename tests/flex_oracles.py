@@ -3,7 +3,10 @@
 :func:`dense_regularity` samples the rank of the dense restricted Jacobian
 J(q) S, all m rows, at the configuration and at the same seeded points as
 :func:`extrig.finiteflex._regularity`, which reads one row per orbit and must
-agree with it.  :func:`block_rank_at` reruns the block decomposition at a
+agree with it.  :func:`sampled_regularity` ranks every seeded sample on the
+package's orbit rows, even where the configuration's rank is already the
+largest those rows can have, at which point the package stops.
+:func:`block_rank_at` reruns the block decomposition at a
 moved configuration, the block-0 reference for the fully-symmetric
 component.  :func:`complete_graph_oracle` ranks the complete decorated
 graph's measurement Jacobian, which the package reads off the trivial
@@ -11,7 +14,7 @@ motions instead.  None is a code path of the package.
 """
 import numpy as np
 
-from extrig.finiteflex import MeasurementMap
+from extrig.finiteflex import MeasurementMap, _OrbitSampler
 from extrig.frameworks import Configuration, Framework
 from extrig.graphs import complete_decorated
 from extrig.linalg import RANK_TOL, numeric_rank
@@ -41,6 +44,24 @@ def dense_regularity(mm, sub, samples, radius, seed, tol):
         if _product_rank(mm.jacobian(q), sub.basis, tol) > rank_here:
             return rank_here, False
     return rank_here, True
+
+
+def sampled_regularity(mm, sub, samples, radius, seed, tol):
+    """(rank of J S at the configuration, whether no seeded sample exceeds it),
+    each rank from :class:`extrig.finiteflex._OrbitSampler`, all samples drawn."""
+    if sub.dim == 0:
+        return 0, True
+    here = mm.base_reduced()
+    if radius is None:
+        radius = 0.1 * (1.0 + float(np.linalg.norm(here)))
+    sampler = _OrbitSampler(mm, sub)
+    rank_here = sampler.rank(here, tol)
+    rng = np.random.default_rng(seed)
+    exceeded = False
+    for _ in range(samples):
+        q = here + sub.basis @ (rng.uniform(-1.0, 1.0, sub.dim) * radius)
+        exceeded |= sampler.rank(q, tol) > rank_here
+    return rank_here, not exceeded
 
 
 def framework_at(fw, index, reduced):

@@ -8,9 +8,10 @@ import extrig.finiteflex
 from extrig import documents
 from extrig.finiteflex import (FINITE_FLEX_CERTIFIED, LINEARLY_DETECTABLE, NO_SYMMETRIC_FLEX,
                                NOT_LINEARLY_DETECTABLE, NOT_REGULAR, PRECONDITION_FAILED,
-                               AffineSubspace, _OrbitSampler, finite_flex_test, linear_push,
-                               measurement_map, regular_point_test, restricted_jacobian,
-                               symmetric_subspace, uniform_velocity_subspace)
+                               AffineSubspace, _OrbitSampler, _regularity, finite_flex_test,
+                               linear_push, measurement_map, regular_point_test,
+                               restricted_jacobian, symmetric_subspace,
+                               uniform_velocity_subspace)
 from extrig.fixtures import (constrained_cube, constrained_cube_pinned, k33_orthogonal,
                              k33_pinnings, point_line_extruded_fixed, point_line_twofold,
                              point_line_twofold_pinned, prism, prism_twofold, triangle,
@@ -25,7 +26,7 @@ from extrig.symmetry import SymmetryPreconditionError, block_decompose
 from extrusions import (degenerate_point_hyperplane_extrusions, random_bar_joint_extrusions,
                         random_point_hyperplane_extrusions)
 from flex_oracles import (block_rank_at, complete_graph_oracle, complete_kernel_excess,
-                          dense_regularity, restricted_rank_oracle)
+                          dense_regularity, restricted_rank_oracle, sampled_regularity)
 
 GALLERY = sorted(p.name for p in (resources.files("extrig") / "data").iterdir()
                  if p.name.endswith(".json"))
@@ -200,13 +201,18 @@ def copy_classes(fw):
     return list(classes.values())
 
 
-def drawn_pinnings(fw, data):
-    """No pinning, the minimal pinning, and a drawn set of coordinates pinned
-    on every copy of a base point (invariant, and often leaving trivial motions)."""
+def drawn_orbit_pinning(fw, data):
+    """A drawn set of coordinates pinned on every copy of a base point
+    (invariant, and often leaving trivial motions)."""
     classes = copy_classes(fw)
     chosen = data.draw(st.sets(st.tuples(st.integers(0, len(classes) - 1),
                                          st.integers(0, fw.dim - 1)), max_size=4))
-    orbit_pin = PinningSpec(coords=frozenset((v, c) for k, c in chosen for v in classes[k]))
+    return PinningSpec(coords=frozenset((v, c) for k, c in chosen for v in classes[k]))
+
+
+def drawn_pinnings(fw, data):
+    """No pinning, the minimal pinning, and a drawn orbit pinning."""
+    orbit_pin = drawn_orbit_pinning(fw, data)
     return [EMPTY_PIN, minimal_pinning(fw), orbit_pin]
 
 
@@ -445,11 +451,7 @@ def assert_sampler_matches_dense(fw, pin, bar_joint):
 @settings(max_examples=40, deadline=None)
 @given(random_bar_joint_extrusions(), st.data())
 def test_orbit_sampler_matches_dense_rank_on_bar_joint_extrusions(fw, data):
-    classes = copy_classes(fw)
-    chosen = data.draw(st.sets(st.tuples(st.integers(0, len(classes) - 1),
-                                         st.integers(0, fw.dim - 1)), max_size=4))
-    orbit_pin = PinningSpec(coords=frozenset((v, c) for k, c in chosen for v in classes[k]))
-    for pin in (EMPTY_PIN, orbit_pin):
+    for pin in (EMPTY_PIN, drawn_orbit_pinning(fw, data)):
         assert_sampler_matches_dense(fw, pin, bar_joint=True)
 
 
@@ -458,6 +460,66 @@ def test_orbit_sampler_matches_dense_rank_on_bar_joint_extrusions(fw, data):
 def test_orbit_sampler_matches_dense_rank_on_point_hyperplane_extrusions(case):
     fw, pin = case
     assert_sampler_matches_dense(fw, pin, bar_joint=False)
+
+
+def assert_regularity_matches_full_sampling(fw, pin):
+    """On every isotypic subspace, at the sampler's rank bound and below it,
+    the regularity decision equals drawing all 20 samples on the orbit rows
+    and drawing them on the dense J(q) S; returns, per subspace, whether its
+    configuration is at the bound."""
+    mm = measurement_map(fw, pin)
+    at_bound = []
+    for sub in isotypic_subspaces(fw, pin):
+        args = (mm, sub, 20, None, 0, RANK_TOL)
+        got = _regularity(*args)
+        assert got == sampled_regularity(*args) == dense_regularity(*args)
+        at_bound.append(got[0] == min(_OrbitSampler(mm, sub).rows, sub.dim))
+    return at_bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_bar_joint_extrusions(), st.data())
+def test_regularity_matches_full_sampling_on_bar_joint_extrusions(fw, data):
+    for pin in (EMPTY_PIN, drawn_orbit_pinning(fw, data)):
+        assert_regularity_matches_full_sampling(fw, pin)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_point_hyperplane_extrusions())
+def test_regularity_matches_full_sampling_on_point_hyperplane_extrusions(case):
+    assert_regularity_matches_full_sampling(*case)
+
+
+def test_regularity_at_and_below_the_rank_bound_on_fixtures():
+    # prism's rho_0 block is 3 x 6 of rank 3; its rho_1 block (9 x 6, rank 5)
+    # and triangle_cycle's (18 x 18, rank 14) are not regular
+    assert assert_regularity_matches_full_sampling(prism(), EMPTY_PIN) == [True, False]
+    assert assert_regularity_matches_full_sampling(triangle_cycle(), EMPTY_PIN) == [False]
+
+
+@pytest.fixture
+def sampler_ranks(monkeypatch):
+    ranks = []
+    real = _OrbitSampler.rank
+
+    def counted(self, reduced, tol):
+        ranks.append(real(self, reduced, tol))
+        return ranks[-1]
+
+    monkeypatch.setattr(_OrbitSampler, "rank", counted)
+    return ranks
+
+
+def test_configuration_at_the_rank_bound_draws_no_sample(sampler_ranks):
+    assert finite_flex_test(prism()).determination == FINITE_FLEX_CERTIFIED
+    assert len(sampler_ranks) == 1
+
+
+def test_configuration_below_the_rank_bound_samples_until_one_exceeds(sampler_ranks):
+    result = finite_flex_test(triangle_cycle())
+    assert result.determination == NOT_REGULAR
+    here, *samples = sampler_ranks
+    assert samples and max(samples[:-1], default=here) <= here < samples[-1]
 
 
 def assert_subspace_reads_the_block_basis(fw, pin=EMPTY_PIN):

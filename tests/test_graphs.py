@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extrusion_oracles import masked_extrusion_product, word_permutations
+from extrusion_oracles import extrusion_coordinate, masked_extrusion_product, word_permutations
 from extrig.graphs import (PHGraph, Vertex, complete_decorated, extrusion_product, group_elements,
                            remove_edge, subgroup_elements, word_add)
 from extrig.fixtures import (constrained_cube, point_line_base, point_line_twofold,
@@ -172,7 +172,7 @@ def edge_sign(gamma, edge) -> int:
     """Sign of ``edge`` in the internal representation of ``gamma``: -1
     exactly when the edge joins two copies of one base vertex and ``gamma``
     flips the coordinate in which their words differ."""
-    h = PHGraph.extrusion_coordinate(edge)
+    h = extrusion_coordinate(edge)
     return -1 if h is not None and gamma[h] == 1 else 1
 
 

@@ -1,3 +1,4 @@
+import re
 from importlib import resources
 
 import numpy as np
@@ -5,16 +6,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from extrig import documents
-from extrig.finiteflex import measurement_map
+from extrig.finiteflex import finite_flex_test, measurement_map
 from extrig.frameworks import Configuration, Framework, affine_span_check
-from extrig.graphs import PHGraph, Vertex
+from extrig.graphs import PHGraph, Vertex, group_elements
 from extrig.fixtures import (constrained_cube, constrained_cube_pinned, k33_orthogonal,
                              k33_pinnings, point_line_twofold, point_line_twofold_pinned,
                              prism, prism_pinned, prism_twofold, triangle, triangle_cycle)
-from extrig.rigidity import (EMPTY_PIN, PinningSpec, RowLayout, hyperplane_pinning,
-                             infinitesimal_analysis, maxwell_rhs, minimal_pinning, parallel_axes,
-                             rigidity_matrix, trivial_motion_basis, trivial_motion_dim)
-from extrusions import random_bar_joint_extrusions
+from extrig.rigidity import (EMPTY_PIN, CoordinateIndex, PinningSpec, RowLayout,
+                             hyperplane_pinning, infinitesimal_analysis, maxwell_rhs,
+                             minimal_pinning, parallel_axes, rigidity_matrix,
+                             trivial_motion_basis, trivial_motion_dim)
+from extrusion_oracles import row_action, row_flips
+from extrusions import random_bar_joint_extrusions, random_point_hyperplane_extrusions
 
 ALL_UNPINNED = [triangle, prism, prism_twofold, point_line_twofold, constrained_cube,
                 triangle_cycle, k33_orthogonal]
@@ -387,3 +390,87 @@ def test_trivial_motion_dim_equals_the_basis_width_on_random_extrusions(fw, data
         pins.append(minimal_pinning(fw))
     for pin in pins:
         check_trivial_dim(fw, pin)
+
+
+def assert_row_maps_match_the_label_references(fw, pin):
+    """flip and action on the word arrays equal the label-by-label references,
+    or raise the same message."""
+    layout = RowLayout(fw.graph, fw.dim, pin)
+    elements = group_elements(fw.graph.extrusion_order)
+    try:
+        want = row_flips(layout), row_action(layout, elements)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=re.escape(str(err))):
+            layout.action(elements)
+        return
+    assert np.array_equal(layout.flip, want[0])
+    for (target, sign), (ref_target, ref_sign) in zip(layout.action(elements), want[1]):
+        assert np.array_equal(target, ref_target) and np.array_equal(sign, ref_sign)
+
+
+@pytest.mark.parametrize("name", GALLERY)
+def test_row_maps_match_the_label_references_on_gallery(name):
+    fw, pin = gallery_document(name)
+    for p in {EMPTY_PIN, pin}:
+        assert_row_maps_match_the_label_references(fw, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_bar_joint_extrusions())
+def test_row_maps_match_the_label_references_on_bar_joint_extrusions(fw):
+    assert_row_maps_match_the_label_references(fw, EMPTY_PIN)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_point_hyperplane_extrusions())
+def test_row_maps_match_the_label_references_on_point_hyperplane_extrusions(case):
+    fw, pin = case
+    for p in {EMPTY_PIN, pin}:
+        assert_row_maps_match_the_label_references(fw, p)
+
+
+def test_row_flip_names_the_first_edge_joining_copies_across_two_coordinates():
+    p = {w: Vertex("p", w) for w in ("00", "01", "10", "11")}
+    q = {w: Vertex("q", w) for w in ("00", "01", "10", "11")}
+    graph = PHGraph(points=tuple(p.values()) + tuple(q.values()), hyperplanes=(),
+                    extrusion_order=2,
+                    edges_pp=((p["00"], p["01"]), (p["10"], p["11"]), (q["00"], q["11"]),
+                              (q["10"], q["01"]), (p["00"], q["00"]), (p["01"], q["01"]),
+                              (p["10"], q["10"]), (p["11"], q["11"])))
+    layout = RowLayout(graph, 2)
+    with pytest.raises(ValueError) as err:
+        row_flips(layout)
+    assert "q|00-q|11 joins copies differing in 2 coordinates" in str(err.value)
+    with pytest.raises(ValueError, match=re.escape(str(err.value))):
+        layout.flip
+
+
+def test_analysis_builds_no_labels(monkeypatch):
+    """Row and coordinate labels are built only when read: an analysis and a
+    finite-flex test read neither, and the labels, read afterwards, match
+    the column order."""
+    def refuse(self):
+        raise AssertionError("labels built")
+
+    with monkeypatch.context() as patched:
+        for cls, name in ((RowLayout, "rows"), (CoordinateIndex, "full_labels"),
+                          (CoordinateIndex, "labels"), (CoordinateIndex, "pos")):
+            patched.setattr(cls, name, property(refuse))
+        infinitesimal_analysis(prism())
+        rig = rigidity_matrix(*point_line_twofold_pinned())
+        finite_flex_test(prism())
+        finite_flex_test(*point_line_twofold_pinned())
+    fw, pin = point_line_twofold_pinned()
+    index = rig.index
+    assert rig.row_labels == RowLayout(fw.graph, fw.dim, pin).rows
+    assert index.full_labels == [(v, c) for v in fw.graph.vertices
+                                 for c in range(index.vertex_slice(v).stop
+                                                - index.vertex_slice(v).start)]
+    assert index.keep.tolist() == [lab not in {(w, c) for w in pin.full_hyperplanes
+                                               for c in range(3)}
+                                   | {(w, c) for w in pin.parallel_only for c in range(2)}
+                                   | set(pin.coords)
+                                   for lab in index.full_labels]
+    assert index.labels == [lab for lab, k in zip(index.full_labels, index.keep) if k]
+    assert (index.size, index.full_size) == (len(index.labels), len(index.full_labels))
+    assert all(index.labels[i] == lab for lab, i in index.pos.items())

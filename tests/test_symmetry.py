@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import extrig.rigidity
 import extrig.symmetry
 from dense_blocks import dense_block_decompose
+from extrusion_oracles import extrusion_coordinate
 from extrig import documents
 from extrig.frameworks import (Configuration, ExtrusionSpec, Framework, apply_affine,
                                extrude_framework, extrusion_displacement, normalize_hyperplanes)
@@ -299,7 +300,7 @@ def reference_reps(fw, pin, gamma):
             image = word_image(gamma, lab[1])
         else:
             image = tuple(sorted((word_image(gamma, w) for w in lab[1]), key=graph.position.get))
-        flip = graph.extrusion_coordinate(lab[1]) if lab[0] in ("pp", "par") else None
+        flip = extrusion_coordinate(lab[1]) if lab[0] in ("pp", "par") else None
         sign = -1.0 if flip is not None and gamma[flip] == 1 else 1.0
         itn[row_pos[(lab[0], image, *lab[2:])], i] = sign
     return ext, itn, index.keep
