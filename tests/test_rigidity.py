@@ -408,13 +408,6 @@ def assert_row_maps_match_the_label_references(fw, pin):
         assert np.array_equal(target, ref_target) and np.array_equal(sign, ref_sign)
 
 
-@pytest.mark.parametrize("name", GALLERY)
-def test_row_maps_match_the_label_references_on_gallery(name):
-    fw, pin = gallery_document(name)
-    for p in {EMPTY_PIN, pin}:
-        assert_row_maps_match_the_label_references(fw, p)
-
-
 @settings(max_examples=60, deadline=None)
 @given(random_bar_joint_extrusions())
 def test_row_maps_match_the_label_references_on_bar_joint_extrusions(fw):
