@@ -169,22 +169,6 @@ def _contained(tau, a, tol) -> bool:
     return abs(float(np.dot(tau, a))) <= tol * np.linalg.norm(tau) * np.linalg.norm(a)
 
 
-def _has_coincident(points) -> bool:
-    """Whether two rows of ``points`` lie closer than COINCIDENT_TOL: a sweep in
-    their widest coordinate, the full distance only for pairs that close in it."""
-    if not points.size:
-        return False
-    axis = int(np.argmax(np.ptp(points, axis=0)))
-    pts = points[np.argsort(points[:, axis], kind="stable")]
-    for lag in range(1, len(pts)):
-        near = np.flatnonzero(pts[lag:, axis] - pts[:-lag, axis] < COINCIDENT_TOL)
-        if not near.size:
-            return False
-        if np.any(np.linalg.norm(pts[near + lag] - pts[near], axis=-1) < COINCIDENT_TOL):
-            return True
-    return False
-
-
 def extrude_framework(base: Framework, directions, fixed_sets=None, tol: float = RANK_TOL) -> Framework:
     """Extrude a framework along each direction in turn.
 
@@ -222,10 +206,8 @@ def extrude_framework(base: Framework, directions, fixed_sets=None, tol: float =
     at = {v.base: i for i, v in enumerate(base.graph.points)}
     base_hp = {v.base: base.hyperplane(v) for v in base.graph.hyperplanes}
     shift = np.zeros((len(graph.points), base.dim))
-    if t:
-        bits = graph.word_digits[1][:len(graph.points)] == 1
-        for h in range(t):   # bits . tau_h summed in direction order, from zero
-            shift[bits[:, h]] += directions[h]
+    for h, bits in enumerate(graph.point_bits.T):   # bits . tau_h in direction order, from zero
+        shift[bits] += directions[h]
     points = base.config.points[[at[v.base] for v in graph.points]] + shift
     hyper = []
     for v in graph.hyperplanes:
@@ -234,8 +216,11 @@ def extrude_framework(base: Framework, directions, fixed_sets=None, tol: float =
         hyper.append(np.concatenate([a, [r]]))
     hyper = np.array(hyper).reshape(-1, base.dim + 1)
 
-    if _has_coincident(points):
-        warnings.warn("extrusion produced coincident points", stacklevel=2)
+    if len(points) > 1:
+        dists = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
+        np.fill_diagonal(dists, np.inf)
+        if np.any(dists < COINCIDENT_TOL):
+            warnings.warn("extrusion produced coincident points", stacklevel=2)
 
     return Framework(graph=graph, config=Configuration(base.dim, points, hyper), extrusion=spec)
 

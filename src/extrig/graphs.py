@@ -201,6 +201,7 @@ class PHGraph:
                               dtype=np.int64).reshape(n, t)
             place = 3 ** np.arange(t - 1, -1, -1, dtype=np.int64)
             keys = rank * 3 ** t + digits @ place
+            rank.flags.writeable = digits.flags.writeable = False
             object.__setattr__(self, "_word_digits", (rank, digits))
             # a key shared by repeated vertices finds the last one, as a dict would
             order = np.argsort(keys, kind="stable")
@@ -291,12 +292,34 @@ class PHGraph:
             raise ValueError(f"vertex {v} not in graph")
         return self._vertices[self.permutation(gamma)[i]]
 
+    def copy_coordinate(self, u, v) -> np.ndarray:
+        """Per pair of vertex positions ``u[i]``, ``v[i]``, the word position in
+        which the two differ when they are copies of one base vertex, t when
+        their bases differ.  ValueError for copies differing in another number
+        of positions."""
+        t = self.extrusion_order
+        out = np.full(len(u), t, dtype=np.intp)
+        if not t:
+            return out
+        rank, digits = self._word_digits
+        copies = np.flatnonzero(rank[u] == rank[v])
+        differ = digits[u[copies]] != digits[v[copies]]
+        count = differ.sum(axis=1)
+        bad = np.flatnonzero(count != 1)
+        if bad.size:
+            i = copies[bad[0]]
+            raise ValueError(f"edge {self._vertices[u[i]]}-{self._vertices[v[i]]} joins "
+                             f"copies differing in {count[bad[0]]} coordinates")
+        out[copies] = np.argmax(differ, axis=1)
+        return out
+
     @property
-    def word_digits(self):
-        """``(base rank, digits)`` per vertex position: equal ranks mean equal
-        bases, and ``digits[i, h]`` is 0, 1 or 2 for a 0, 1 or * at word
-        position h.  None without extrusion structure."""
-        return self._word_digits
+    def point_bits(self) -> np.ndarray:
+        """Bool (len(points), t) array: whether each point's word has a 1 at
+        each position."""
+        if not self.extrusion_order:
+            return np.zeros((len(self.points), 0), dtype=bool)
+        return self._word_digits[1][:len(self.points)] == 1
 
 
 def extrusion_product(base: PHGraph, fixed_sets) -> PHGraph:

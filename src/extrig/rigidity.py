@@ -263,21 +263,10 @@ class RowLayout:
         """Per row, the coordinate whose flip negates it in the internal
         representation: the one word digit in which the ends of a signed
         row differ when they are copies of one base vertex, t otherwise."""
-        graph, t = self.graph, self.graph.extrusion_order
-        flip = np.full(self.shape[0], t, dtype=np.intp)
-        if not t:
-            return flip
-        rank, digits = graph.word_digits
-        for _, where, (u, v), *_ in (g for g in self.groups.values() if g[0].signed):
-            copies = rank[u] == rank[v]
-            differ = digits[u[copies]] != digits[v[copies]]
-            count = differ.sum(axis=1)
-            bad = np.flatnonzero(count != 1)
-            if bad.size:
-                i = np.flatnonzero(copies)[bad[0]]
-                raise ValueError(f"edge {graph.vertices[u[i]]}-{graph.vertices[v[i]]} joins "
-                                 f"copies differing in {count[bad[0]]} coordinates")
-            flip[where[copies]] = np.argmax(differ, axis=1)
+        flip = np.full(self.shape[0], self.graph.extrusion_order, dtype=np.intp)
+        for kind, where, positions, *_ in self.groups.values():
+            if kind.signed:
+                flip[where] = self.graph.copy_coordinate(*positions)
         return flip
 
     def sign(self, gamma) -> np.ndarray:

@@ -9,9 +9,8 @@ copy by masking both of its ends with the copy's bits, and
 words by :func:`extrig.graphs.word_add` and a position lookup.
 :func:`row_flips` and :func:`row_action` map the rows of a
 :class:`~extrig.rigidity.RowLayout` one label at a time, from
-:func:`extrusion_coordinate` and the word images of the ends, and
-:func:`pairwise_coincident` compares every pair of extruded points.  None
-is a code path of the package.
+:func:`extrusion_coordinate` and the word images of the ends.  None is a
+code path of the package.
 """
 import itertools
 
@@ -20,7 +19,7 @@ import numpy as np
 from extrig.frameworks import SymmetryReport, _contained, displacements, word_steps
 from extrig.graphs import (_EDGE_FIELDS, STAR, PHGraph, Vertex, group_elements,
                            subgroup_elements, word_add)
-from extrig.linalg import COINCIDENT_TOL, RANK_TOL, numeric_rank
+from extrig.linalg import RANK_TOL, numeric_rank
 from extrig.rigidity import ROW_KINDS
 
 
@@ -157,12 +156,3 @@ def row_action(layout, elements) -> list:
         out.append((np.array(target, dtype=np.intp), np.array(sign)))
     return out
 
-
-def pairwise_coincident(points) -> bool:
-    """Whether two rows of ``points`` lie closer than COINCIDENT_TOL, from the
-    full table of pairwise distances."""
-    if len(points) < 2:
-        return False
-    dists = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
-    np.fill_diagonal(dists, np.inf)
-    return bool(np.any(dists < COINCIDENT_TOL))

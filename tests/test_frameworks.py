@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extrusion_oracles import pairwise_coincident, scalar_verify_extrusion_symmetry
+from extrusion_oracles import scalar_verify_extrusion_symmetry
 from extrusions import random_bar_joint_extrusions, random_point_hyperplane_extrusions
-from extrig.frameworks import (Configuration, ExtrusionSpec, Framework, _has_coincident,
-                               affine_span_check, apply_affine, apply_infinitesimal_rotation,
+from extrig.frameworks import (Configuration, ExtrusionSpec, Framework, affine_span_check,
+                               apply_affine, apply_infinitesimal_rotation,
                                displacements, extrude_framework, extrusion_displacement,
                                normalize_hyperplanes, verify_extrusion_symmetry, word_steps)
 from extrig.graphs import PHGraph, Vertex, group_elements
@@ -253,31 +253,6 @@ def test_zero_normal_rejected():
 def test_bar_joint_flag():
     assert k33_orthogonal().is_bar_joint()
     assert not point_line_base().is_bar_joint()
-
-
-@st.composite
-def point_clouds(draw):
-    """Up to 12 points in 1..3 dimensions, some rows repeated or moved by a
-    few multiples of COINCIDENT_TOL, some coordinates tied or non-finite."""
-    d = draw(st.integers(1, 3))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    pts = rng.normal(size=(draw(st.integers(0, 12)), d))
-    if draw(st.booleans()):
-        pts[:, 0] = pts[0, 0] if len(pts) else 0.0   # every first coordinate tied
-    for _ in range(draw(st.integers(0, 3)) if len(pts) else 0):
-        i, j = rng.integers(len(pts), size=2)
-        step = draw(st.sampled_from([0.0, 0.5, 0.99, 1.0, 1.01, 2.0]))
-        pts[i] = pts[j] + step * COINCIDENT_TOL * rng.choice([-1.0, 1.0], size=d) / np.sqrt(d)
-    if len(pts) and draw(st.booleans()):
-        pts[rng.integers(len(pts)), rng.integers(d)] = draw(st.sampled_from([np.nan, np.inf]))
-    return pts
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@settings(max_examples=300, deadline=None)
-@given(point_clouds())
-def test_coincidence_sweep_matches_all_pairs(pts):
-    assert _has_coincident(pts) == pairwise_coincident(pts)
 
 
 def test_extrusion_warns_on_a_coincident_pair_only():

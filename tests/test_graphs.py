@@ -97,6 +97,19 @@ def test_action_matches_word_definition_on_random_extrusions(g):
         assert np.array_equal(g.permutation(g2)[g.permutation(g1)], g.permutation(combined))
 
 
+@given(st.one_of(random_extrusions(), st.sampled_from([k3_graph(), path_graph()])))
+def test_copy_coordinate_and_point_bits_match_the_words(g):
+    """copy_coordinate of every edge's ends is extrusion_coordinate (t for
+    distinct bases); point_bits marks the 1 digits of each point's word."""
+    t = g.extrusion_order
+    for edges, (u, v) in zip((g.edges_pp, g.edges_ph, g.edges_hh_angle, g.edges_hh_par),
+                             (ends.T for ends in g.edge_ends)):
+        want = [extrusion_coordinate(e) for e in edges]
+        assert g.copy_coordinate(u, v).tolist() == [t if h is None else h for h in want]
+    bits = [[c == "1" for c in p.word] for p in g.points]
+    assert g.point_bits.shape == (len(g.points), t) and g.point_bits.tolist() == bits
+
+
 def test_group_elements_order():
     assert group_elements(1) == [(0,), (1,)]
     assert group_elements(2) == [(0, 0), (0, 1), (1, 0), (1, 1)]
