@@ -46,7 +46,7 @@ def document_from_framework(fw: Framework, pin: PinningSpec = None) -> dict:
     if fw.extrusion is not None:
         doc["extrusion"] = {
             "directions": [[float(x) for x in tau] for tau in fw.extrusion.directions],
-            "fixed_sets": [sorted(fs) for fs in fw.extrusion.fixed_sets],
+            "fixed_sets": [sorted(fs) for fs in fw.graph.fixed_sets],
             "active": list(fw.extrusion.active),
         }
     if pin is not None and not pin.is_empty():
@@ -138,9 +138,12 @@ def framework_from_document(doc: dict) -> FrameworkDocument:
     word_lengths = {len(v.word) for v in seen}
     _require(len(word_lengths) <= 1, "vertex words must all have one length")
     order = word_lengths.pop() if word_lengths else 0
-    # star patterns encode which hyperplane copies were contracted
-    fixed_sets = tuple(frozenset(v.base for v in hyperplanes if v.word[h] == "*")
-                       for h in range(order))
+    try:
+        graph = PHGraph(points=tuple(points), hyperplanes=tuple(hyperplanes),
+                        extrusion_order=order,
+                        **{attr: tuple(v) for attr, v in edge_lists.items()})
+    except ValueError as exc:
+        raise DocumentError(str(exc)) from exc
     ext = doc.get("extrusion")
     _require(ext is None or isinstance(ext, dict), "'extrusion' must be an object")
     if ext is not None:
@@ -149,30 +152,26 @@ def framework_from_document(doc: dict) -> FrameworkDocument:
                 for h, tau in enumerate(_list(ext["directions"], "extrusion 'directions'"))]
         _require(dirs and len(dirs) == order,
                  f"{len(dirs)} extrusion directions for vertex words of length {order}")
-        declared = ext.get("fixed_sets", [list(fs) for fs in fixed_sets])
+        declared = ext.get("fixed_sets", [list(fs) for fs in graph.fixed_sets])
         _require(isinstance(declared, list) and all(
             isinstance(fs, list) and all(isinstance(b, str) for b in fs) for fs in declared),
             "extrusion 'fixed_sets' must be lists of base identifiers")
         declared = tuple(frozenset(fs) for fs in declared)
         _require(len(declared) == order, "need one fixed set per direction")
-        _require(declared == fixed_sets,
+        _require(declared == graph.fixed_sets,
                  "declared fixed sets disagree with the vertex star patterns")
         active = _list(ext.get("active", list(range(order))), "extrusion 'active'")
         _require(all(_is_int(h) and 0 <= h < order for h in active),
                  f"extrusion 'active' indices must lie in 0..{order - 1}")
 
     try:
-        graph = PHGraph(points=tuple(points), hyperplanes=tuple(hyperplanes),
-                        extrusion_order=order, fixed_sets=fixed_sets,
-                        **{attr: tuple(v) for attr, v in edge_lists.items()})
         order_map = {v: i for i, v in enumerate(points)}
         pts = np.asarray([coords[order_map[v]] for v in graph.points], dtype=float) \
             if points else np.zeros((0, dim))
         hyp_map = {v: i for i, v in enumerate(hyperplanes)}
         hyp = np.asarray([rows[hyp_map[v]] for v in graph.hyperplanes], dtype=float) \
             if hyperplanes else np.zeros((0, dim + 1))
-        extrusion = None if ext is None else ExtrusionSpec(
-            directions=dirs, fixed_sets=declared, active=tuple(active))
+        extrusion = None if ext is None else ExtrusionSpec(directions=dirs, active=tuple(active))
         fw = Framework(graph, Configuration(dim, pts, hyp), extrusion)
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc

@@ -79,10 +79,6 @@ class MeasurementMap:
     def wg_basis(self) -> np.ndarray:
         return parallel_respecting_basis(self.fw, self.index)
 
-    @property
-    def rows(self) -> list:
-        return self.layout.rows
-
     def base_reduced(self) -> np.ndarray:
         return self.base_full[self.index.keep]
 
@@ -278,16 +274,16 @@ class _OrbitSampler:
                             shape=self.shape)
 
 
-def _regularity(mm: MeasurementMap, sub: AffineSubspace, samples: int, radius: float,
-                seed: int, tol: float) -> tuple:
+def _regularity(mm: MeasurementMap, sub: AffineSubspace, samples: int, seed: int,
+                tol: float) -> tuple:
     """(rank of the restricted Jacobian at the configuration, whether no
-    seeded sample of the subspace within ``radius`` exceeds it); no sample
-    is drawn when the rank is already min(orbit rows, dim S)."""
+    seeded sample of the subspace exceeds it); no sample is drawn when the
+    rank is already min(orbit rows, dim S).  Samples lie within 0.1 (1 + |q|)
+    of the configuration q along each basis direction of the subspace."""
     if sub.dim == 0:
         return 0, True
     here = mm.base_reduced()
-    if radius is None:
-        radius = 0.1 * (1.0 + float(np.linalg.norm(here)))
+    radius = 0.1 * (1.0 + float(np.linalg.norm(here)))
     sampler = _OrbitSampler(mm, sub)
     rank_here = sampler.rank(here, tol)
     if rank_here == min(sampler.rows, sub.dim):
@@ -301,10 +297,11 @@ def _regularity(mm: MeasurementMap, sub: AffineSubspace, samples: int, radius: f
 
 
 def regular_point_test(mm: MeasurementMap, sub: AffineSubspace, samples: int = 20,
-                       radius: float = None, seed: int = 0, tol: float = RANK_TOL) -> bool:
+                       seed: int = 0, tol: float = RANK_TOL) -> bool:
     """True iff the configuration achieves the maximal restricted-Jacobian
-    rank among seeded random points of the subspace within ``radius``."""
-    return _regularity(mm, sub, samples, radius, seed, tol)[1]
+    rank among seeded random points of the subspace near it (see
+    :func:`_regularity`)."""
+    return _regularity(mm, sub, samples, seed, tol)[1]
 
 
 def _complete_rank(fw: Framework, pin: PinningSpec, sub: AffineSubspace, tol: float) -> int:
@@ -332,8 +329,8 @@ class FlexTestResult:
 
 
 def finite_flex_test(fw: Framework, pin: PinningSpec = EMPTY_PIN, irrep_index: int = 0,
-                     samples: int = 20, seed: int = 0, radius: float = None,
-                     tol: float = RANK_TOL, subspace: AffineSubspace = None) -> FlexTestResult:
+                     samples: int = 20, seed: int = 0, tol: float = RANK_TOL,
+                     subspace: AffineSubspace = None) -> FlexTestResult:
     """Certify a finite flex along a symmetric subspace.
 
     At a regular point of the subspace, a strict rank deficit of the graph
@@ -359,7 +356,7 @@ def finite_flex_test(fw: Framework, pin: PinningSpec = EMPTY_PIN, irrep_index: i
     if (subspace is not None and not fw.is_bar_joint()
             and projection_residual(sub.basis, mm.wg_basis) > CONTAINMENT_TOL * np.sqrt(sub.dim)):
         raise ValueError("subspace leaves the directions that keep parallel classes parallel")
-    rank_g, regular = _regularity(mm, sub, samples, radius, seed, tol)
+    rank_g, regular = _regularity(mm, sub, samples, seed, tol)
     rank_k = _complete_rank(fw, pin, sub, tol)
     if not regular:
         det = NOT_REGULAR

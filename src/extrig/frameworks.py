@@ -41,22 +41,20 @@ class Configuration:
 
 @dataclass(frozen=True)
 class ExtrusionSpec:
-    """Extrusion directions, contracted hyperplane sets, and the active subgroup.
+    """Extrusion directions and the active subgroup.
 
     ``active`` lists the direction indices generating the symmetry subgroup
-    used for representation-theoretic analysis; pinning may shrink it.
+    used for representation-theoretic analysis; pinning may shrink it.  The
+    contracted hyperplanes are read off the graph's words
+    (:attr:`PHGraph.fixed_sets <extrig.graphs.PHGraph.fixed_sets>`).
     """
 
     directions: np.ndarray   # (t, dim)
-    fixed_sets: tuple = ()
     active: tuple = None
 
     def __post_init__(self):
         dirs = _readonly(np.atleast_2d(np.asarray(self.directions, dtype=float)))
         object.__setattr__(self, "directions", dirs)
-        object.__setattr__(self, "fixed_sets", tuple(frozenset(fs) for fs in self.fixed_sets))
-        if len(self.fixed_sets) != len(dirs):
-            raise ValueError("need one fixed set per extrusion direction")
         if np.any(np.linalg.norm(dirs, axis=1) == 0.0):
             raise ValueError("zero extrusion direction")
         act = tuple(range(len(dirs))) if self.active is None else tuple(self.active)
@@ -116,9 +114,8 @@ class Framework:
             raise ValueError("framework has no extrusion specification")
         elements = group_elements(spec.order)
         out = np.empty((len(elements), len(graph.points) + 2 * len(graph.hyperplanes)))
-        steps = word_steps([v.word for v in graph.vertices], spec.order)
         for row, gamma in zip(out, elements):
-            disp = displacements(spec, steps, gamma)
+            disp = displacements(spec, graph.steps, gamma)
             res = []
             for v, shift in zip(graph.points, disp):
                 res.append(np.linalg.norm(self.point(graph.act(gamma, v)) - (self.point(v) + shift)))
@@ -132,36 +129,14 @@ class Framework:
         return out
 
 
-_STEP = {"0": 1.0, "1": -1.0, STAR: 0.0}
-
-
-def word_steps(words, order: int) -> np.ndarray:
-    """Per word and direction: +1 for a 0, -1 for a 1, 0 for a star."""
-    return np.array([[_STEP[c] for c in w] for w in words], dtype=float).reshape(len(words), order)
-
-
 def displacements(spec: ExtrusionSpec, steps, gamma) -> np.ndarray:
-    """:func:`extrusion_displacement` of each word, given by its :func:`word_steps`
-    row; adding a zero step leaves the same bits as skipping it."""
+    """Displacement of each vertex induced by ``gamma``, given its row of
+    :attr:`PHGraph.steps <extrig.graphs.PHGraph.steps>`: the sum, from zero
+    in direction order, of step_h tau_h over the directions ``gamma`` flips.
+    A zero step (a star) adds zeros, which leaves the same bits as skipping it."""
     out = np.zeros((len(steps), spec.directions.shape[1]))
     for h in np.flatnonzero(gamma):
         out += steps[:, h, None] * spec.directions[h]
-    return out
-
-
-def extrusion_displacement(spec: ExtrusionSpec, word: str, gamma) -> np.ndarray:
-    """Displacement of a vertex with the given word induced by ``gamma``.
-
-    Sum of +tau_h over positions where the word has 0 and gamma has 1, minus
-    tau_h where the word has 1 and gamma has 1; starred positions contribute
-    nothing.
-    """
-    out = np.zeros(spec.directions.shape[1])
-    for h, (c, g) in enumerate(zip(word, gamma)):
-        if g == 1 and c == "0":
-            out += spec.directions[h]
-        elif g == 1 and c == "1":
-            out -= spec.directions[h]
     return out
 
 
@@ -201,20 +176,23 @@ def extrude_framework(base: Framework, directions, fixed_sets=None, tol: float =
                     f"{w.base!r} is in fixed set {h} but direction {h} does not lie in hyperplane {w}")
 
     graph = extrusion_product(base.graph, fixed_sets)
-    spec = ExtrusionSpec(directions=directions, fixed_sets=tuple(fixed_sets))
+    spec = ExtrusionSpec(directions=directions)
 
-    at = {v.base: i for i, v in enumerate(base.graph.points)}
-    base_hp = {v.base: base.hyperplane(v) for v in base.graph.hyperplanes}
-    shift = np.zeros((len(graph.points), base.dim))
-    for h, bits in enumerate(graph.point_bits.T):   # bits . tau_h in direction order, from zero
+    # a copy sits at its base plus the directions of its word's 1 digits
+    # (step -1), summed from zero in direction order
+    n = len(graph.points)
+    at = {v.base: i for i, v in enumerate(base.graph.vertices)}
+    source = np.array([at[v.base] for v in graph.vertices], dtype=np.intp)
+    ones = graph.steps < 0
+    shift = np.zeros((n, base.dim))
+    for h, bits in enumerate(ones[:n].T):
         shift[bits] += directions[h]
-    points = base.config.points[[at[v.base] for v in graph.points]] + shift
-    hyper = []
-    for v in graph.hyperplanes:
-        a, r = base_hp[v.base]
-        r = r + sum(float(np.dot(a, directions[h])) for h, c in enumerate(v.word) if c == "1")
-        hyper.append(np.concatenate([a, [r]]))
-    hyper = np.array(hyper).reshape(-1, base.dim + 1)
+    points = base.config.points[source[:n]] + shift
+    hyper = base.config.hyperplanes[source[n:] - len(base.graph.points)]
+    offset = np.zeros(len(hyper))
+    for h, bits in enumerate(ones[n:].T):   # stacked matmul rounds each <a, tau> as np.dot does
+        offset[bits] += (hyper[bits, None, :-1] @ directions[h])[:, 0]
+    hyper[:, -1] += offset
 
     if len(points) > 1:
         dists = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)

@@ -92,13 +92,6 @@ def subgroup_elements(t: int, active) -> list:
     return out
 
 
-def word_add(word: str, gamma) -> str:
-    """Word addition mod 2 with star absorption."""
-    if len(word) != len(gamma):
-        raise ValueError(f"word {word!r} has length {len(word)}, group element has {len(gamma)}")
-    return "".join(c if c == STAR else str((int(c) + g) % 2) for c, g in zip(word, gamma))
-
-
 # edge field, kind, and whether each end is a point
 _EDGE_KINDS = (("edges_pp", "pp", (True, True)), ("edges_ph", "ph", (True, False)),
                ("edges_hh_angle", "hh-angle", (False, False)),
@@ -110,9 +103,9 @@ _EDGE_FIELDS = tuple(name for name, _, _ in _EDGE_KINDS)
 class PHGraph:
     """Decorated point-hyperplane graph, optionally with extrusion structure.
 
-    ``fixed_sets[h]`` lists the base hyperplane identifiers whose copies were
-    contracted along direction ``h`` (a ``*`` in word position ``h``).
-    Each edge is stored with its ends in vertex order, edges sorted by them.
+    The vertex words are the one record of the extrusion structure:
+    :attr:`steps` and :attr:`fixed_sets` are read off them.  Each edge is
+    stored with its ends in vertex order, edges sorted by them.
     """
 
     points: tuple
@@ -122,24 +115,21 @@ class PHGraph:
     edges_hh_angle: tuple = ()
     edges_hh_par: tuple = ()
     extrusion_order: int = 0
-    fixed_sets: tuple = ()
     _vertices: tuple = field(init=False, repr=False, compare=False, default=())
     _position: dict = field(init=False, repr=False, compare=False, default=None)
     _classes: tuple = field(init=False, repr=False, compare=False, default=())
     _class_index: dict = field(init=False, repr=False, compare=False, default=None)
     _permutations: dict = field(init=False, repr=False, compare=False, default=None)
-    _word_digits: tuple = field(init=False, repr=False, compare=False, default=None)
+    _base_rank: np.ndarray = field(init=False, repr=False, compare=False, default=None)
+    _steps: np.ndarray = field(init=False, repr=False, compare=False, default=None)
     _edge_ends: tuple = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(sorted(self.points, key=Vertex.sort_key)))
         object.__setattr__(self, "hyperplanes", tuple(sorted(self.hyperplanes, key=Vertex.sort_key)))
-        object.__setattr__(self, "fixed_sets", tuple(frozenset(fs) for fs in self.fixed_sets))
         if set(self.points) & set(self.hyperplanes):
             raise ValueError("a vertex cannot be both point and hyperplane")
         t = self.extrusion_order
-        if len(self.fixed_sets) not in (0, t):
-            raise ValueError("fixed_sets must have one entry per extrusion direction")
         verts = self.points + self.hyperplanes
         for v in verts:
             if len(v.word) != t:
@@ -188,26 +178,30 @@ class PHGraph:
         Composed from one permutation per direction, which must map the
         vertices onto themselves and preserve every edge set (ValueError).
         A vertex's key is the rank of its base and its word read in base 3
-        (digits 0, 1, * as 0, 1, 2); flipping direction h adds or subtracts
-        the place value of digit h unless it is a star.
+        (digits 0, 1, * as 0, 1, 2); flipping direction h adds its
+        :attr:`steps` entry times the place value of digit h.  Keeps the
+        base ranks and the steps on the graph.
         """
         t, verts = self.extrusion_order, self._vertices
         n = len(verts)
         perms = {(): np.arange(n)}
+        digits = np.array([[_CHAR_ORDER[c] for c in v.word] for v in verts],
+                          dtype=np.int64).reshape(n, t)
+        steps = np.where(digits == 2, 0, 1 - 2 * digits)
+        steps.flags.writeable = False
+        object.__setattr__(self, "_steps", steps)
         if t:
             # |bases| 3^t fits an int64 long before the 2^t permutations fit memory
             rank = np.unique([v.base for v in verts], return_inverse=True)[1].reshape(n)
-            digits = np.array([[_CHAR_ORDER[c] for c in v.word] for v in verts],
-                              dtype=np.int64).reshape(n, t)
             place = 3 ** np.arange(t - 1, -1, -1, dtype=np.int64)
             keys = rank * 3 ** t + digits @ place
-            rank.flags.writeable = digits.flags.writeable = False
-            object.__setattr__(self, "_word_digits", (rank, digits))
+            rank.flags.writeable = False
+            object.__setattr__(self, "_base_rank", rank)
             # a key shared by repeated vertices finds the last one, as a dict would
             order = np.argsort(keys, kind="stable")
             sorted_keys = keys[order]
         for h in range(t):
-            image = keys + np.where(digits[:, h] == 2, 0, 1 - 2 * digits[:, h]) * place[h]
+            image = keys + steps[:, h] * place[h]
             at = np.searchsorted(sorted_keys, image, side="right") - 1
             gen = np.where((at >= 0) & (sorted_keys[at] == image), order[at], -1).astype(np.intp)
             if np.any(gen < 0):
@@ -301,9 +295,9 @@ class PHGraph:
         out = np.full(len(u), t, dtype=np.intp)
         if not t:
             return out
-        rank, digits = self._word_digits
+        rank, steps = self._base_rank, self._steps
         copies = np.flatnonzero(rank[u] == rank[v])
-        differ = digits[u[copies]] != digits[v[copies]]
+        differ = steps[u[copies]] != steps[v[copies]]
         count = differ.sum(axis=1)
         bad = np.flatnonzero(count != 1)
         if bad.size:
@@ -314,12 +308,19 @@ class PHGraph:
         return out
 
     @property
-    def point_bits(self) -> np.ndarray:
-        """Bool (len(points), t) array: whether each point's word has a 1 at
-        each position."""
-        if not self.extrusion_order:
-            return np.zeros((len(self.points), 0), dtype=bool)
-        return self._word_digits[1][:len(self.points)] == 1
+    def steps(self) -> np.ndarray:
+        """Read-only int (|V|, t) array, rows in :attr:`vertices` order: per
+        word position, +1 for a 0, -1 for a 1 and 0 for a star.  Flipping
+        direction h moves a vertex's copy by ``steps[:, h]`` times tau_h."""
+        return self._steps
+
+    @property
+    def fixed_sets(self) -> tuple:
+        """Per direction h, the frozenset of base identifiers of the
+        hyperplanes contracted along h: those with a star in word position h."""
+        stars = self._steps[len(self.points):] == 0
+        return tuple(frozenset(w.base for w, s in zip(self.hyperplanes, col) if s)
+                     for col in stars.T)
 
 
 def extrusion_product(base: PHGraph, fixed_sets) -> PHGraph:
@@ -379,7 +380,7 @@ def extrusion_product(base: PHGraph, fixed_sets) -> PHGraph:
                 joined += [(cv[k], cv[k | b]) for k in elements if not k & (mask | b)]
 
     return PHGraph(points=tuple(points), hyperplanes=tuple(hyperplanes), extrusion_order=t,
-                   fixed_sets=tuple(fixed_sets), **{k: tuple(e) for k, e in carried.items()})
+                   **{k: tuple(e) for k, e in carried.items()})
 
 
 def remove_edge(graph: PHGraph, u: Vertex, v: Vertex) -> PHGraph:
@@ -395,7 +396,7 @@ def remove_edge(graph: PHGraph, u: Vertex, v: Vertex) -> PHGraph:
     if not found:
         raise ValueError(f"edge {u}-{v} not in graph")
     return PHGraph(points=graph.points, hyperplanes=graph.hyperplanes,
-                   extrusion_order=graph.extrusion_order, fixed_sets=graph.fixed_sets, **kwargs)
+                   extrusion_order=graph.extrusion_order, **kwargs)
 
 
 def complete_decorated(graph: PHGraph) -> PHGraph:
@@ -414,4 +415,4 @@ def complete_decorated(graph: PHGraph) -> PHGraph:
     return PHGraph(points=graph.points, hyperplanes=graph.hyperplanes,
                    edges_pp=tuple(pp), edges_ph=tuple(ph),
                    edges_hh_angle=tuple(angle), edges_hh_par=tuple(par),
-                   extrusion_order=graph.extrusion_order, fixed_sets=graph.fixed_sets)
+                   extrusion_order=graph.extrusion_order)

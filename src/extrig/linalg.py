@@ -82,8 +82,16 @@ def kernels(mat, tol: float = RANK_TOL, rank: int = None):
 
 
 def nullspace(mat, tol: float = RANK_TOL) -> np.ndarray:
-    """Orthonormal basis of the (right) nullspace, columns of shape (n, nullity)."""
-    return kernels(mat, tol)[0]
+    """Orthonormal basis of the (right) nullspace, columns of shape (n, nullity).
+
+    The left factor is full only for a wide matrix, where it is the small one:
+    either way the SVD returns the complete n x n right factor."""
+    mat = np.atleast_2d(np.asarray(mat, dtype=float))
+    if mat.size == 0:
+        return np.eye(mat.shape[1])
+    m, n = mat.shape
+    _, sigma, vt = np.linalg.svd(mat, full_matrices=m < n)
+    return vt[_rank(sigma, mat.shape, tol):].T
 
 
 def orthonormal_columns(mat, tol: float = RANK_TOL) -> np.ndarray:

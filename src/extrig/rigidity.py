@@ -86,20 +86,6 @@ class CoordinateIndex:
         self.fw, self.pin, self.dim, self.keep = fw, pin, d, keep
         self.full_size, self.size = len(keep), int(np.count_nonzero(keep))
 
-    @cached_property
-    def full_labels(self) -> list:
-        """(vertex, coordinate) per full column, built on first read."""
-        graph, d = self.fw.graph, self.dim
-        return [(v, c) for v in graph.vertices for c in range(d if graph.is_point(v) else d + 1)]
-
-    @cached_property
-    def labels(self) -> list:
-        return [lab for lab, k in zip(self.full_labels, self.keep) if k]
-
-    @cached_property
-    def pos(self) -> dict:
-        return {lab: i for i, lab in enumerate(self.labels)}
-
     def full_vector(self) -> np.ndarray:
         cfg = self.fw.config
         return np.concatenate([cfg.points.ravel(), cfg.hyperplanes.ravel()])
@@ -347,10 +333,6 @@ class RigidityMatrix:
     pinning: PinningSpec
 
     @property
-    def row_labels(self) -> list:
-        return self.layout.rows
-
-    @property
     def shape(self):
         return self.matrix.shape
 
@@ -526,11 +508,10 @@ def live_contracted_hyperplanes(fw: Framework, pin: PinningSpec, directions) -> 
     rigidity matrix does not intertwine the representations along that
     direction: the hyperplane is contracted along it, met by a ph edge, and
     ``pin`` keeps its normal columns."""
-    fixed_sets = fw.extrusion.fixed_sets
     removed = pin.full_hyperplanes | pin.parallel_only
     ph_incident = {w for _, w in fw.graph.edges_ph}
     return [(w, h) for h in directions for w in fw.graph.hyperplanes
-            if w.base in fixed_sets[h] and w in ph_incident and w not in removed]
+            if w.word[h] == STAR and w in ph_incident and w not in removed]
 
 
 def hyperplane_pinning(fw: Framework):
@@ -545,8 +526,7 @@ def hyperplane_pinning(fw: Framework):
     if fw.extrusion is None:
         raise ValueError("framework has no extrusion specification")
     spec = fw.extrusion
-    fixed_bases = set().union(*spec.fixed_sets) if spec.fixed_sets else set()
-    candidates = [w for w in fw.graph.hyperplanes if w.base in fixed_bases]
+    candidates = [w for w in fw.graph.hyperplanes if STAR in w.word]
     if not candidates:
         raise ValueError("no hyperplane contains an extrusion direction")
     target = candidates[0]
@@ -556,6 +536,5 @@ def hyperplane_pinning(fw: Framework):
 
     active = tuple(h for h in range(spec.order)
                    if target.word[h] == STAR and not live_contracted_hyperplanes(fw, pin, (h,)))
-    reduced = ExtrusionSpec(directions=spec.directions, fixed_sets=spec.fixed_sets,
-                            active=active)
+    reduced = ExtrusionSpec(directions=spec.directions, active=active)
     return pin, reduced

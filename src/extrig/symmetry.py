@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .frameworks import Framework, displacements, word_steps
+from .frameworks import Framework, displacements
 from .graphs import subgroup_elements
 from .linalg import (INT_TOL, RANK_TOL, SYMMETRY_TOL, nullspace, numeric_rank,
                      orthonormal_columns)
@@ -167,7 +167,7 @@ def coordinate_action(fw: Framework, elements) -> PermutationRep:
     vertex_of = np.repeat(np.arange(size), np.diff(starts, append=column_start(graph, d, size)))
     offset = np.arange(len(vertex_of)) - starts[vertex_of]
     rows = np.repeat(starts[k:] + d, d)
-    steps = word_steps([w.word for w in graph.hyperplanes], graph.extrusion_order)
+    steps = graph.steps[k:]
     target, coupling = [], []
     for gamma in elements:
         perm = graph.permutation(gamma)

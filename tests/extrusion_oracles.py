@@ -6,7 +6,9 @@ and requested element in one Python loop, recording as it goes, as
 residuals on the framework.  :func:`masked_extrusion_product` builds each edge
 copy by masking both of its ends with the copy's bits, and
 :func:`word_permutations` reads each element's vertex permutation off the
-words by :func:`extrig.graphs.word_add` and a position lookup.
+words by :func:`word_add` and a position lookup.  :func:`extrusion_displacement`
+is the displacement of one word by its definition, the reference for
+:func:`extrig.frameworks.displacements` on :attr:`extrig.graphs.PHGraph.steps`.
 :func:`row_flips` and :func:`row_action` map the rows of a
 :class:`~extrig.rigidity.RowLayout` one label at a time, from
 :func:`extrusion_coordinate` and the word images of the ends.  None is a
@@ -16,11 +18,33 @@ import itertools
 
 import numpy as np
 
-from extrig.frameworks import SymmetryReport, _contained, displacements, word_steps
-from extrig.graphs import (_EDGE_FIELDS, STAR, PHGraph, Vertex, group_elements,
-                           subgroup_elements, word_add)
+from extrig.frameworks import SymmetryReport, _contained
+from extrig.graphs import _EDGE_FIELDS, STAR, PHGraph, Vertex, group_elements, subgroup_elements
 from extrig.linalg import RANK_TOL, numeric_rank
 from extrig.rigidity import ROW_KINDS
+
+
+def word_add(word: str, gamma) -> str:
+    """Word addition mod 2 with star absorption."""
+    if len(word) != len(gamma):
+        raise ValueError(f"word {word!r} has length {len(word)}, group element has {len(gamma)}")
+    return "".join(c if c == STAR else str((int(c) + g) % 2) for c, g in zip(word, gamma))
+
+
+def extrusion_displacement(spec, word: str, gamma) -> np.ndarray:
+    """Displacement of a vertex with the given word induced by ``gamma``.
+
+    Sum of +tau_h over positions where the word has 0 and gamma has 1, minus
+    tau_h where the word has 1 and gamma has 1; starred positions contribute
+    nothing.
+    """
+    out = np.zeros(spec.directions.shape[1])
+    for h, (c, g) in enumerate(zip(word, gamma)):
+        if g == 1 and c == "0":
+            out += spec.directions[h]
+        elif g == 1 and c == "1":
+            out -= spec.directions[h]
+    return out
 
 
 def scalar_verify_extrusion_symmetry(fw, tol=RANK_TOL, active_only=False) -> SymmetryReport:
@@ -48,13 +72,13 @@ def scalar_verify_extrusion_symmetry(fw, tol=RANK_TOL, active_only=False) -> Sym
         elements = group_elements(spec.order)
         directions = range(spec.order)
 
-    steps = word_steps([v.word for v in graph.vertices], spec.order)
     for gamma in elements:
-        disp = displacements(spec, steps, gamma)
-        for v, shift in zip(graph.points, disp):
+        for v in graph.points:
+            shift = extrusion_displacement(spec, v.word, gamma)
             record("point-translation", v, gamma,
                    np.linalg.norm(fw.point(graph.act(gamma, v)) - (fw.point(v) + shift)))
-        for w, shift in zip(graph.hyperplanes, disp[len(graph.points):]):
+        for w in graph.hyperplanes:
+            shift = extrusion_displacement(spec, w.word, gamma)
             a, r = fw.hyperplane(w)
             ia, ir = fw.hyperplane(graph.act(gamma, w))
             record("equal-normals", w, gamma, np.linalg.norm(ia - a))
@@ -101,7 +125,7 @@ def masked_extrusion_product(base, fixed_sets) -> PHGraph:
                 carried[name].add((mask(v, bits), mask(v, bits[:h] + (1,) + bits[h + 1:])))
 
     return PHGraph(points=tuple(points), hyperplanes=tuple(hyperplanes), extrusion_order=t,
-                   fixed_sets=tuple(fixed_sets), **{k: tuple(e) for k, e in carried.items()})
+                   **{k: tuple(e) for k, e in carried.items()})
 
 
 def word_permutations(graph) -> dict:

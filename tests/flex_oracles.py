@@ -29,14 +29,13 @@ def _product_rank(jac, basis, tol: float) -> int:
     return numeric_rank(jac @ basis, tol, scale=float(np.linalg.norm(jac)))
 
 
-def dense_regularity(mm, sub, samples, radius, seed, tol):
+def dense_regularity(mm, sub, samples, seed, tol):
     """(rank of J S at the configuration, whether no seeded sample exceeds it),
     each rank from the dense m x n Jacobian times S, cut against |J|_F."""
     if sub.dim == 0:
         return 0, True
     here = mm.base_reduced()
-    if radius is None:
-        radius = 0.1 * (1.0 + float(np.linalg.norm(here)))
+    radius = 0.1 * (1.0 + float(np.linalg.norm(here)))
     rank_here = _product_rank(mm.jacobian(here), sub.basis, tol)
     rng = np.random.default_rng(seed)
     for _ in range(samples):
@@ -46,14 +45,13 @@ def dense_regularity(mm, sub, samples, radius, seed, tol):
     return rank_here, True
 
 
-def sampled_regularity(mm, sub, samples, radius, seed, tol):
+def sampled_regularity(mm, sub, samples, seed, tol):
     """(rank of J S at the configuration, whether no seeded sample exceeds it),
     each rank from :class:`extrig.finiteflex._OrbitSampler`, all samples drawn."""
     if sub.dim == 0:
         return 0, True
     here = mm.base_reduced()
-    if radius is None:
-        radius = 0.1 * (1.0 + float(np.linalg.norm(here)))
+    radius = 0.1 * (1.0 + float(np.linalg.norm(here)))
     sampler = _OrbitSampler(mm, sub)
     rank_here = sampler.rank(here, tol)
     rng = np.random.default_rng(seed)

@@ -48,7 +48,6 @@ def frameworks_equal(a, b):
         return False
     if a.extrusion is not None:
         return (np.array_equal(a.extrusion.directions, b.extrusion.directions)
-                and a.extrusion.fixed_sets == b.extrusion.fixed_sets
                 and a.extrusion.active == b.extrusion.active)
     return True
 
@@ -361,6 +360,8 @@ MALFORMED = {   # name -> (gallery document, mutation)
     "active_out_of_range": ("prism", _set(("extrusion", "active"), [5])),
     "active_string": ("prism", _set(("extrusion", "active"), ["0"])),
     "fixed_set_nested": ("prism", _set(("extrusion", "fixed_sets"), [[["p1"]]])),
+    "fixed_set_disagrees_with_stars": ("point_line_extruded_fixed",
+                                       _set(("extrusion", "fixed_sets"), [[]])),
     "pinning_index_string": ("prism_pinned", _set(("pinning", "coords", 0, 1), "x")),
     "pinning_index_point_range": ("prism_pinned", _set(("pinning", "coords", 0, 1), 7)),
     "pinning_index_hyperplane_range": ("point_line_extruded_fixed_pinned",

@@ -23,6 +23,7 @@ from extrig.linalg import RANK_TOL, numeric_rank
 from extrig.rigidity import (EMPTY_PIN, PinningSpec, minimal_pinning, rigidity_matrix,
                              trivial_motion_basis)
 from extrig.symmetry import SymmetryPreconditionError, block_decompose
+from coordinate_labels import coordinate_labels
 from extrusions import (degenerate_point_hyperplane_extrusions, random_bar_joint_extrusions,
                         random_point_hyperplane_extrusions)
 from flex_oracles import (block_rank_at, complete_graph_oracle, complete_kernel_excess,
@@ -39,9 +40,9 @@ def test_pp_jacobian_row_entries():
     fw = prism()
     mm = measurement_map(fw)
     jac = mm.jacobian(mm.base_reduced())
-    i = mm.rows.index(("pp", (Vertex("p1", "0"), Vertex("p2", "0"))))
+    i = mm.layout.rows.index(("pp", (Vertex("p1", "0"), Vertex("p2", "0"))))
     row = jac[i]
-    pos = mm.index.pos
+    pos = {lab: j for j, lab in enumerate(coordinate_labels(mm.index))}
     assert row[pos[(Vertex("p1", "0"), 0)]] == -6.0
     assert row[pos[(Vertex("p2", "0"), 0)]] == 6.0
     assert np.count_nonzero(row) == 2
@@ -88,8 +89,8 @@ def test_measurement_rows_against_rigidity_rows():
     mm = measurement_map(fw, pin)
     rig = rigidity_matrix(fw, pin)
     jac = mm.jacobian(mm.base_reduced())
-    rig_rows = {lab: i for i, lab in enumerate(rig.row_labels)}
-    for i, lab in enumerate(mm.rows):
+    rig_rows = {lab: i for i, lab in enumerate(rig.layout.rows)}
+    for i, lab in enumerate(mm.layout.rows):
         factor = 2.0 if lab[0] in ("pp", "norm") else 1.0
         assert np.allclose(jac[i], factor * rig.matrix[rig_rows[lab]])
 
@@ -115,7 +116,7 @@ def test_parallel_residual_tracks_class_drift():
     base = mm.base_reduced()
     assert parallel_residual(mm, base) <= 1e-12
     drift = base.copy()
-    drift[mm.index.pos[(Vertex("w2", "0**"), 1)]] += 0.2
+    drift[coordinate_labels(mm.index).index((Vertex("w2", "0**"), 1))] += 0.2
     assert parallel_residual(mm, drift) > 1e-3
     # moving along the parallel-respecting domain keeps every class parallel
     along = base + mm.wg_basis @ np.random.default_rng(0).uniform(-0.2, 0.2, mm.wg_basis.shape[1])
@@ -470,7 +471,7 @@ def assert_regularity_matches_full_sampling(fw, pin):
     mm = measurement_map(fw, pin)
     at_bound = []
     for sub in isotypic_subspaces(fw, pin):
-        args = (mm, sub, 20, None, 0, RANK_TOL)
+        args = (mm, sub, 20, 0, RANK_TOL)
         got = _regularity(*args)
         assert got == sampled_regularity(*args) == dense_regularity(*args)
         at_bound.append(got[0] == min(_OrbitSampler(mm, sub).rows, sub.dim))

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extrusion_oracles import scalar_verify_extrusion_symmetry
+from extrusion_oracles import extrusion_displacement, scalar_verify_extrusion_symmetry
 from extrusions import random_bar_joint_extrusions, random_point_hyperplane_extrusions
 from extrig.frameworks import (Configuration, ExtrusionSpec, Framework, affine_span_check,
                                apply_affine, apply_infinitesimal_rotation,
-                               displacements, extrude_framework, extrusion_displacement,
-                               normalize_hyperplanes, verify_extrusion_symmetry, word_steps)
+                               displacements, extrude_framework,
+                               normalize_hyperplanes, verify_extrusion_symmetry)
 from extrig.graphs import PHGraph, Vertex, group_elements
+from extrig.symmetry import SymmetryPreconditionError, fowler_guest_count
 from extrig.fixtures import (constrained_cube, k33_orthogonal, point_line_base,
                              point_line_extruded, point_line_extruded_fixed,
                              point_line_twofold, prism, prism_twofold, triangle)
@@ -23,15 +24,28 @@ EXTRUSION_FIXTURES = [prism, prism_twofold, point_line_extruded,
                       point_line_extruded_fixed, point_line_twofold, constrained_cube]
 
 
-@pytest.mark.parametrize("t", [1, 2, 3])
-def test_displacements_match_the_word_definition_bitwise(t):
-    rng = np.random.default_rng(t)
-    spec = ExtrusionSpec(rng.normal(size=(t, 3)), [()] * t)
-    words = ["".join(w) for w in itertools.product("01*", repeat=t)]
-    for gamma in group_elements(t):
-        rows = displacements(spec, word_steps(words, t), gamma)
-        for word, row in zip(words, rows):
-            assert np.array_equal(row, extrusion_displacement(spec, word, gamma))
+@settings(deadline=None)
+@given(st.one_of(random_bar_joint_extrusions(),
+                 random_point_hyperplane_extrusions().map(lambda case: case[0])))
+def test_displacements_match_the_word_definition_bitwise(fw):
+    """displacements on the graph's steps is, vertex by vertex, the
+    displacement of its word by definition, to the bit."""
+    spec, graph = fw.extrusion, fw.graph
+    for gamma in group_elements(spec.order):
+        rows = displacements(spec, graph.steps, gamma)
+        for v, row in zip(graph.vertices, rows):
+            assert np.array_equal(row, extrusion_displacement(spec, v.word, gamma))
+
+
+def test_contracted_hyperplanes_come_from_the_words():
+    """The spec holds no contracted sets: a spec built without them still
+    leaves the ph edge on the contracted line w1|* live, which the block
+    decomposition refuses."""
+    fw = point_line_extruded_fixed()
+    spec = ExtrusionSpec(fw.extrusion.directions)
+    assert fw.graph.fixed_sets == (frozenset({"w1"}),)
+    with pytest.raises(SymmetryPreconditionError, match=r"w1\|\* \(direction 0\)"):
+        fowler_guest_count(Framework(fw.graph, fw.config, spec))
 
 
 def test_prism_coordinates():
@@ -270,8 +284,15 @@ def test_extrusion_warns_on_a_coincident_pair_only():
                  random_point_hyperplane_extrusions().map(lambda case: case[0])))
 def test_extruded_points_are_the_word_sums_bitwise(fw):
     """Each copy is its base point plus the sum, from zero and in direction
-    order, of the directions its word has a 1 for."""
+    order, of the directions its word has a 1 for; each hyperplane copy has
+    its base normal, and its base offset plus the sum of <a, tau_h> over
+    those directions."""
     dirs = fw.extrusion.directions
     for v, p in zip(fw.graph.points, fw.config.points):
         shift = sum((dirs[h] for h, c in enumerate(v.word) if c == "1"), np.zeros(fw.dim))
         assert np.array_equal(p, fw.point(Vertex(v.base, "0" * len(v.word))) + shift)
+    for w in fw.graph.hyperplanes:
+        a, r = fw.hyperplane(w)
+        a0, r0 = fw.hyperplane(Vertex(w.base, w.word.replace("1", "0")))
+        shift = sum(float(np.dot(a0, dirs[h])) for h, c in enumerate(w.word) if c == "1")
+        assert np.array_equal(a, a0) and r == r0 + shift

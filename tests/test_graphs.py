@@ -1,14 +1,22 @@
 import itertools
+from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extrusion_oracles import extrusion_coordinate, masked_extrusion_product, word_permutations
+from extrusion_oracles import (extrusion_coordinate, masked_extrusion_product, word_add,
+                               word_permutations)
+from extrusions import random_bar_joint_extrusions, random_point_hyperplane_extrusions
+from extrig import documents
 from extrig.graphs import (PHGraph, Vertex, complete_decorated, extrusion_product, group_elements,
-                           remove_edge, subgroup_elements, word_add)
+                           remove_edge, subgroup_elements)
 from extrig.fixtures import (constrained_cube, point_line_base, point_line_twofold,
                              prism, triangle)
+
+GALLERY = [documents.load(path).framework.graph
+           for path in sorted(resources.files("extrig").joinpath("data").iterdir())
+           if path.name.endswith(".json")]
 
 
 def k3_graph():
@@ -74,6 +82,7 @@ def test_extrusion_product_matches_the_masked_construction(inputs):
     permutation equal to the one read off the words."""
     graph, oracle = extrusion_product(*inputs), masked_extrusion_product(*inputs)
     assert graph == oracle
+    assert graph.fixed_sets == tuple(frozenset(fs) for fs in inputs[1])
     assert graph.vertices == oracle.vertices
     for ends, want in zip(graph.edge_ends, oracle.edge_ends):
         assert np.array_equal(ends, want) and ends.dtype == want.dtype
@@ -98,16 +107,29 @@ def test_action_matches_word_definition_on_random_extrusions(g):
 
 
 @given(st.one_of(random_extrusions(), st.sampled_from([k3_graph(), path_graph()])))
-def test_copy_coordinate_and_point_bits_match_the_words(g):
+def test_copy_coordinate_matches_the_words(g):
     """copy_coordinate of every edge's ends is extrusion_coordinate (t for
-    distinct bases); point_bits marks the 1 digits of each point's word."""
+    distinct bases)."""
     t = g.extrusion_order
     for edges, (u, v) in zip((g.edges_pp, g.edges_ph, g.edges_hh_angle, g.edges_hh_par),
                              (ends.T for ends in g.edge_ends)):
         want = [extrusion_coordinate(e) for e in edges]
         assert g.copy_coordinate(u, v).tolist() == [t if h is None else h for h in want]
-    bits = [[c == "1" for c in p.word] for p in g.points]
-    assert g.point_bits.shape == (len(g.points), t) and g.point_bits.tolist() == bits
+
+
+@settings(deadline=None)
+@given(st.one_of(random_extrusions(), st.sampled_from(GALLERY),
+                 random_bar_joint_extrusions().map(lambda fw: fw.graph),
+                 random_point_hyperplane_extrusions().map(lambda case: case[0].graph)))
+def test_steps_and_fixed_sets_match_the_words(g):
+    """steps is +1, -1, 0 for each word's 0, 1, * digits, in vertex order;
+    fixed_sets[h] holds the bases of the hyperplanes starred at position h."""
+    t = g.extrusion_order
+    want = [[{"0": 1, "1": -1, "*": 0}[c] for c in v.word] for v in g.vertices]
+    assert g.steps.shape == (len(g.vertices), t) and g.steps.tolist() == want
+    assert not g.steps.flags.writeable
+    assert g.fixed_sets == tuple(frozenset(w.base for w in g.hyperplanes if w.word[h] == "*")
+                                 for h in range(t))
 
 
 def test_group_elements_order():

@@ -12,10 +12,11 @@ from extrig.graphs import PHGraph, Vertex, group_elements
 from extrig.fixtures import (constrained_cube, constrained_cube_pinned, k33_orthogonal,
                              k33_pinnings, point_line_twofold, point_line_twofold_pinned,
                              prism, prism_pinned, prism_twofold, triangle, triangle_cycle)
-from extrig.rigidity import (EMPTY_PIN, CoordinateIndex, PinningSpec, RowLayout,
+from extrig.rigidity import (EMPTY_PIN, PinningSpec, RowLayout,
                              hyperplane_pinning, infinitesimal_analysis, maxwell_rhs,
                              minimal_pinning, parallel_axes, rigidity_matrix,
                              trivial_motion_basis, trivial_motion_dim)
+from coordinate_labels import coordinate_labels
 from extrusion_oracles import row_action, row_flips
 from extrusions import random_bar_joint_extrusions, random_point_hyperplane_extrusions
 
@@ -34,9 +35,9 @@ def test_prism_matrix():
 def test_prism_pp_row_entries():
     fw = prism()
     rig = rigidity_matrix(fw)
-    row_idx = rig.row_labels.index(("pp", (Vertex("p1", "0"), Vertex("p2", "0"))))
+    row_idx = rig.layout.rows.index(("pp", (Vertex("p1", "0"), Vertex("p2", "0"))))
     row = rig.matrix[row_idx]
-    cols = rig.index.pos
+    cols = {lab: i for i, lab in enumerate(coordinate_labels(rig.index))}
     assert row[cols[(Vertex("p1", "0"), 0)]] == -3.0
     assert row[cols[(Vertex("p1", "0"), 1)]] == 0.0
     assert row[cols[(Vertex("p2", "0"), 0)]] == 3.0
@@ -55,10 +56,10 @@ def test_point_line_pinned_matrix_shape():
     fw, pin = point_line_twofold_pinned()
     rig = rigidity_matrix(fw, pin)
     assert rig.shape == (15, 15)
-    kinds = [lab[0] for lab in rig.row_labels]
+    kinds = [lab[0] for lab in rig.layout.rows]
     assert kinds.count("pp") == 4 and kinds.count("ph") == 8
     assert kinds.count("par") == 1 and kinds.count("norm") == 2
-    point_cols = sum(1 for v, _ in rig.index.labels if fw.graph.is_point(v))
+    point_cols = sum(1 for v, _ in coordinate_labels(rig.index) if fw.graph.is_point(v))
     assert point_cols == 8 and rig.shape[1] - point_cols == 7
 
 
@@ -218,7 +219,7 @@ def test_parallel_row_annihilates_parallel_preserving_motions():
     for w in (Vertex("w2", "0**"), Vertex("w2", "1**")):
         sl = rig.index.vertex_slice(w)
         vec[sl.start:sl.start + 3] = [0.0, 0.5, -0.25]
-    par_rows = [i for i, lab in enumerate(rig.row_labels)
+    par_rows = [i for i, lab in enumerate(rig.layout.rows)
                 if lab[0] == "par" and lab[1][0].base == "w2"]
     assert np.abs(rig.matrix[par_rows] @ vec[rig.index.keep]).max() <= 1e-12
 
@@ -261,8 +262,8 @@ def reference_row(fw, index, label):
 def test_rigidity_matrix_matches_row_by_row_reference(name):
     fw, pin = gallery_document(name)
     rig = rigidity_matrix(fw, pin)
-    ref = np.zeros((len(rig.row_labels), rig.index.full_size))
-    for i, lab in enumerate(rig.row_labels):
+    ref = np.zeros((len(rig.layout.rows), rig.index.full_size))
+    for i, lab in enumerate(rig.layout.rows):
         ref[i] = reference_row(fw, rig.index, lab)
     assert np.array_equal(rig.matrix, ref[:, rig.index.keep])
 
@@ -273,9 +274,10 @@ def test_measurement_jacobian_is_scaled_rigidity_matrix(name):
     fw, pin = gallery_document(name)
     rig = rigidity_matrix(fw, pin)
     mm = measurement_map(fw, pin)
-    keep = [i for i, lab in enumerate(rig.row_labels) if lab[0] != "par"]
-    factor = np.array([2.0 if rig.row_labels[i][0] in ("pp", "norm") else 1.0 for i in keep])
-    assert mm.rows == [rig.row_labels[i] for i in keep]
+    rows = rig.layout.rows
+    keep = [i for i, lab in enumerate(rows) if lab[0] != "par"]
+    factor = np.array([2.0 if rows[i][0] in ("pp", "norm") else 1.0 for i in keep])
+    assert mm.layout.rows == [rows[i] for i in keep]
     assert np.array_equal(mm.jacobian(mm.base_reduced()), factor[:, None] * rig.matrix[keep])
 
 
@@ -439,31 +441,27 @@ def test_row_flip_names_the_first_edge_joining_copies_across_two_coordinates():
 
 
 def test_analysis_builds_no_labels(monkeypatch):
-    """Row and coordinate labels are built only when read: an analysis and a
-    finite-flex test read neither, and the labels, read afterwards, match
-    the column order."""
+    """Row labels are built only when read: an analysis and a finite-flex
+    test read none, and the labels, read afterwards, are the layout's.  The
+    column mask deletes exactly the pinned coordinates, in column order."""
     def refuse(self):
         raise AssertionError("labels built")
 
     with monkeypatch.context() as patched:
-        for cls, name in ((RowLayout, "rows"), (CoordinateIndex, "full_labels"),
-                          (CoordinateIndex, "labels"), (CoordinateIndex, "pos")):
-            patched.setattr(cls, name, property(refuse))
+        patched.setattr(RowLayout, "rows", property(refuse))
         infinitesimal_analysis(prism())
         rig = rigidity_matrix(*point_line_twofold_pinned())
         finite_flex_test(prism())
         finite_flex_test(*point_line_twofold_pinned())
     fw, pin = point_line_twofold_pinned()
     index = rig.index
-    assert rig.row_labels == RowLayout(fw.graph, fw.dim, pin).rows
-    assert index.full_labels == [(v, c) for v in fw.graph.vertices
-                                 for c in range(index.vertex_slice(v).stop
-                                                - index.vertex_slice(v).start)]
+    assert rig.layout.rows == RowLayout(fw.graph, fw.dim, pin).rows
+    full = coordinate_labels(index, full=True)
+    assert full == [(v, c) for v in fw.graph.vertices
+                    for c in range(index.vertex_slice(v).stop - index.vertex_slice(v).start)]
     assert index.keep.tolist() == [lab not in {(w, c) for w in pin.full_hyperplanes
                                                for c in range(3)}
                                    | {(w, c) for w in pin.parallel_only for c in range(2)}
                                    | set(pin.coords)
-                                   for lab in index.full_labels]
-    assert index.labels == [lab for lab, k in zip(index.full_labels, index.keep) if k]
-    assert (index.size, index.full_size) == (len(index.labels), len(index.full_labels))
-    assert all(index.labels[i] == lab for lab, i in index.pos.items())
+                                   for lab in full]
+    assert (index.size, index.full_size) == (len(coordinate_labels(index)), len(full))

@@ -8,15 +8,15 @@ from hypothesis import given, settings, strategies as st
 import extrig.rigidity
 import extrig.symmetry
 from dense_blocks import dense_block_decompose
-from extrusion_oracles import extrusion_coordinate
+from extrusion_oracles import extrusion_coordinate, extrusion_displacement, word_add
 from extrig import documents
 from extrig.frameworks import (Configuration, ExtrusionSpec, Framework, apply_affine,
-                               extrude_framework, extrusion_displacement, normalize_hyperplanes)
+                               extrude_framework, normalize_hyperplanes)
 from extrig.fixtures import (constrained_cube_pinned, point_line_extruded,
                              point_line_extruded_fixed, point_line_extruded_fixed_pinned,
                              point_line_twofold, point_line_twofold_pinned, prism,
                              prism_pinned, prism_twofold, triangle)
-from extrig.graphs import PHGraph, Vertex, group_elements, subgroup_elements, word_add
+from extrig.graphs import PHGraph, Vertex, group_elements, subgroup_elements
 from extrig.linalg import numeric_rank
 from extrig.rigidity import (EMPTY_PIN, CoordinateIndex, RowLayout, infinitesimal_analysis,
                              rigidity_matrix)
@@ -339,7 +339,7 @@ def test_same_base_edge_across_two_coordinates_is_rejected():
     graph = PHGraph(points=tuple(p.values()), hyperplanes=(), extrusion_order=2,
                     edges_pp=((p["00"], p["11"]), (p["10"], p["01"])))
     fw = Framework(graph, Configuration(2, [[0, 0], [0, 1], [1, 0], [1, 1]], np.zeros((0, 3))),
-                   ExtrusionSpec(np.eye(2), ((), ())))
+                   ExtrusionSpec(np.eye(2)))
     with pytest.raises(ValueError, match="joins copies differing in 2 coordinates"):
         build_reps(fw)
 
