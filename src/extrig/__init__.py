@@ -15,7 +15,7 @@ from .symmetry import (BlockDecomposition, MobilityReport, RepBundle,
                        SymmetryPreconditionError, block_decompose, build_reps,
                        character_of, decompose_character, fowler_guest_count,
                        intertwining_residual, irreducible_characters,
-                       symmetric_flexes, translation_character)
+                       translation_character)
 from .finiteflex import (AffineSubspace, FlexTestResult, LinearPushResult,
                          MeasurementMap, finite_flex_test, linear_push,
                          measurement_map, regular_point_test, restricted_jacobian,

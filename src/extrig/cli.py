@@ -19,15 +19,22 @@ from .finiteflex import PRECONDITION_FAILED, linear_push
 from .frameworks import Framework, extrude_framework, verify_extrusion_symmetry
 from .linalg import MIN_SYMMETRY_TOL, RANK_TOL
 from .rigidity import (hyperplane_pinning, infinitesimal_analysis, maxwell_rhs,
-                       minimal_pinning, EMPTY_PIN)
+                       minimal_pinning, trivial_motion_dim, EMPTY_PIN)
 from .sketch import render_svg
 from .symmetry import SymmetryPreconditionError, fowler_guest_count
 
 EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_NUMERIC = 0, 2, 3, 4
 
 
-def _default_tol() -> float:
-    return float(os.environ.get("EXTRIG_TOL", RANK_TOL))
+def _tolerance(text: str) -> float:
+    """The type of ``--tol``; argparse applies it to the ``EXTRIG_TOL`` default too."""
+    try:
+        if 0 < float(text) < float("inf"):
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not a finite positive number "
+                                     "(EXTRIG_TOL sets the default)")
 
 
 def _load(path):
@@ -78,11 +85,17 @@ def build_report(docpath, fw, pin, tol) -> dict:
         "symmetric_stress_dims": {mob.irrep_names[i]: int(v)
                                   for i, v in mob.stress_dims.items()},
     }
-    ana = infinitesimal_analysis(fw, pin, tol)
-    report["analysis"] = {
-        "rank": ana.rank, "nullity": ana.nullity, "trivial_dim": ana.trivial_dim,
-        "flexes": ana.flex_dim, "stresses": ana.stress_dim,
-    }
+    if fw.is_bar_joint() and report.get("symmetry", {"ok": True})["ok"]:
+        # the blocks are R in orthonormal bases, cut as R is: their (left) kernels add up to R's
+        nullity, stresses = sum(mob.detected_flex_dims.values()), sum(mob.stress_dims.values())
+        rank, trivial = int(mob.freedoms.sum()) - nullity, trivial_motion_dim(fw, pin, tol)
+    else:
+        # point-hyperplane bases are not orthonormal across irreducibles, and off
+        # symmetry the blocks stand for the symmetrised framework: decide on R
+        ana = infinitesimal_analysis(fw, pin, tol)
+        rank, nullity, trivial, stresses = ana.rank, ana.nullity, ana.trivial_dim, ana.stress_dim
+    report["analysis"] = {"rank": rank, "nullity": nullity, "trivial_dim": trivial,
+                          "flexes": nullity - trivial, "stresses": stresses}
     if pin.is_empty():
         # the count identity m - s = d|V| - |E| - d(d+1)/2 is an unpinned statement
         report["analysis"]["maxwell_rhs"] = maxwell_rhs(fw)
@@ -243,8 +256,9 @@ def cmd_sketch(args) -> int:
                   file=sys.stderr)
             return EXIT_PARSE
         basis = mob.detected_flexes[mob.irrep_names.index(irrep)]
-        if idx >= basis.shape[1]:
-            print(f"error: {irrep} has only {basis.shape[1]} kernel vectors", file=sys.stderr)
+        if not 0 <= idx < basis.shape[1]:
+            print(f"error: {irrep} has no kernel vector {idx} (of {basis.shape[1]})",
+                  file=sys.stderr)
             return EXIT_PARSE
         flex = basis[:, idx]
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -260,7 +274,8 @@ def main(argv=None) -> int:
 
     def common(p, output=False):
         p.add_argument("document", help="framework document (JSON)")
-        p.add_argument("--tol", type=float, default=_default_tol(),
+        p.add_argument("--tol", type=_tolerance,
+                       default=os.environ.get("EXTRIG_TOL", repr(RANK_TOL)),
                        help="numeric rank tolerance")
         if output:
             p.add_argument("-o", "--output", required=True)

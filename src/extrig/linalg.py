@@ -81,17 +81,21 @@ def kernels(mat, tol: float = RANK_TOL, rank: int = None):
     return vt[rank:].T, u[:, rank:]
 
 
-def nullspace(mat, tol: float = RANK_TOL) -> np.ndarray:
+def nullspace(mat, tol: float = RANK_TOL, scale: float = None, shape: tuple = None) -> np.ndarray:
     """Orthonormal basis of the (right) nullspace, columns of shape (n, nullity).
 
-    The left factor is full only for a wide matrix, where it is the small one:
-    either way the SVD returns the complete n x n right factor."""
+    ``scale`` and ``shape`` set the cut as in :func:`numeric_rank`; a ``scale``
+    taken from another SVD is raised to this one's largest singular value
+    when rounding left it below.  The left factor is full only for a wide
+    matrix, where it is the small one: either way the SVD returns the
+    complete n x n right factor."""
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     if mat.size == 0:
         return np.eye(mat.shape[1])
     m, n = mat.shape
     _, sigma, vt = np.linalg.svd(mat, full_matrices=m < n)
-    return vt[_rank(sigma, mat.shape, tol):].T
+    scale = None if scale is None else max(scale, sigma[0])
+    return vt[_rank(sigma, mat.shape if shape is None else shape, tol, scale):].T
 
 
 def orthonormal_columns(mat, tol: float = RANK_TOL) -> np.ndarray:

@@ -587,18 +587,6 @@ def _offdiag_residual(ext: OrbitBases, itn: OrbitBases, row, col, value) -> floa
     return float((np.abs(summed) * off / np.sqrt(itn.size[orbit])).max(initial=0.0))
 
 
-def symmetric_flexes(fw: Framework, pin: PinningSpec = EMPTY_PIN, irrep_index: int = 0,
-                     tol: float = RANK_TOL) -> np.ndarray:
-    """Full-coordinate kernel vectors of one diagonal block.
-
-    Columns satisfy R v = 0 and Ext(gamma) v = rho_i(gamma) v; pinned
-    coordinates are zero.
-    """
-    dec = block_decompose(fw, pin, tol)
-    kern = nullspace(dec.blocks[irrep_index], tol)
-    return dec.reps.index.scatter(dec.external_bases[irrep_index] @ kern)
-
-
 # -- mobility counts -----------------------------------------------------------
 
 
@@ -639,7 +627,8 @@ def fowler_guest_count(fw: Framework, pin: PinningSpec = EMPTY_PIN,
     independent infinitesimal motions of that symmetry beyond the surviving
     translations; a negative net guarantees self-stresses.  In the plane a
     detected motion is necessarily non-trivial; for d >= 3 a rotation may
-    masquerade as one, which is flagged as a caveat.
+    masquerade as one, which is flagged as a caveat.  For a symmetric bar-joint
+    framework the block kernel dimensions add up to R's nullity at any ``tol``.
     """
     dec = block_decompose(fw, pin, tol)
     named, ext_total, int_total, trans = character_rows(fw, dec.reps)
@@ -653,9 +642,12 @@ def fowler_guest_count(fw: Framework, pin: PinningSpec = EMPTY_PIN,
     active = fw.extrusion.active if fw.extrusion is not None else ()
     names = [("rho_" + element_label(g, active)) if len(elements) > 1 else "rho_0"
              for g in elements]
+    # each block is cut as the block-diagonal matrix of all blocks is
+    shape = (int(mu.sum()), int(lam.sum()))
+    scale = max((np.linalg.norm(block, 2) for block in dec.blocks if block.size), default=0.0)
     flex_dims, flexes, stress_dims = {}, {}, {}
     for i, block in enumerate(dec.blocks):
-        kern = nullspace(block, tol)
+        kern = nullspace(block, tol, scale, shape)
         flex_dims[i] = kern.shape[1]
         flexes[i] = dec.reps.index.scatter(dec.external_bases[i] @ kern)
         stress_dims[i] = block.shape[0] - (block.shape[1] - kern.shape[1])

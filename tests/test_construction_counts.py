@@ -55,8 +55,9 @@ CALLS = {
                            {"CoordinateIndex": 1, "RowLayout": 1, "PHGraph.act": 2 * 6}),
     "infinitesimal_analysis": (lambda: infinitesimal_analysis(prism()),
                                {"CoordinateIndex": 2, "RowLayout": 1}),
-    # the report's check and the block decomposition's gate share one pass
-    "build_report": (prism_twofold_report, {"CoordinateIndex": 3, "RowLayout": 2,
+    # the report's check and the block decomposition's gate share one pass;
+    # its rank line reads the blocks, and only the trivial motions index again
+    "build_report": (prism_twofold_report, {"CoordinateIndex": 2, "RowLayout": 1,
                                             "PHGraph.act": 4 * 12}),
     "finite_flex_test": (lambda: finite_flex_test(prism()),
                          {"CoordinateIndex": 3, "RowLayout": 2, "PHGraph.act": 2 * 6}),

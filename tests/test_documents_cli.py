@@ -177,6 +177,23 @@ def test_analyze_exit_codes(tmp_path):
     assert "hyperplane" in res.stderr
 
 
+@pytest.mark.parametrize("tol", ["1e-8", "abc", "nan", "-1", "0", "inf"])
+def test_tolerance_is_finite_and_positive(tol, tmp_path):
+    doc = tmp_path / "prism.json"
+    doc.write_text((DATA / "prism.json").read_text())
+    env = {k: v for k, v in CHILD_ENV.items() if k != "EXTRIG_TOL"}
+    for argv, extra in ((["--tol", tol], {}), ([], {"EXTRIG_TOL": tol})):
+        res = subprocess.run([sys.executable, "-m", "extrig.cli", "analyze", str(doc), "--json",
+                              *argv], capture_output=True, text=True, env={**env, **extra})
+        if tol == "1e-8":
+            assert res.returncode == 0, res.stderr
+            assert json.loads(res.stdout)["tolerance"] == 1e-8
+        else:
+            assert res.returncode == 2 and not res.stdout, (argv, res.stdout)
+            assert "is not a finite positive number" in res.stderr
+            assert "Traceback" not in res.stderr
+
+
 def test_extrude_cli_roundtrip(tmp_path):
     tri = tmp_path / "triangle.json"
     tri.write_text((DATA / "triangle.json").read_text())
@@ -249,6 +266,14 @@ def test_sketch_cli(tmp_path):
     assert svg.count("<circle") == 6
     assert "marker-end" in svg  # velocity arrows present
     assert run_cli("sketch", str(doc), "--flex", "rho_9:0", "-o", str(out)).returncode == 2
+    # an index outside 0..dim-1 of the block kernel, negative ones included
+    twofold = tmp_path / "prism_twofold.json"
+    twofold.write_text((DATA / "prism_twofold.json").read_text())
+    for path, flex in ((doc, "rho_0:3"), (doc, "rho_0:-1"), (twofold, "rho_11:-5"),
+                       (twofold, "rho_11:0")):
+        res = run_cli("sketch", str(path), "--flex", flex, "-o", str(out))
+        assert res.returncode == 2 and "has no kernel vector" in res.stderr, (flex, res.stderr)
+        assert "Traceback" not in res.stderr
 
 
 def test_empty_edge_framework_has_zero_constraint_characters(tmp_path):

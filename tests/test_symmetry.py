@@ -17,7 +17,8 @@ from extrig.fixtures import (constrained_cube_pinned, point_line_extruded,
                              point_line_twofold, point_line_twofold_pinned, prism,
                              prism_pinned, prism_twofold, triangle)
 from extrig.graphs import PHGraph, Vertex, group_elements, subgroup_elements
-from extrig.linalg import numeric_rank
+from extrig.cli import build_report
+from extrig.linalg import RANK_TOL, numeric_rank
 from extrig.rigidity import (EMPTY_PIN, CoordinateIndex, RowLayout, infinitesimal_analysis,
                              rigidity_matrix)
 from extrig.symmetry import (PermutationRep, SymmetryPreconditionError, active_elements,
@@ -25,7 +26,7 @@ from extrig.symmetry import (PermutationRep, SymmetryPreconditionError, active_e
                              character_matrix, character_of, character_rows,
                              decompose_character, fowler_guest_count,
                              intertwining_residual, irreducible_characters,
-                             symmetric_flexes, symmetry_adapted_basis,
+                             symmetry_adapted_basis,
                              translation_character)
 from extrusions import random_bar_joint_extrusions, random_point_hyperplane_extrusions
 
@@ -178,8 +179,9 @@ def test_symmetric_flexes_satisfy_sign_law():
         reps = build_reps(fw, pin)
         rig = rigidity_matrix(fw, pin)
         table = character_matrix(reps.elements)
+        mob = fowler_guest_count(fw, pin)
         for i in range(len(reps.elements)):
-            vecs = symmetric_flexes(fw, pin, i)
+            vecs = mob.detected_flexes[i]
             if vecs.shape[1] == 0:
                 continue
             reduced = vecs[rig.index.keep, :]
@@ -389,6 +391,48 @@ def test_blocks_partition_the_dense_analysis(fw):
     assert sum(numeric_rank(b) for b in dec.blocks) == ana.rank
     assert int(sum(dec.freedoms)) == rig.shape[1]
     assert int(sum(dec.constraints)) == rig.shape[0]
+    for tol in TOLS:
+        assert report_counts(fw, tol=tol) == dense_counts(fw, tol=tol), tol
+
+
+# from 1e-2 up, cutting a block against its own shape and scale, not R's, shows
+TOLS = (RANK_TOL, 1e-6, 1e-3, 1e-2, 5e-2)
+
+
+def dense_counts(fw, pin=EMPTY_PIN, tol=RANK_TOL) -> dict:
+    """The five counts of the dense analysis, keyed as in the report."""
+    ana = infinitesimal_analysis(fw, pin, tol)
+    return {"rank": ana.rank, "nullity": ana.nullity, "trivial_dim": ana.trivial_dim,
+            "flexes": ana.flex_dim, "stresses": ana.stress_dim}
+
+
+def report_counts(fw, pin=EMPTY_PIN, tol=RANK_TOL) -> dict:
+    """The same five counts as ``extrig analyze`` reports them."""
+    analysis = build_report("generated.json", fw, pin, tol)["analysis"]
+    return {key: analysis[key] for key in ("rank", "nullity", "trivial_dim", "flexes", "stresses")}
+
+
+@pytest.mark.parametrize("bar_joint", [True, False])
+def test_report_counts_match_the_dense_analysis_on_the_gallery(bar_joint):
+    cases = gallery_cases(bar_joint)
+    assert len(cases) >= 5
+    for tol in TOLS:
+        for name, fw, pin in cases:
+            assert report_counts(fw, pin, tol) == dense_counts(fw, pin, tol), (name, tol)
+
+
+@pytest.mark.parametrize("eps", [1e-10, 1e-8, 5e-7])
+@pytest.mark.parametrize("name, case", SYMMETRIC_CASES)
+def test_report_counts_match_the_dense_analysis_off_symmetry(name, case, eps):
+    # below the gate the blocks are those of the symmetrised framework; past
+    # --tol the report decides the rank on R itself
+    fw, pin = case()
+    rng = np.random.default_rng(7)
+    pts, hyp = (x + eps * rng.normal(size=x.shape)
+                for x in (fw.config.points, fw.config.hyperplanes))
+    moved = Framework(fw.graph, Configuration(fw.dim, pts, hyp), fw.extrusion)
+    assert build_report(name, moved, pin, RANK_TOL)["symmetry"]["ok"] == (eps < RANK_TOL)
+    assert report_counts(moved, pin) == dense_counts(moved, pin)
 
 
 @pytest.mark.parametrize("pinned", [True, False])
@@ -401,10 +445,13 @@ def test_block_counts_from_one_kernel(name, pinned):
     except SymmetryPreconditionError:
         return
     dec = block_decompose(fw, pin)
+    # each block is cut as R: against R's shape and largest singular value
+    shape = (int(sum(dec.constraints)), int(sum(dec.freedoms)))
+    scale = max((np.linalg.norm(b, 2) for b in dec.blocks if b.size), default=0.0)
     for i, block in enumerate(dec.blocks):
-        assert mob.stress_dims[i] == block.shape[0] - numeric_rank(block)
-        assert mob.detected_flex_dims[i] == block.shape[1] - numeric_rank(block)
-        assert np.array_equal(mob.detected_flexes[i], symmetric_flexes(fw, pin, i))
+        rank = numeric_rank(block, scale=scale, shape=shape)
+        assert mob.stress_dims[i] == block.shape[0] - rank
+        assert mob.detected_flex_dims[i] == block.shape[1] - rank
 
 
 def assert_blocks_match_dense(fw, pin=EMPTY_PIN):
@@ -455,14 +502,21 @@ def test_offdiag_residual_matches_dense_definition_off_symmetry(name, case):
 
 def test_fowler_guest_count_never_forms_the_rigidity_matrix(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("rigidity_matrix called")
+        raise AssertionError("rigidity matrix formed")
 
     monkeypatch.setattr(extrig.symmetry, "rigidity_matrix", refuse)
     monkeypatch.setattr(extrig.rigidity, "rigidity_matrix", refuse)
+    monkeypatch.setattr(RowLayout, "matrix", refuse)
     for name, case in SYMMETRIC_CASES:
         fw, pin = case()
         mob = fowler_guest_count(fw, pin)
         assert sum(int(x) for x in mob.freedoms) == CoordinateIndex(fw, pin).size, name
+    # nor does the report of a bar-joint framework, whose rank line is read off the blocks
+    cases = gallery_cases(bar_joint=True)
+    assert len(cases) >= 5
+    for name, fw, pin in cases:
+        ana = build_report(name, fw, pin, RANK_TOL)["analysis"]
+        assert ana["rank"] + ana["nullity"] == CoordinateIndex(fw, pin).size, name
 
 
 @settings(max_examples=60, deadline=None)
@@ -476,6 +530,10 @@ def test_point_hyperplane_blocks_partition_the_dense_analysis(case):
     assert int(sum(mob.freedoms)) == ana.rank + ana.nullity
     assert int(sum(mob.constraints)) == ana.rank + ana.stress_dim
     assert_blocks_match_dense(fw, pin)
+    # symmetry_adapted_basis cuts its projection ranks at the same tol, which
+    # fails on some drawn frameworks at 5e-2
+    for tol in TOLS[:3]:
+        assert report_counts(fw, pin, tol) == dense_counts(fw, pin, tol), tol
 
 
 def verdict(fw, pin=EMPTY_PIN):
