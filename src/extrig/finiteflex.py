@@ -25,7 +25,10 @@ irreducible (Kangwai & Guest 2000).  The rank cut stays on the shape of
 J S and on |J|_F, taken from the nonzeros of every row.  Every sample is
 ranked on orbit rows of the same shape, so none exceeds min(orbit rows,
 dim S): a configuration at that bound has maximal rank, so it is regular
-(Asimow & Roth 1978), and no sample is drawn.
+(Asimow & Roth 1978), and no sample is drawn.  On the fully-symmetric
+component of an unpinned bar-joint extrusion those orbit rows are the base
+framework's rows on its copy-0 points, so there no subspace is built at all
+(:func:`_base_flex_test`).
 
 The certificate compares the graph's restricted rank with the complete
 decorated graph's, read off the trivial motions T of the pinning for both
@@ -51,7 +54,8 @@ from .linalg import (CONTAINMENT_TOL, RANK_TOL, intersect_columns, nullspace, nu
 from .rigidity import (CoordinateIndex, EMPTY_PIN, PinningSpec, RowLayout, trivial_motion_basis,
                        trivial_motion_dim)
 from .symmetry import block_decompose  # noqa: F401  (perfbench traces it under this name)
-from .symmetry import build_reps, decompose_character, symmetry_adapted_basis
+from .symmetry import (build_reps, check_extrusion_symmetry, decompose_character,
+                       symmetry_adapted_basis)
 
 FINITE_FLEX_CERTIFIED = "FiniteFlexCertified"
 NO_SYMMETRIC_FLEX = "NoSymmetricFlex"
@@ -195,7 +199,7 @@ def symmetric_subspace(fw: Framework, pin: PinningSpec = EMPTY_PIN, irrep_index:
     reps = build_reps(fw, pin)
     index = reps.index
     freedoms = decompose_character(reps.external.traces(), reps.elements)
-    basis = symmetry_adapted_basis(reps.external, freedoms, tol)[irrep_index].dense()
+    basis = symmetry_adapted_basis(reps.external, freedoms)[irrep_index].dense()
     if not fw.is_bar_joint():
         wg = parallel_respecting_basis(fw, index, tol)
         if wg.shape[1] < index.size:
@@ -328,6 +332,56 @@ class FlexTestResult:
     subspace_dim: int
 
 
+def _determination(regular: bool, rank_graph: int, rank_complete: int) -> str:
+    if not regular:
+        return NOT_REGULAR
+    return FINITE_FLEX_CERTIFIED if rank_graph < rank_complete else NO_SYMMETRIC_FLEX
+
+
+def _base_flex_test(fw: Framework, tol: float):
+    """The fully-symmetric certificate of an unpinned bar-joint extrusion
+    with every direction active, read off the copy-0 points; None where the
+    orbit-sampled path has to decide.
+
+    Every point of the fully-symmetric subspace S is the extrusion of a base
+    configuration.  A copy edge keeps its length along S, and every other
+    edge orbit has one member on copy-0 points, so J S has the singular
+    values of the base rows on the copy-0 columns: the orbit rigidity
+    matrix of rho_0 (Schulze & Whiteley 2011).  They are cut as
+    :class:`_OrbitSampler` cuts them, on the shape of J S and |J|_F.  At the
+    rank bound min(base rows, dim S) the configuration is regular; below it,
+    or when an edge joins copies of two base points across words (its orbit
+    has no copy-0 member), None.  The trivial motions in S are the
+    translations and the rotations W with W tau_h = 0 for every direction,
+    (d - r)(d - r - 1)/2 of them for r = rank of the directions, so the
+    complete graph's rank dim S - dim(S n T) needs no SVD of [T S].
+    """
+    check_extrusion_symmetry(fw)
+    graph, d = fw.graph, fw.dim
+    n, t = len(graph.points), graph.extrusion_order
+    layout = RowLayout(graph, d, include_parallel=False)
+    m = layout.shape[0]
+    copy_rows = int(np.count_nonzero(layout.flip < t))   # ValueError as build_reps raises it
+    on_base = np.repeat((graph.steps[:n] > 0).all(axis=1), d)   # columns of all-zero words
+    row, col, value = layout.nonzeros(fw.config.points, fw.config.hyperplanes, scaled=True)
+    base_row = np.ones(m, dtype=bool)
+    base_row[row[~on_base[col]]] = False
+    rows = int(np.count_nonzero(base_row))
+    if rows << t != m - copy_rows:
+        return None
+    kept = base_row[row]
+    mat = np.zeros((rows, int(np.count_nonzero(on_base))))
+    mat[(np.cumsum(base_row) - 1)[row[kept]], (np.cumsum(on_base) - 1)[col[kept]]] = value[kept]
+    dim = mat.shape[1]
+    rank_g = numeric_rank(mat, tol, scale=float(np.linalg.norm(value)), shape=(m, dim))
+    if rank_g < min(rows, dim):
+        return None
+    free = d - numeric_rank(fw.extrusion.directions, tol)
+    rank_k = dim - d - free * (free - 1) // 2
+    return FlexTestResult(determination=_determination(True, rank_g, rank_k), regular=True,
+                          rank_graph=rank_g, rank_complete=rank_k, subspace_dim=dim)
+
+
 def finite_flex_test(fw: Framework, pin: PinningSpec = EMPTY_PIN, irrep_index: int = 0,
                      samples: int = 20, seed: int = 0, tol: float = RANK_TOL,
                      subspace: AffineSubspace = None) -> FlexTestResult:
@@ -344,11 +398,22 @@ def finite_flex_test(fw: Framework, pin: PinningSpec = EMPTY_PIN, irrep_index: i
     framework it must lie in the parallel-respecting directions
     ``MeasurementMap.wg_basis`` (else ValueError), since the measurement
     map has no parallel rows.
+
+    Without ``subspace``, on irreducible 0 of an unpinned bar-joint extrusion
+    whose directions are all active, the ranks are read off the copy-0
+    points (:func:`_base_flex_test`); below the rank bound the orbit-sampled
+    path decides, as on every other call.
     """
     if not affine_span_check(fw, tol):
         raise ValueError("points and hyperplanes do not affinely span the ambient space")
     if not complete_kernel_check(fw, tol):
         raise ValueError("the complete decorated graph has motions beyond the trivial ones")
+    spec = fw.extrusion
+    if (subspace is None and irrep_index == 0 and pin.is_empty() and fw.is_bar_joint()
+            and spec is not None and set(spec.active) == set(range(spec.order))):
+        result = _base_flex_test(fw, tol)
+        if result is not None:
+            return result
     sub = subspace
     if sub is None:
         sub = symmetric_subspace(fw, pin, irrep_index, tol)
@@ -358,14 +423,8 @@ def finite_flex_test(fw: Framework, pin: PinningSpec = EMPTY_PIN, irrep_index: i
         raise ValueError("subspace leaves the directions that keep parallel classes parallel")
     rank_g, regular = _regularity(mm, sub, samples, seed, tol)
     rank_k = _complete_rank(fw, pin, sub, tol)
-    if not regular:
-        det = NOT_REGULAR
-    elif rank_g < rank_k:
-        det = FINITE_FLEX_CERTIFIED
-    else:
-        det = NO_SYMMETRIC_FLEX
-    return FlexTestResult(determination=det, regular=regular, rank_graph=rank_g,
-                          rank_complete=rank_k, subspace_dim=sub.dim)
+    return FlexTestResult(determination=_determination(regular, rank_g, rank_k), regular=regular,
+                          rank_graph=rank_g, rank_complete=rank_k, subspace_dim=sub.dim)
 
 
 @dataclass

@@ -321,7 +321,7 @@ def apply_infinitesimal_rotation(fw: Framework, lam: float, skew) -> Framework:
 def affine_span_check(fw: Framework, tol: float = RANK_TOL) -> bool:
     """True iff the points plus sample points on each hyperplane affinely span R^d."""
     d = fw.dim
-    samples = [fw.point(v) for v in fw.graph.points]
+    samples = []
     for w in fw.graph.hyperplanes:
         a, r = fw.hyperplane(w)
         base = a * (r / float(np.dot(a, a)))
@@ -331,7 +331,7 @@ def affine_span_check(fw: Framework, tol: float = RANK_TOL) -> bool:
         basis = np.linalg.svd(np.eye(d) - np.outer(an, an))[0][:, : d - 1]
         for i in range(d - 1):
             samples.append(base + basis[:, i])
-    pts = np.asarray(samples)
+    pts = np.vstack([fw.config.points] + samples)
     if len(pts) < 2:
         return d == 0
     centered = pts - pts.mean(axis=0)

@@ -51,21 +51,39 @@ def _rank(sigma, shape, tol: float, scale: float = None) -> int:
     return int(np.sum(sigma > tol * max(shape) * (sigma[0] if scale is None else scale)))
 
 
+def _singular_values(mat) -> np.ndarray:
+    """Singular values of a non-empty 2-d array, largest first (values-only SVD)."""
+    tall = mat.T if mat.shape[1] > mat.shape[0] else mat
+    m, n = tall.shape
+    if _QR_MIN_COLUMNS <= n < m < 11 * n / 6:
+        tall = np.linalg.qr(tall, mode="r")
+    return np.linalg.svd(tall, compute_uv=False)
+
+
 def numeric_rank(mat, tol: float = RANK_TOL, scale: float = None, shape: tuple = None) -> int:
     """Numerical rank of a dense matrix, from its singular values alone.
 
     ``scale`` is the reference of the cut (see :func:`_rank`).  ``shape``
     replaces the matrix's own shape in the cut when ``mat`` stands for a
-    larger matrix with the same singular values (rows compressed by orbit)."""
+    larger matrix with the same singular values (rows compressed by orbit),
+    or when ``mat`` is cut as a matrix it was taken from."""
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     if mat.size == 0:
         return 0
-    shape = mat.shape if shape is None else shape
-    tall = mat.T if mat.shape[1] > mat.shape[0] else mat
-    m, n = tall.shape
-    if _QR_MIN_COLUMNS <= n < m < 11 * n / 6:
-        tall = np.linalg.qr(tall, mode="r")
-    return _rank(np.linalg.svd(tall, compute_uv=False), shape, tol, scale)
+    return _rank(_singular_values(mat), mat.shape if shape is None else shape, tol, scale)
+
+
+def rank_and_scale(mat, tol: float = RANK_TOL) -> tuple:
+    """(numerical rank, largest singular value) of a dense matrix, from one
+    values-only SVD.  Passing that scale and ``mat``'s shape to
+    :func:`numeric_rank` cuts a set of ``mat``'s rows as ``mat`` itself is cut;
+    a row subset's singular values never exceed ``mat``'s (interlacing), so
+    its rank is then never above ``mat``'s."""
+    mat = np.atleast_2d(np.asarray(mat, dtype=float))
+    if mat.size == 0:
+        return 0, 0.0
+    sigma = _singular_values(mat)
+    return _rank(sigma, mat.shape, tol), float(sigma[0])
 
 
 def kernels(mat, tol: float = RANK_TOL, rank: int = None):

@@ -23,7 +23,8 @@ import numpy as np
 
 from .frameworks import ExtrusionSpec, Framework
 from .graphs import PHGraph, STAR, Vertex
-from .linalg import RANK_TOL, kernels, nullspace, numeric_rank, orthonormal_columns
+from .linalg import (RANK_TOL, kernels, nullspace, numeric_rank, orthonormal_columns,
+                     rank_and_scale)
 
 
 @dataclass(frozen=True)
@@ -391,14 +392,27 @@ def trivial_motion_basis(fw: Framework, pin: PinningSpec = EMPTY_PIN,
     return orthonormal_columns(gens[index.keep, :], tol)
 
 
+def _surviving_trivial_motions(gens, tol: float = RANK_TOL):
+    """The count of trivial motions that survive pinning a set of generator
+    rows, as a function of those rows (an index array or mask).
+
+    The count is the rank of the generators less the rank of their pinned
+    rows: the generator combinations that vanish on the pinned coordinates,
+    less those that vanish everywhere.  Both ranks are cut at the shape and
+    the largest singular value of all generators, from one SVD of them and
+    one of the pinned rows.  The pinned rows' singular values interlace below
+    the generators', so the count lies between 0 and their rank at every
+    ``tol``."""
+    full, scale = rank_and_scale(gens, tol)
+    return lambda rows: full - numeric_rank(gens[rows], tol, scale=scale, shape=gens.shape)
+
+
 def trivial_motion_dim(fw: Framework, pin: PinningSpec = EMPTY_PIN,
                        tol: float = RANK_TOL) -> int:
     """Dimension of the trivial motions compatible with the pinning, from
-    singular values only: the generator combinations that vanish on the
-    deleted coordinates, less those that vanish everywhere."""
-    gens = trivial_motion_generators(fw)
+    singular values only (:func:`_surviving_trivial_motions`)."""
     keep = CoordinateIndex(fw, pin).keep
-    return numeric_rank(gens, tol) - numeric_rank(gens[~keep, :], tol)
+    return _surviving_trivial_motions(trivial_motion_generators(fw), tol)(~keep)
 
 
 @dataclass
@@ -460,8 +474,8 @@ def minimal_pinning(fw: Framework, tol: float = RANK_TOL) -> PinningSpec:
     remaining point coordinates in lexicographic order, keeping those that
     strictly reduce the surviving trivial motion space.  Verifies minimality
     by a single-removal test.  The generators and their rank are formed
-    once; each trial ranks only their rows at the pinned coordinates, as
-    :func:`trivial_motion_dim` does.
+    once; each trial ranks only their rows at the pinned coordinates, cut as
+    :func:`trivial_motion_dim` cuts them (:func:`_surviving_trivial_motions`).
     """
     if not fw.graph.points:
         raise ValueError("minimal pinning requires at least one point vertex")
@@ -470,12 +484,11 @@ def minimal_pinning(fw: Framework, tol: float = RANK_TOL) -> PinningSpec:
     if not affine_span_check(fw, tol):
         raise ValueError("configuration does not affinely span the ambient space")
     d, graph = fw.dim, fw.graph
-    gens = trivial_motion_generators(fw)
-    full_rank = numeric_rank(gens, tol)
+    left_by = _surviving_trivial_motions(trivial_motion_generators(fw), tol)
     start = {v: int(column_start(graph, d, graph.position[v])) for v in graph.points}
 
     def surviving(coords) -> int:
-        return full_rank - numeric_rank(gens[sorted(start[v] + c for v, c in coords)], tol)
+        return left_by(sorted(start[v] + c for v, c in coords))
 
     coords = set((graph.points[0], c) for c in range(d))
     current = surviving(coords)

@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .frameworks import Framework, displacements
+from .frameworks import Framework, displacements, verify_extrusion_symmetry
 from .graphs import subgroup_elements
 from .linalg import (INT_TOL, RANK_TOL, SYMMETRY_TOL, nullspace, numeric_rank,
                      orthonormal_columns)
@@ -107,6 +107,19 @@ def _check_ph_hypothesis(fw: Framework, pin: PinningSpec, active):
             "point-hyperplane edges meet extrusion-fixed hyperplanes with live normal "
             f"columns: {names}; apply hyperplane_pinning first",
             hint="extrig pin --mode hyperplane <document> restores the block structure")
+
+
+def check_extrusion_symmetry(fw: Framework):
+    """The symmetry gate: :class:`SymmetryPreconditionError` unless every
+    active element is a symmetry of the configuration at ``SYMMETRY_TOL``
+    (nothing to check without an extrusion spec)."""
+    if fw.extrusion is None:
+        return
+    check = verify_extrusion_symmetry(fw, tol=SYMMETRY_TOL, active_only=True)
+    if not check.ok:
+        first = check.violations[0]
+        raise SymmetryPreconditionError(
+            f"framework is not extrusion-symmetric: {first[0]} at {first[1]}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,14 +216,8 @@ def build_reps(fw: Framework, pin: PinningSpec = EMPTY_PIN,
     """
     elements = active_elements(fw)
     active = fw.extrusion.active if fw.extrusion is not None else ()
-    if check_symmetry and fw.extrusion is not None:
-        from .frameworks import verify_extrusion_symmetry
-
-        check = verify_extrusion_symmetry(fw, tol=SYMMETRY_TOL, active_only=True)
-        if not check.ok:
-            first = check.violations[0]
-            raise SymmetryPreconditionError(
-                f"framework is not extrusion-symmetric: {first[0]} at {first[1]}")
+    if check_symmetry:
+        check_extrusion_symmetry(fw)
     _check_ph_hypothesis(fw, pin, active)
     index = CoordinateIndex(fw, pin)
     external = coordinate_action(fw, elements).restrict(index.keep)
@@ -406,10 +413,11 @@ class OrbitBases:
         return p, order[np.arange(len(p)) - shift]
 
 
-def _orthonormal_orbits(entries, orbit_column, group, n, tol):
+def _orthonormal_orbits(entries, orbit_column, group, n):
     """Sum the entries that share a basis, row and column, normalise every
     column, and orthonormalise the columns of each hyperplane orbit together
-    (ValueError when they lose rank).  Entries come back by basis, then row."""
+    (ValueError when they lose rank at ``RANK_TOL``).  Entries come back by
+    basis, then row."""
     irrep, index, column, value = entries
     widths = (orbit_column >= 0).sum(axis=1)
     offsets = np.cumsum(widths) - widths
@@ -427,7 +435,7 @@ def _orthonormal_orbits(entries, orbit_column, group, n, tol):
             support, at = np.unique(index[inside], return_inverse=True)
             mat = np.zeros((len(support), len(run)))
             mat[at.reshape(-1), glob[inside] - start - run[0]] = value[inside]
-            basis = orthonormal_columns(mat, tol)
+            basis = orthonormal_columns(mat, RANK_TOL)
             if basis.shape[1] < len(run):
                 raise ValueError(f"projection rank {basis.shape[1]} of a hyperplane orbit "
                                  f"does not match its {len(run)} orbits")
@@ -441,7 +449,7 @@ def _orthonormal_orbits(entries, orbit_column, group, n, tol):
     return irrep[order], index[order], column[order], value[order]
 
 
-def symmetry_adapted_basis(rep: PermutationRep, expected, tol: float = RANK_TOL) -> OrbitBases:
+def symmetry_adapted_basis(rep: PermutationRep, expected) -> OrbitBases:
     """Orthonormal bases of the isotypic components of every irreducible.
 
     One pass over the orbits serves all irreducibles: the character table
@@ -452,7 +460,9 @@ def symmetry_adapted_basis(rep: PermutationRep, expected, tol: float = RANK_TOL)
     representative to the signed orbit sum, plus the coupling rows on a
     hyperplane orbit.  Different orbits have disjoint supports, so the
     columns are orthonormal.  ValueError when the number of columns of basis
-    i is not ``expected[i]``.
+    i is not ``expected[i]``.  The basis is combinatorial in the orbits, so
+    no rank tolerance of the caller reaches it: the only cut, on the columns
+    of a hyperplane orbit, is at ``RANK_TOL``.
     """
     n = rep.target.shape[1]
     first = rep.target.min(axis=0)
@@ -486,8 +496,7 @@ def symmetry_adapted_basis(rep: PermutationRep, expected, tol: float = RANK_TOL)
             i, e = np.nonzero(trivial[:, o])
             extra.append((i, rows[e], orbit_column[i, o[e]],
                           table[i, k] * values[e] / (stabilizer[o[e]] * np.sqrt(size[o[e]]))))
-        entries = _orthonormal_orbits(map(np.concatenate, zip(*extra)), orbit_column, group,
-                                      n, tol)
+        entries = _orthonormal_orbits(map(np.concatenate, zip(*extra)), orbit_column, group, n)
     return OrbitBases(table, reps, orbit, slot, weight, size, group, orbit_column, *entries)
 
 
@@ -508,8 +517,7 @@ class BlockDecomposition:
         return [b.shape for b in self.blocks]
 
 
-def block_decompose(fw: Framework, pin: PinningSpec = EMPTY_PIN,
-                    tol: float = RANK_TOL) -> BlockDecomposition:
+def block_decompose(fw: Framework, pin: PinningSpec = EMPTY_PIN) -> BlockDecomposition:
     """The diagonal blocks B_i^T R A_i, read off the representative rows.
 
     R intertwines the representations and B_i holds one signed orbit sum per
@@ -523,8 +531,8 @@ def block_decompose(fw: Framework, pin: PinningSpec = EMPTY_PIN,
     reps = build_reps(fw, pin)
     lam = decompose_character(reps.external.traces(), reps.elements)
     mu = decompose_character(reps.internal.traces(), reps.elements)
-    ext = symmetry_adapted_basis(reps.external, lam, tol)
-    itn = symmetry_adapted_basis(reps.internal, mu, tol)
+    ext = symmetry_adapted_basis(reps.external, lam)
+    itn = symmetry_adapted_basis(reps.internal, mu)
     row, col, value = reps.layout.nonzeros(fw.config.points, fw.config.hyperplanes)
     kept = reps.index.keep[col]
     row, col, value = row[kept], (np.cumsum(reps.index.keep) - 1)[col[kept]], value[kept]
@@ -630,7 +638,7 @@ def fowler_guest_count(fw: Framework, pin: PinningSpec = EMPTY_PIN,
     masquerade as one, which is flagged as a caveat.  For a symmetric bar-joint
     framework the block kernel dimensions add up to R's nullity at any ``tol``.
     """
-    dec = block_decompose(fw, pin, tol)
+    dec = block_decompose(fw, pin)
     named, ext_total, int_total, trans = character_rows(fw, dec.reps)
     elements = dec.reps.elements
     lam = decompose_character(ext_total, elements)

@@ -81,7 +81,7 @@ def block_rank_at(fw, pin, irrep_index, reduced, tol=RANK_TOL):
     Jacobian rank at the same point.
     """
     moved = framework_at(fw, CoordinateIndex(fw, pin), reduced)
-    return numeric_rank(block_decompose(moved, pin, tol).blocks[irrep_index], tol)
+    return numeric_rank(block_decompose(moved, pin).blocks[irrep_index], tol)
 
 
 def restricted_rank_oracle(jac, basis):

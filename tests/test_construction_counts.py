@@ -59,8 +59,14 @@ CALLS = {
     # its rank line reads the blocks, and only the trivial motions index again
     "build_report": (prism_twofold_report, {"CoordinateIndex": 2, "RowLayout": 1,
                                             "PHGraph.act": 4 * 12}),
+    # irreducible 0 of an unpinned bar-joint extrusion reads the copy-0 rows
+    # of one measurement layout; the gate's residual pass is the only other work
     "finite_flex_test": (lambda: finite_flex_test(prism()),
-                         {"CoordinateIndex": 3, "RowLayout": 2, "PHGraph.act": 2 * 6}),
+                         {"RowLayout": 1, "PHGraph.act": 2 * 6}),
+    # any other irreducible takes the general path: the representations, the
+    # measurement map and the trivial motions each index the coordinates
+    "finite_flex_test_irrep_1": (lambda: finite_flex_test(prism(), irrep_index=1),
+                                 {"CoordinateIndex": 3, "RowLayout": 2, "PHGraph.act": 2 * 6}),
     # the complete decorated graph gets no layout: its rank comes from the
     # trivial motions
     "finite_flex_test_point_hyperplane": (lambda: finite_flex_test(*point_line_twofold_pinned()),

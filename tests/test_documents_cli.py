@@ -194,6 +194,27 @@ def test_tolerance_is_finite_and_positive(tol, tmp_path):
             assert "Traceback" not in res.stderr
 
 
+def test_coarse_tolerance_keeps_the_isotypic_bases(tmp_path):
+    # --tol is a rank tolerance; it used to cut the projection ranks of the
+    # hyperplane orbits too, and this exited 4
+    doc = tmp_path / "point_line_extruded.json"
+    doc.write_text((DATA / "point_line_extruded.json").read_text())
+    res = run_cli("analyze", str(doc), "--tol", "0.1")
+    assert res.returncode == 0, res.stderr
+
+
+@pytest.mark.parametrize("tol", ["5e-2", "0.1"])
+def test_trivial_count_is_never_negative_at_a_coarse_tolerance(tol, tmp_path):
+    # prism_pinned printed trivial -2 at both tolerances
+    doc = tmp_path / "prism_pinned.json"
+    doc.write_text((DATA / "prism_pinned.json").read_text())
+    res = run_cli("analyze", str(doc), "--tol", tol, "--json")
+    assert res.returncode == 0, res.stderr
+    analysis = json.loads(res.stdout)["analysis"]
+    assert 0 <= analysis["trivial_dim"] <= 3
+    assert analysis["flexes"] == analysis["nullity"] - analysis["trivial_dim"]
+
+
 def test_extrude_cli_roundtrip(tmp_path):
     tri = tmp_path / "triangle.json"
     tri.write_text((DATA / "triangle.json").read_text())

@@ -2,7 +2,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import extrig.finiteflex
 from extrig import documents
@@ -512,7 +512,13 @@ def sampler_ranks(monkeypatch):
 
 
 def test_configuration_at_the_rank_bound_draws_no_sample(sampler_ranks):
-    assert finite_flex_test(prism()).determination == FINITE_FLEX_CERTIFIED
+    # the orbit-sampled path ranks the configuration once; the base path,
+    # which prism's unpinned rho_0 takes, builds no sampler at all
+    fw = prism()
+    assert finite_flex_test(fw, subspace=symmetric_subspace(fw)).determination \
+        == FINITE_FLEX_CERTIFIED
+    assert len(sampler_ranks) == 1
+    assert finite_flex_test(fw).determination == FINITE_FLEX_CERTIFIED
     assert len(sampler_ranks) == 1
 
 
@@ -589,6 +595,98 @@ def test_finite_flex_test_matches_dense_sampling(monkeypatch, case):
     got = finite_flex_test(*args, **kwargs)
     assert got == dense_flex_test(monkeypatch, *args, **kwargs)
     assert got.determination == determination
+
+
+def general_flex_test(fw):
+    """finite_flex_test on the fully-symmetric subspace, passed in: a given
+    subspace always takes the orbit-sampled path."""
+    return finite_flex_test(fw, subspace=symmetric_subspace(fw))
+
+
+def outcome(call):
+    """The result of ``call``, or the type and message of what it raised."""
+    try:
+        return call()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def extruded(base_points, bars, directions):
+    """Bar-joint framework on points p0.. with bars between the index pairs, extruded."""
+    pts = tuple(Vertex(f"p{i}") for i in range(len(base_points)))
+    d = len(base_points[0])
+    base = Framework(PHGraph(points=pts, hyperplanes=(),
+                             edges_pp=tuple((pts[i], pts[j]) for i, j in bars)),
+                     Configuration(d, np.array(base_points, dtype=float), np.zeros((0, d + 1))))
+    return extrude_framework(base, directions)
+
+
+def k4_extruded():
+    # K4 in the plane has rank 5 < min(6 base rows, dim S = 8): below the bound
+    return extruded([(0, 0), (3, 0.2), (1, 2.5), (2.2, 1.1)],
+                    [(i, j) for i in range(4) for j in range(i + 1, 4)], [(0.7, 1.9)])
+
+
+def with_extra_bars(fw, pairs):
+    """The framework with bars added between the labelled vertices (a symmetric set)."""
+    by_label = {v.label: v for v in fw.graph.points}
+    extra = tuple((by_label[a], by_label[b]) for a, b in pairs)
+    graph = PHGraph(points=fw.graph.points, hyperplanes=(), edges_pp=fw.graph.edges_pp + extra,
+                    extrusion_order=fw.graph.extrusion_order)
+    return Framework(graph, fw.config, fw.extrusion)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_bar_joint_extrusions())
+@example(k4_extruded())
+def test_base_path_matches_the_general_path(fw):
+    """The copy-0 certificate equals the orbit-sampled one, field by field,
+    and fails its preconditions with the same error."""
+    assert outcome(lambda: finite_flex_test(fw)) == outcome(lambda: general_flex_test(fw))
+
+
+def test_below_the_rank_bound_the_base_path_hands_over():
+    fw = k4_extruded()
+    assert extrig.finiteflex._base_flex_test(fw, RANK_TOL) is None
+    assert finite_flex_test(fw) == general_flex_test(fw)
+
+
+def test_an_edge_across_words_takes_the_general_path():
+    # p0|0 - p1|1 and its image p0|1 - p1|0 have no member on copy-0 points
+    fw = with_extra_bars(extruded([(0, 0), (2, 0.5), (0.4, 1.7)], [(0, 1), (1, 2), (0, 2)],
+                                  [(1.3, 0.4)]), [("p0|0", "p1|1"), ("p0|1", "p1|0")])
+    assert extrig.finiteflex._base_flex_test(fw, RANK_TOL) is None
+    assert finite_flex_test(fw) == general_flex_test(fw)
+
+
+def moved(fw, shift):
+    """The framework with its first point moved by ``shift``."""
+    points = fw.config.points.copy()
+    points[0] += shift
+    return Framework(fw.graph, Configuration(fw.dim, points, fw.config.hyperplanes), fw.extrusion)
+
+
+PRECONDITION_FAILURES = {
+    "collinear": (lambda: extruded([(0, 0), (1, 0)], [(0, 1)], [(2, 0)]), "affinely span"),
+    "off symmetry": (lambda: moved(prism(), (1e-3, 0)), "not extrusion-symmetric"),
+    "copy edge across two directions": (
+        lambda: with_extra_bars(extruded([(0, 0), (2, 0.5), (0.4, 1.7)], [(0, 1), (1, 2)],
+                                         [(1.3, 0.4), (-0.2, 1.1)]),
+                                [("p0|00", "p0|11"), ("p0|01", "p0|10")]),
+        "copies"),
+}
+
+
+@pytest.mark.parametrize("name", PRECONDITION_FAILURES)
+def test_precondition_failures_raise_alike_on_both_paths(name):
+    build, match = PRECONDITION_FAILURES[name]
+    fw = build()
+    with pytest.raises(ValueError, match=match) as base:
+        finite_flex_test(fw)
+    with pytest.raises(ValueError, match=match) as general:
+        general_flex_test(fw)
+    assert type(base.value) is type(general.value)
+    assert str(base.value) == str(general.value)
 
 
 def test_linear_push_prism():

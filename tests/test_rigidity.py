@@ -9,6 +9,7 @@ from extrig import documents
 from extrig.finiteflex import finite_flex_test, measurement_map
 from extrig.frameworks import Configuration, Framework, affine_span_check
 from extrig.graphs import PHGraph, Vertex, group_elements
+from extrig.linalg import RANK_TOL
 from extrig.fixtures import (constrained_cube, constrained_cube_pinned, k33_orthogonal,
                              k33_pinnings, point_line_twofold, point_line_twofold_pinned,
                              prism, prism_pinned, prism_twofold, triangle, triangle_cycle)
@@ -392,6 +393,22 @@ def test_trivial_motion_dim_equals_the_basis_width_on_random_extrusions(fw, data
         pins.append(minimal_pinning(fw))
     for pin in pins:
         check_trivial_dim(fw, pin)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(random_bar_joint_extrusions().map(lambda fw: (fw, EMPTY_PIN)),
+                 random_point_hyperplane_extrusions()))
+def test_trivial_count_is_never_negative(case):
+    """Both ranks of the count are cut at the generators' scale and shape, so
+    by interlacing it lies in [0, d(d+1)/2] at every tolerance, also under a
+    minimal pinning, whose few pinned rows have small singular values."""
+    fw, pin = case
+    pins = {EMPTY_PIN, pin}
+    if affine_span_check(fw):
+        pins.add(minimal_pinning(fw))
+    for tol in (RANK_TOL, 1e-3, 5e-2):
+        for p in pins:
+            assert 0 <= trivial_motion_dim(fw, p, tol) <= fw.dim * (fw.dim + 1) // 2, (p, tol)
 
 
 def assert_row_maps_match_the_label_references(fw, pin):
