@@ -350,15 +350,19 @@ def _base_flex_test(fw: Framework, tol: float):
     matrix of rho_0 (Schulze & Whiteley 2011).  They are cut as
     :class:`_OrbitSampler` cuts them, on the shape of J S and |J|_F.  At the
     rank bound min(base rows, dim S) the configuration is regular; below it,
-    or when an edge joins copies of two base points across words (its orbit
-    has no copy-0 member), None.  The trivial motions in S are the
-    translations and the rotations W with W tau_h = 0 for every direction,
-    (d - r)(d - r - 1)/2 of them for r = rank of the directions, so the
-    complete graph's rank dim S - dim(S n T) needs no SVD of [T S].
+    when an edge joins copies of two base points across words (its orbit has
+    no copy-0 member), or when a point carries a star (the action fixes it,
+    so its coordinates lie in S but off the copy-0 columns), None.  The
+    trivial motions in S are the translations and the rotations W with
+    W tau_h = 0 for every direction, (d - r)(d - r - 1)/2 of them for
+    r = rank of the directions, so the complete graph's rank
+    dim S - dim(S n T) needs no SVD of [T S].
     """
     check_extrusion_symmetry(fw)
     graph, d = fw.graph, fw.dim
     n, t = len(graph.points), graph.extrusion_order
+    if (graph.steps[:n] == 0).any():
+        return None
     layout = RowLayout(graph, d, include_parallel=False)
     m = layout.shape[0]
     copy_rows = int(np.count_nonzero(layout.flip < t))   # ValueError as build_reps raises it
@@ -399,18 +403,22 @@ def finite_flex_test(fw: Framework, pin: PinningSpec = EMPTY_PIN, irrep_index: i
     ``MeasurementMap.wg_basis`` (else ValueError), since the measurement
     map has no parallel rows.
 
-    Without ``subspace``, on irreducible 0 of an unpinned bar-joint extrusion
-    whose directions are all active, the ranks are read off the copy-0
-    points (:func:`_base_flex_test`); below the rank bound the orbit-sampled
-    path decides, as on every other call.
+    Without ``subspace``, at the default ``tol``, on irreducible 0 of an
+    unpinned bar-joint extrusion whose directions are all active, the ranks
+    are read off the copy-0 points (:func:`_base_flex_test`); below the rank
+    bound the orbit-sampled path decides, as on every other call.  A coarser
+    ``tol`` takes the orbit-sampled path: there its cut of rank [T S] on the
+    coordinate count can give a complete graph's rank other than the one
+    the directions' rank gives.
     """
     if not affine_span_check(fw, tol):
         raise ValueError("points and hyperplanes do not affinely span the ambient space")
     if not complete_kernel_check(fw, tol):
         raise ValueError("the complete decorated graph has motions beyond the trivial ones")
     spec = fw.extrusion
-    if (subspace is None and irrep_index == 0 and pin.is_empty() and fw.is_bar_joint()
-            and spec is not None and set(spec.active) == set(range(spec.order))):
+    if (subspace is None and irrep_index == 0 and tol == RANK_TOL and pin.is_empty()
+            and fw.is_bar_joint() and spec is not None
+            and set(spec.active) == set(range(spec.order))):
         result = _base_flex_test(fw, tol)
         if result is not None:
             return result

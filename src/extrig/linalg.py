@@ -73,17 +73,17 @@ def numeric_rank(mat, tol: float = RANK_TOL, scale: float = None, shape: tuple =
     return _rank(_singular_values(mat), mat.shape if shape is None else shape, tol, scale)
 
 
-def rank_and_scale(mat, tol: float = RANK_TOL) -> tuple:
+def rank_and_scale(mat, tol: float = RANK_TOL, shape: tuple = None) -> tuple:
     """(numerical rank, largest singular value) of a dense matrix, from one
-    values-only SVD.  Passing that scale and ``mat``'s shape to
-    :func:`numeric_rank` cuts a set of ``mat``'s rows as ``mat`` itself is cut;
-    a row subset's singular values never exceed ``mat``'s (interlacing), so
-    its rank is then never above ``mat``'s."""
+    values-only SVD; ``shape`` is that of :func:`numeric_rank`.  Passing the
+    same scale and shape to :func:`numeric_rank` cuts a set of ``mat``'s rows
+    at the same threshold as ``mat``; a row subset's singular values never
+    exceed ``mat``'s (interlacing), so its rank is then never above ``mat``'s."""
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     if mat.size == 0:
         return 0, 0.0
     sigma = _singular_values(mat)
-    return _rank(sigma, mat.shape, tol), float(sigma[0])
+    return _rank(sigma, mat.shape if shape is None else shape, tol), float(sigma[0])
 
 
 def kernels(mat, tol: float = RANK_TOL, rank: int = None):

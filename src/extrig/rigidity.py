@@ -398,13 +398,16 @@ def _surviving_trivial_motions(gens, tol: float = RANK_TOL):
 
     The count is the rank of the generators less the rank of their pinned
     rows: the generator combinations that vanish on the pinned coordinates,
-    less those that vanish everywhere.  Both ranks are cut at the shape and
-    the largest singular value of all generators, from one SVD of them and
-    one of the pinned rows.  The pinned rows' singular values interlace below
-    the generators', so the count lies between 0 and their rank at every
-    ``tol``."""
-    full, scale = rank_and_scale(gens, tol)
-    return lambda rows: full - numeric_rank(gens[rows], tol, scale=scale, shape=gens.shape)
+    less those that vanish everywhere.  Both ranks are cut at one threshold,
+    tol * d(d+1)/2 * the largest singular value of all generators, from one
+    SVD of them and one of the pinned rows.  The pinned rows' singular values
+    interlace below the generators', so the count lies between 0 and their
+    rank at every ``tol``.  The threshold is taken on the generators' column
+    count, not their row count: a few pinned rows keep singular values of
+    the size of the configuration however many points it has."""
+    shape = (gens.shape[1], gens.shape[1])
+    full, scale = rank_and_scale(gens, tol, shape)
+    return lambda rows: full - numeric_rank(gens[rows], tol, scale=scale, shape=shape)
 
 
 def trivial_motion_dim(fw: Framework, pin: PinningSpec = EMPTY_PIN,

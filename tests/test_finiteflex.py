@@ -597,10 +597,10 @@ def test_finite_flex_test_matches_dense_sampling(monkeypatch, case):
     assert got.determination == determination
 
 
-def general_flex_test(fw):
+def general_flex_test(fw, tol=RANK_TOL):
     """finite_flex_test on the fully-symmetric subspace, passed in: a given
     subspace always takes the orbit-sampled path."""
-    return finite_flex_test(fw, subspace=symmetric_subspace(fw))
+    return finite_flex_test(fw, tol=tol, subspace=symmetric_subspace(fw, tol=tol))
 
 
 def outcome(call):
@@ -645,16 +645,42 @@ def test_base_path_matches_the_general_path(fw):
     assert outcome(lambda: finite_flex_test(fw)) == outcome(lambda: general_flex_test(fw))
 
 
-def test_below_the_rank_bound_the_base_path_hands_over():
-    fw = k4_extruded()
-    assert extrig.finiteflex._base_flex_test(fw, RANK_TOL) is None
-    assert finite_flex_test(fw) == general_flex_test(fw)
+@pytest.mark.parametrize("tol", [1e-3, 5e-2])
+def test_a_coarse_tolerance_takes_the_general_path(monkeypatch, tol):
+    # from 1e-3 the general path's cut of rank [T S] can give another
+    # rank_complete than the directions' rank does
+    fw = prism()
+    want = general_flex_test(fw, tol)
+    monkeypatch.setattr(extrig.finiteflex, "_base_flex_test", None)
+    assert finite_flex_test(fw, tol=tol) == want
 
 
-def test_an_edge_across_words_takes_the_general_path():
+def triangle_extruded():
+    return extruded([(0, 0), (2, 0.5), (0.4, 1.7)], [(0, 1), (1, 2), (0, 2)], [(1.3, 0.4)])
+
+
+def with_starred_point(fw):
+    """The framework with an isolated point q|*, fixed by the action."""
+    graph = PHGraph(points=fw.graph.points + (Vertex("q", "*"),), hyperplanes=(),
+                    edges_pp=fw.graph.edges_pp, extrusion_order=fw.graph.extrusion_order)
+    points = np.vstack([fw.config.points, np.full((1, fw.dim), 0.9)])
+    return Framework(graph, Configuration(fw.dim, points, fw.config.hyperplanes), fw.extrusion)
+
+
+HAND_OVERS = {
+    "below the rank bound": k4_extruded,
     # p0|0 - p1|1 and its image p0|1 - p1|0 have no member on copy-0 points
-    fw = with_extra_bars(extruded([(0, 0), (2, 0.5), (0.4, 1.7)], [(0, 1), (1, 2), (0, 2)],
-                                  [(1.3, 0.4)]), [("p0|0", "p1|1"), ("p0|1", "p1|0")])
+    "edge across words": lambda: with_extra_bars(triangle_extruded(),
+                                                 [("p0|0", "p1|1"), ("p0|1", "p1|0")]),
+    # the coordinates of q|* lie in the fully-symmetric subspace, yet no
+    # copy-0 row touches them
+    "starred point": lambda: with_starred_point(triangle_extruded()),
+}
+
+
+@pytest.mark.parametrize("name", HAND_OVERS)
+def test_the_base_path_hands_over(name):
+    fw = HAND_OVERS[name]()
     assert extrig.finiteflex._base_flex_test(fw, RANK_TOL) is None
     assert finite_flex_test(fw) == general_flex_test(fw)
 
