@@ -54,8 +54,7 @@ from .linalg import (CONTAINMENT_TOL, RANK_TOL, intersect_columns, nullspace, nu
 from .rigidity import (CoordinateIndex, EMPTY_PIN, PinningSpec, RowLayout, trivial_motion_basis,
                        trivial_motion_dim)
 from .symmetry import block_decompose  # noqa: F401  (perfbench traces it under this name)
-from .symmetry import (build_reps, check_extrusion_symmetry, decompose_character,
-                       symmetry_adapted_basis)
+from .symmetry import build_reps, copy_zero_rows
 
 FINITE_FLEX_CERTIFIED = "FiniteFlexCertified"
 NO_SYMMETRIC_FLEX = "NoSymmetricFlex"
@@ -198,8 +197,7 @@ def symmetric_subspace(fw: Framework, pin: PinningSpec = EMPTY_PIN, irrep_index:
     """
     reps = build_reps(fw, pin)
     index = reps.index
-    freedoms = decompose_character(reps.external.traces(), reps.elements)
-    basis = symmetry_adapted_basis(reps.external, freedoms)[irrep_index].dense()
+    basis = reps.external_bases[irrep_index].dense()
     if not fw.is_bar_joint():
         wg = parallel_respecting_basis(fw, index, tol)
         if wg.shape[1] < index.size:
@@ -338,7 +336,7 @@ def _determination(regular: bool, rank_graph: int, rank_complete: int) -> str:
     return FINITE_FLEX_CERTIFIED if rank_graph < rank_complete else NO_SYMMETRIC_FLEX
 
 
-def _base_flex_test(fw: Framework, tol: float):
+def _base_flex_test(fw: Framework, tol: float, pin: PinningSpec = EMPTY_PIN):
     """The fully-symmetric certificate of an unpinned bar-joint extrusion
     with every direction active, read off the copy-0 points; None where the
     orbit-sampled path has to decide.
@@ -349,31 +347,26 @@ def _base_flex_test(fw: Framework, tol: float):
     values of the base rows on the copy-0 columns: the orbit rigidity
     matrix of rho_0 (Schulze & Whiteley 2011).  They are cut as
     :class:`_OrbitSampler` cuts them, on the shape of J S and |J|_F.  At the
-    rank bound min(base rows, dim S) the configuration is regular; below it,
-    when an edge joins copies of two base points across words (its orbit has
-    no copy-0 member), or when a point carries a star (the action fixes it,
-    so its coordinates lie in S but off the copy-0 columns), None.  The
-    trivial motions in S are the translations and the rotations W with
-    W tau_h = 0 for every direction, (d - r)(d - r - 1)/2 of them for
-    r = rank of the directions, so the complete graph's rank
+    rank bound min(base rows, dim S) the configuration is regular; below
+    it, and wherever :func:`~extrig.symmetry.copy_zero_rows` hands over (a
+    pinning, an inactive direction, a starred point, an edge across
+    words), None.  The trivial motions in S are the translations and the
+    rotations W with W tau_h = 0 for every direction, (d - r)(d - r - 1)/2
+    of them for r = rank of the directions, so the complete graph's rank
     dim S - dim(S n T) needs no SVD of [T S].
     """
-    check_extrusion_symmetry(fw)
-    graph, d = fw.graph, fw.dim
-    n, t = len(graph.points), graph.extrusion_order
-    if (graph.steps[:n] == 0).any():
+    found = copy_zero_rows(fw, pin)
+    if found is None:
         return None
-    layout = RowLayout(graph, d, include_parallel=False)
+    layout, first, copy = found
+    d, t = fw.dim, fw.graph.extrusion_order
     m = layout.shape[0]
-    copy_rows = int(np.count_nonzero(layout.flip < t))   # ValueError as build_reps raises it
-    on_base = np.repeat((graph.steps[:n] > 0).all(axis=1), d)   # columns of all-zero words
+    base_row = np.zeros(m, dtype=bool)   # both ends on copy-0 points
+    base_row[first[layout.flip[first] == t]] = True
+    on_base = np.repeat(copy == 0, d)   # columns of the copy-0 points
     row, col, value = layout.nonzeros(fw.config.points, fw.config.hyperplanes, scaled=True)
-    base_row = np.ones(m, dtype=bool)
-    base_row[row[~on_base[col]]] = False
-    rows = int(np.count_nonzero(base_row))
-    if rows << t != m - copy_rows:
-        return None
     kept = base_row[row]
+    rows = int(np.count_nonzero(base_row))
     mat = np.zeros((rows, int(np.count_nonzero(on_base))))
     mat[(np.cumsum(base_row) - 1)[row[kept]], (np.cumsum(on_base) - 1)[col[kept]]] = value[kept]
     dim = mat.shape[1]
@@ -415,11 +408,8 @@ def finite_flex_test(fw: Framework, pin: PinningSpec = EMPTY_PIN, irrep_index: i
         raise ValueError("points and hyperplanes do not affinely span the ambient space")
     if not complete_kernel_check(fw, tol):
         raise ValueError("the complete decorated graph has motions beyond the trivial ones")
-    spec = fw.extrusion
-    if (subspace is None and irrep_index == 0 and tol == RANK_TOL and pin.is_empty()
-            and fw.is_bar_joint() and spec is not None
-            and set(spec.active) == set(range(spec.order))):
-        result = _base_flex_test(fw, tol)
+    if subspace is None and irrep_index == 0 and tol == RANK_TOL:
+        result = _base_flex_test(fw, tol, pin)
         if result is not None:
             return result
     sub = subspace

@@ -60,6 +60,8 @@ class ExtrusionSpec:
         act = tuple(range(len(dirs))) if self.active is None else tuple(self.active)
         if any(h < 0 or h >= len(dirs) for h in act):
             raise ValueError("active direction index out of range")
+        if len(set(act)) != len(act):
+            raise ValueError("duplicate active direction index")
         object.__setattr__(self, "active", act)
 
     @property

@@ -455,7 +455,7 @@ def infinitesimal_analysis(fw: Framework, pin: PinningSpec = EMPTY_PIN,
     rig = rigidity_matrix(fw, pin)
     rows, cols = rig.shape
     rank = rig.rank(tol)
-    trivial = trivial_motion_dim(fw, pin, tol)
+    trivial = _surviving_trivial_motions(trivial_motion_generators(fw), tol)(~rig.index.keep)
     return InfinitesimalAnalysis(rank=rank, nullity=cols - rank, trivial_dim=trivial,
                                  flex_dim=cols - rank - trivial, stress_dim=rows - rank,
                                  matrix=rig.matrix)

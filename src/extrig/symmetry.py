@@ -22,6 +22,11 @@ representative row, whose at most 2(d+1) nonzeros come from the row table,
 times the orbit sums of A_i; this is the orbit rigidity matrix of Schulze &
 Whiteley (2011) per irreducible.  Neither R nor a basis is formed densely;
 vectors are scattered to full coordinates only where a caller reads them.
+
+An unpinned bar-joint extrusion needs neither representation: every orbit
+is free, so block chi_S is [R_base ; sqrt(2) D_S], read off the rows from
+its copy-0 points (:func:`copy_zero_rows`), and a kernel vector x_v lifts
+to chi_S(w) x_v / 2^{t/2} on copy w.
 """
 from __future__ import annotations
 
@@ -196,13 +201,37 @@ def coordinate_action(fw: Framework, elements) -> PermutationRep:
 
 @dataclass
 class RepBundle:
-    """External and internal representations on the pinned spaces."""
+    """The group elements, coordinate index and constraint rows of a (pinned)
+    framework; both representations and their isotypic bases are built on
+    first read."""
 
+    fw: Framework
     elements: list
-    external: PermutationRep   # on the pinned coordinates
-    internal: PermutationRep   # on the constraint rows
     index: CoordinateIndex
     layout: RowLayout          # the constraint rows
+
+    @cached_property
+    def external(self) -> PermutationRep:
+        """On the pinned coordinates."""
+        return coordinate_action(self.fw, self.elements).restrict(self.index.keep)
+
+    @cached_property
+    def internal(self) -> PermutationRep:
+        """On the constraint rows."""
+        target, sign = map(np.array, zip(*self.layout.action(self.elements)))
+        return PermutationRep(self.elements, target, sign, np.arange(self.layout.shape[0]))
+
+    @cached_property
+    def external_bases(self) -> OrbitBases:
+        """A_i, orthonormal columns in pinned coordinates."""
+        rep = self.external
+        return symmetry_adapted_basis(rep, decompose_character(rep.traces(), self.elements))
+
+    @cached_property
+    def internal_bases(self) -> OrbitBases:
+        """B_i, on the constraint rows."""
+        rep = self.internal
+        return symmetry_adapted_basis(rep, decompose_character(rep.traces(), self.elements))
 
 
 def build_reps(fw: Framework, pin: PinningSpec = EMPTY_PIN,
@@ -219,13 +248,9 @@ def build_reps(fw: Framework, pin: PinningSpec = EMPTY_PIN,
     if check_symmetry:
         check_extrusion_symmetry(fw)
     _check_ph_hypothesis(fw, pin, active)
-    index = CoordinateIndex(fw, pin)
-    external = coordinate_action(fw, elements).restrict(index.keep)
-    layout = RowLayout(fw.graph, fw.dim, pin)
-    target, sign = map(np.array, zip(*layout.action(elements)))
-    internal = PermutationRep(elements, target, sign, np.arange(layout.shape[0]))
-    return RepBundle(elements=elements, external=external, internal=internal,
-                     index=index, layout=layout)
+    reps = RepBundle(fw, elements, CoordinateIndex(fw, pin), RowLayout(fw.graph, fw.dim, pin))
+    reps.external, reps.internal   # raise here when the pinning or a row breaks the action
+    return reps
 
 
 def intertwining_residual(fw: Framework, pin: PinningSpec = EMPTY_PIN) -> float:
@@ -502,19 +527,41 @@ def symmetry_adapted_basis(rep: PermutationRep, expected) -> OrbitBases:
 
 @dataclass
 class BlockDecomposition:
-    """Symmetry-adapted change of basis B^T R A and its diagonal blocks."""
+    """Symmetry-adapted change of basis B^T R A and its diagonal blocks.
 
-    reps: RepBundle             # the representations, index and rows it was built from
+    ``reps`` holds the elements, coordinate index and rows the blocks were
+    read from; the bases A_i and B_i are read from it, and built on the
+    first read where the blocks did not need them.
+    """
+
+    reps: RepBundle
     freedoms: np.ndarray        # lambda_i
     constraints: np.ndarray     # mu_i
-    external_bases: OrbitBases  # A_i, orthonormal columns in pinned coordinates
-    internal_bases: OrbitBases  # B_i
     blocks: list                # mu_i x lambda_i
     offdiag_residual: float
+    copies: tuple = None        # copy-0 blocks: per coordinate, its column and chi_i(copy) / 2^{t/2}
+
+    @property
+    def external_bases(self) -> OrbitBases:
+        """A_i, orthonormal columns in pinned coordinates."""
+        return self.reps.external_bases
+
+    @property
+    def internal_bases(self) -> OrbitBases:
+        """B_i."""
+        return self.reps.internal_bases
 
     @property
     def block_shapes(self):
         return [b.shape for b in self.blocks]
+
+    def lift(self, i, coeff) -> np.ndarray:
+        """A_i times block-i coefficients, in full coordinates."""
+        if self.copies is None:
+            return self.reps.index.scatter(self.external_bases[i] @ coeff)
+        column, chi = self.copies
+        # 0.0 + turns a -0.0 product into 0.0, as IsotypicBasis.__matmul__'s sum from zero does
+        return self.reps.index.scatter(0.0 + chi[i][:, None] * coeff[column])
 
 
 def block_decompose(fw: Framework, pin: PinningSpec = EMPTY_PIN) -> BlockDecomposition:
@@ -523,16 +570,29 @@ def block_decompose(fw: Framework, pin: PinningSpec = EMPTY_PIN) -> BlockDecompo
     R intertwines the representations and B_i holds one signed orbit sum per
     row orbit, so block i's row for orbit r is sqrt(|r|) times the
     representative row of r, times A_i: the orbit rigidity matrix of each
-    irreducible (Schulze & Whiteley 2011).  R, A_i and B_i are never formed;
-    each representative row has at most 2(d+1) nonzeros.  The off-diagonal
-    residual max |B_j^T R A_i| (j != i) / max |R| is evaluated from the
-    nonzeros of all rows (:func:`_offdiag_residual`).
+    irreducible (Schulze & Whiteley 2011).  An unpinned bar-joint extrusion
+    that :func:`copy_zero_rows` accepts has its blocks read off the copy-0
+    rows (:func:`_copy_zero_blocks`); every other framework takes the orbit
+    path (:func:`_orbit_blocks`).  Both give the same blocks, bit for bit,
+    and raise the same errors.
+    """
+    found = copy_zero_rows(fw, pin)
+    if found is None:
+        return _orbit_blocks(fw, pin)
+    return _copy_zero_blocks(fw, *found)
+
+
+def _orbit_blocks(fw: Framework, pin: PinningSpec = EMPTY_PIN) -> BlockDecomposition:
+    """The blocks from the isotypic bases of both representations.
+
+    R, A_i and B_i are never formed; each representative row has at most
+    2(d+1) nonzeros.  The off-diagonal residual max |B_j^T R A_i| (j != i)
+    / max |R| is evaluated from the nonzeros of all rows
+    (:func:`_offdiag_residual`).
     """
     reps = build_reps(fw, pin)
-    lam = decompose_character(reps.external.traces(), reps.elements)
-    mu = decompose_character(reps.internal.traces(), reps.elements)
-    ext = symmetry_adapted_basis(reps.external, lam)
-    itn = symmetry_adapted_basis(reps.internal, mu)
+    ext, itn = reps.external_bases, reps.internal_bases
+    lam, mu = ext.widths, itn.widths
     row, col, value = reps.layout.nonzeros(fw.config.points, fw.config.hyperplanes)
     kept = reps.index.keep[col]
     row, col, value = row[kept], (np.cumsum(reps.index.keep) - 1)[col[kept]], value[kept]
@@ -549,9 +609,125 @@ def block_decompose(fw: Framework, pin: PinningSpec = EMPTY_PIN) -> BlockDecompo
     blocks = [filled[offsets[i]:offsets[i + 1]].reshape(mu[i], lam[i]) for i in range(len(lam))]
     scale = np.abs(value).max(initial=0.0)
     resid = _offdiag_residual(ext, itn, row, col, value)
-    return BlockDecomposition(reps=reps, freedoms=lam, constraints=mu,
-                              external_bases=ext, internal_bases=itn, blocks=blocks,
+    return BlockDecomposition(reps=reps, freedoms=lam, constraints=mu, blocks=blocks,
                               offdiag_residual=resid / scale if scale else resid)
+
+
+def copy_zero_rows(fw: Framework, pin: PinningSpec = EMPTY_PIN):
+    """``(layout, rows, copy)`` for an unpinned bar-joint extrusion whose row
+    orbits all meet its copy-0 points; None where the orbit path decides.
+
+    The framework qualifies when it has an extrusion spec with every
+    direction active, no pinning, no hyperplane, no starred point (the
+    action fixes one, so no copy-0 row reaches its coordinates), and no
+    edge across words: one joining copies of two base points with different
+    words has an orbit with no member on copy-0 points.  Then every orbit
+    of the action is free.  ``copy`` gives each point's word read in binary,
+    direction 0 first; the copy-0 points are those with copy 0.  ``layout``
+    is the graph's :class:`RowLayout` (a bar-joint graph's rows are its pp
+    edges, in :attr:`PHGraph.edge_ends` order), and ``rows`` its rows from a
+    copy-0 point, ascending: one per base edge, both ends on copy 0, and one
+    per copy-0 point and direction, the copy edge to the copy across it.
+    Each is the first row of its orbit.
+
+    The symmetry gate runs before the layout's flip coordinates are read,
+    so a framework raises what :func:`build_reps` raises, in its order:
+    :class:`SymmetryPreconditionError` off symmetry, then ValueError for an
+    edge joining copies that differ in two directions.
+    """
+    spec, graph = fw.extrusion, fw.graph
+    if (spec is None or not pin.is_empty() or not fw.is_bar_joint()
+            or set(spec.active) != set(range(spec.order)) or (graph.steps == 0).any()):
+        return None
+    t = spec.order
+    copy = (graph.steps < 0) @ (1 << np.arange(t - 1, -1, -1))
+    start = np.arange(len(copy)) - copy   # the copy-0 point of each point's base
+    lo, hi = graph.edge_ends[0].T
+    if ((start[lo] != start[hi]) & (copy[lo] != copy[hi])).any():
+        return None
+    check_extrusion_symmetry(fw)
+    layout = RowLayout(graph, fw.dim)
+    layout.flip   # ValueError for copies differing in two directions, as build_reps raises it
+    return layout, np.flatnonzero(copy[lo] == 0), copy
+
+
+def _copy_zero_blocks(fw: Framework, layout: RowLayout, rows, copy) -> BlockDecomposition:
+    """The blocks of an unpinned bar-joint extrusion from its copy-0 rows.
+
+    Every orbit is free, so A_i takes the coordinates x_v of the copy-0
+    points to chi_i(w) x_v / 2^{t/2} on each copy w, and block i is the
+    orbit rigidity matrix [R_base ; sqrt(2) D_S]: the rows of ``rows`` on
+    the copy-0 columns, a copy edge's only for the directions S that
+    chi_i negates.  The entries are scaled with the floating-point
+    operations of :func:`_orbit_blocks`, so the blocks are the same bit for
+    bit.  The off-diagonal residual comes from :func:`_copy_zero_residual`.
+    """
+    graph, d, t = fw.graph, fw.dim, fw.graph.extrusion_order
+    elements = active_elements(fw)
+    table = character_matrix(elements)
+    flip = layout.flip[rows]
+    on_copy = flip < t
+    row, col, value = layout.nonzeros(fw.config.points, fw.config.hyperplanes)
+    point = col // d
+    # a row's orbit: the element of its lower end's copy takes it to the orbit's first row
+    lo, hi = graph.edge_ends[0].T
+    n, shift = len(copy), copy[lo]
+    orbit = np.searchsorted(lo[rows] * n + hi[rows], (lo - shift) * n + hi - shift)[row]
+    # each coordinate's column: that of x_v for its point's copy-0 point v
+    column = ((np.cumsum(copy == 0) - 1)[:, None] * d + np.arange(d)).reshape(-1)
+    width = d * int(np.count_nonzero(copy == 0))
+    kept = (shift[row] == 0) & (copy[point] == 0)
+    r, at = orbit[kept], orbit[kept] * width + column[col[kept]]
+    # a copy edge's orbit has half the rows; the other end of its row lies in
+    # the same coordinate orbit and adds the same product once more
+    size = np.where(on_copy, 2 ** (t - 1), 2 ** t)[r]
+    product = np.sqrt(size) * value[kept] * (1.0 / np.sqrt(2 ** t))
+    twice = on_copy[r]
+    filled = np.bincount(np.concatenate([at, at[twice]]),
+                         np.concatenate([product, product[twice]]),
+                         minlength=len(rows) * width).reshape(len(rows), width)
+    flips = np.array(elements, dtype=bool)
+    member = ~on_copy | flips[:, np.where(on_copy, flip, 0)]
+    blocks = [filled[m] for m in member]
+
+    end = point == lo[row]   # each row's vector at its lower end, by orbit and copy
+    edges = np.zeros((len(rows), len(elements), d))
+    edges[orbit[end], copy[point[end]], col[end] - d * point[end]] = value[end]
+    scale = np.abs(value).max(initial=0.0)
+    resid = _copy_zero_residual(table, edges, flip)
+    chi = np.repeat(table[:, copy] / np.sqrt(2 ** t), d, axis=1)
+    return BlockDecomposition(reps=RepBundle(fw, elements, CoordinateIndex(fw), layout),
+                              freedoms=np.full(len(elements), width),
+                              constraints=member.sum(axis=1), blocks=blocks,
+                              offdiag_residual=resid / scale if scale else resid,
+                              copies=(column, chi))
+
+
+def _copy_zero_residual(table, edges, flip) -> float:
+    """max |B_j^T R A_i| over j != i for :func:`_copy_zero_blocks`, by a
+    character-table (Hadamard) transform of the edge vectors over the copies.
+
+    ``edges[o, w]`` is the vector, at its lower end, of row orbit o's row
+    whose lower end lies on copy w (zero where there is none), and
+    ``flip[o]`` the direction h of a copy edge's orbit (t for a base edge).
+    That row has e_w at its lower end and -e_w at its upper end.  A base
+    edge's ends lie in two coordinate orbits, so each of its (j, i)
+    entries is +-sum_w chi_j(w) chi_i(w) e_w / sqrt(|o| 2^t).  A copy edge's
+    ends are copies of one point: A_i cancels the two unless chi_i negates
+    e_h, and doubles them if it does, and B_j holds the orbit only if chi_j
+    negates e_h.  With chi_j chi_i = chi_g for g = i + j, the entries off the
+    diagonal are sum_w chi_g(w) e_w times 1 or 2 over sqrt(|o| 2^t), for g
+    other than 0 and, for a copy edge, other than e_h: only the copies with
+    w_h = 0 hold its rows, so the sum is the same at g and g + e_h.
+    """
+    count, t = len(table), len(table).bit_length() - 1
+    spectrum = np.abs(table @ edges).max(axis=2)
+    on_copy = flip < t
+    off = np.ones(spectrum.shape, dtype=bool)
+    off[:, 0] = False
+    off[on_copy, 1 << (t - 1 - flip[on_copy])] = False
+    factor = np.where(on_copy, 2.0, 1.0) / np.sqrt(np.where(on_copy, count // 2, count) * count)
+    return float((spectrum * factor[:, None])[off].max(initial=0.0))
 
 
 def _offdiag_residual(ext: OrbitBases, itn: OrbitBases, row, col, value) -> float:
@@ -657,7 +833,7 @@ def fowler_guest_count(fw: Framework, pin: PinningSpec = EMPTY_PIN,
     for i, block in enumerate(dec.blocks):
         kern = nullspace(block, tol, scale, shape)
         flex_dims[i] = kern.shape[1]
-        flexes[i] = dec.reps.index.scatter(dec.external_bases[i] @ kern)
+        flexes[i] = dec.lift(i, kern)
         stress_dims[i] = block.shape[0] - (block.shape[1] - kern.shape[1])
     caveats = []
     if fw.dim >= 3:

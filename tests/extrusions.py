@@ -10,8 +10,9 @@ from extrig.rigidity import EMPTY_PIN, hyperplane_pinning
 
 
 @st.composite
-def random_bar_joint_extrusions(draw):
-    """A generic bar-joint base of 2..5 points with random bars, extruded t <= 3 times."""
+def random_bar_joint_bases(draw):
+    """``(base, directions)``: a generic bar-joint base of 2..5 points with
+    random bars in d = 2, 3, and t <= 3 extrusion directions."""
     d = draw(st.integers(2, 3))
     n = draw(st.integers(2, 5))
     t = draw(st.integers(1, 3))
@@ -20,7 +21,44 @@ def random_bar_joint_extrusions(draw):
     bars = tuple(e for e in itertools.combinations(pts, 2) if draw(st.booleans()))
     base = Framework(PHGraph(points=tuple(pts), hyperplanes=(), edges_pp=bars),
                      Configuration(d, rng.normal(size=(n, d)), np.zeros((0, d + 1))))
-    return extrude_framework(base, rng.normal(size=(t, d)))
+    return base, rng.normal(size=(t, d))
+
+
+def random_bar_joint_extrusions():
+    """A generic bar-joint base of 2..5 points with random bars, extruded t <= 3 times."""
+    return random_bar_joint_bases().map(lambda drawn: extrude_framework(*drawn))
+
+
+def extruded(base_points, bars, directions):
+    """Bar-joint framework on points p0.. with bars between the index pairs, extruded."""
+    pts = tuple(Vertex(f"p{i}") for i in range(len(base_points)))
+    d = len(base_points[0])
+    base = Framework(PHGraph(points=pts, hyperplanes=(),
+                             edges_pp=tuple((pts[i], pts[j]) for i, j in bars)),
+                     Configuration(d, np.array(base_points, dtype=float), np.zeros((0, d + 1))))
+    return extrude_framework(base, directions)
+
+
+def triangle_extruded(directions=((1.3, 0.4),)):
+    return extruded([(0, 0), (2, 0.5), (0.4, 1.7)], [(0, 1), (1, 2), (0, 2)], directions)
+
+
+def with_extra_bars(fw, pairs):
+    """The framework with bars added between the labelled vertices (a symmetric set)."""
+    by_label = {v.label: v for v in fw.graph.points}
+    extra = tuple((by_label[a], by_label[b]) for a, b in pairs)
+    graph = PHGraph(points=fw.graph.points, hyperplanes=(), edges_pp=fw.graph.edges_pp + extra,
+                    extrusion_order=fw.graph.extrusion_order)
+    return Framework(graph, fw.config, fw.extrusion)
+
+
+def with_starred_point(fw):
+    """The framework with an isolated point q|*, fixed by the action."""
+    graph = PHGraph(points=fw.graph.points + (Vertex("q", "*" * fw.graph.extrusion_order),),
+                    hyperplanes=(), edges_pp=fw.graph.edges_pp,
+                    extrusion_order=fw.graph.extrusion_order)
+    points = np.vstack([fw.config.points, np.full((1, fw.dim), 0.9)])
+    return Framework(graph, Configuration(fw.dim, points, fw.config.hyperplanes), fw.extrusion)
 
 
 @st.composite

@@ -53,8 +53,9 @@ def counts(monkeypatch):
 CALLS = {
     "fowler_guest_count": (lambda: fowler_guest_count(prism()),
                            {"CoordinateIndex": 1, "RowLayout": 1, "PHGraph.act": 2 * 6}),
+    # the trivial-motion count reads the rigidity matrix's own index
     "infinitesimal_analysis": (lambda: infinitesimal_analysis(prism()),
-                               {"CoordinateIndex": 2, "RowLayout": 1}),
+                               {"CoordinateIndex": 1, "RowLayout": 1}),
     # the report's check and the block decomposition's gate share one pass;
     # its rank line reads the blocks, and only the trivial motions index again
     "build_report": (prism_twofold_report, {"CoordinateIndex": 2, "RowLayout": 1,

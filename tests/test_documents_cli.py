@@ -404,6 +404,7 @@ MALFORMED = {   # name -> (gallery document, mutation)
     "edge_end_integer": ("prism", _set(("edges", 0, "u"), 5)),
     "word_character": ("prism", _rename("p1|0", "p1|x")),
     "active_out_of_range": ("prism", _set(("extrusion", "active"), [5])),
+    "active_duplicate": ("prism", _set(("extrusion", "active"), [0, 0])),
     "active_string": ("prism", _set(("extrusion", "active"), ["0"])),
     "fixed_set_nested": ("prism", _set(("extrusion", "fixed_sets"), [[["p1"]]])),
     "fixed_set_disagrees_with_stars": ("point_line_extruded_fixed",

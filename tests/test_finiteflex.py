@@ -24,8 +24,9 @@ from extrig.rigidity import (EMPTY_PIN, PinningSpec, minimal_pinning, rigidity_m
                              trivial_motion_basis)
 from extrig.symmetry import SymmetryPreconditionError, block_decompose
 from coordinate_labels import coordinate_labels
-from extrusions import (degenerate_point_hyperplane_extrusions, random_bar_joint_extrusions,
-                        random_point_hyperplane_extrusions)
+from extrusions import (degenerate_point_hyperplane_extrusions, extruded,
+                        random_bar_joint_extrusions, random_point_hyperplane_extrusions,
+                        triangle_extruded, with_extra_bars, with_starred_point)
 from flex_oracles import (block_rank_at, complete_graph_oracle, complete_kernel_excess,
                           dense_regularity, restricted_rank_oracle, sampled_regularity)
 
@@ -611,29 +612,10 @@ def outcome(call):
         return type(exc), str(exc)
 
 
-def extruded(base_points, bars, directions):
-    """Bar-joint framework on points p0.. with bars between the index pairs, extruded."""
-    pts = tuple(Vertex(f"p{i}") for i in range(len(base_points)))
-    d = len(base_points[0])
-    base = Framework(PHGraph(points=pts, hyperplanes=(),
-                             edges_pp=tuple((pts[i], pts[j]) for i, j in bars)),
-                     Configuration(d, np.array(base_points, dtype=float), np.zeros((0, d + 1))))
-    return extrude_framework(base, directions)
-
-
 def k4_extruded():
     # K4 in the plane has rank 5 < min(6 base rows, dim S = 8): below the bound
     return extruded([(0, 0), (3, 0.2), (1, 2.5), (2.2, 1.1)],
                     [(i, j) for i in range(4) for j in range(i + 1, 4)], [(0.7, 1.9)])
-
-
-def with_extra_bars(fw, pairs):
-    """The framework with bars added between the labelled vertices (a symmetric set)."""
-    by_label = {v.label: v for v in fw.graph.points}
-    extra = tuple((by_label[a], by_label[b]) for a, b in pairs)
-    graph = PHGraph(points=fw.graph.points, hyperplanes=(), edges_pp=fw.graph.edges_pp + extra,
-                    extrusion_order=fw.graph.extrusion_order)
-    return Framework(graph, fw.config, fw.extrusion)
 
 
 @settings(max_examples=300, deadline=None)
@@ -653,18 +635,6 @@ def test_a_coarse_tolerance_takes_the_general_path(monkeypatch, tol):
     want = general_flex_test(fw, tol)
     monkeypatch.setattr(extrig.finiteflex, "_base_flex_test", None)
     assert finite_flex_test(fw, tol=tol) == want
-
-
-def triangle_extruded():
-    return extruded([(0, 0), (2, 0.5), (0.4, 1.7)], [(0, 1), (1, 2), (0, 2)], [(1.3, 0.4)])
-
-
-def with_starred_point(fw):
-    """The framework with an isolated point q|*, fixed by the action."""
-    graph = PHGraph(points=fw.graph.points + (Vertex("q", "*"),), hyperplanes=(),
-                    edges_pp=fw.graph.edges_pp, extrusion_order=fw.graph.extrusion_order)
-    points = np.vstack([fw.config.points, np.full((1, fw.dim), 0.9)])
-    return Framework(graph, Configuration(fw.dim, points, fw.config.hyperplanes), fw.extrusion)
 
 
 HAND_OVERS = {

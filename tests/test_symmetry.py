@@ -1,12 +1,14 @@
 import itertools
 from importlib import resources
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import extrig.rigidity
 import extrig.symmetry
+from closed_blocks import closed_blocks
 from dense_blocks import dense_block_decompose
 from extrusion_oracles import extrusion_coordinate, extrusion_displacement, word_add
 from extrig import documents
@@ -19,16 +21,19 @@ from extrig.fixtures import (constrained_cube_pinned, point_line_extruded,
 from extrig.graphs import PHGraph, Vertex, group_elements, subgroup_elements
 from extrig.cli import build_report
 from extrig.linalg import RANK_TOL, numeric_rank
-from extrig.rigidity import (EMPTY_PIN, CoordinateIndex, RowLayout, infinitesimal_analysis,
-                             rigidity_matrix)
-from extrig.symmetry import (PermutationRep, SymmetryPreconditionError, active_elements,
-                             block_decompose, build_reps, coordinate_action,
+from extrig.rigidity import (EMPTY_PIN, CoordinateIndex, PinningSpec, RowLayout,
+                             infinitesimal_analysis, rigidity_matrix)
+from extrig.symmetry import (PermutationRep, SymmetryPreconditionError, _orbit_blocks,
+                             active_elements, block_decompose, build_reps, coordinate_action,
+                             copy_zero_rows,
                              character_matrix, character_of, character_rows,
                              decompose_character, fowler_guest_count,
                              intertwining_residual, irreducible_characters,
                              symmetry_adapted_basis,
                              translation_character)
-from extrusions import random_bar_joint_extrusions, random_point_hyperplane_extrusions
+from extrusions import (extruded, random_bar_joint_bases, random_bar_joint_extrusions,
+                        random_point_hyperplane_extrusions, triangle_extruded,
+                        with_extra_bars, with_starred_point)
 
 SYMMETRIC_CASES = [
     ("prism", lambda: (prism(), EMPTY_PIN)),
@@ -603,3 +608,115 @@ def test_verdicts_survive_hyperplane_rescaling(scale):
         assert verdict(normalize_hyperplanes(fw), pin) == before, name
         scaled = Configuration(fw.dim, fw.config.points, scale * fw.config.hyperplanes)
         assert verdict(Framework(fw.graph, scaled, fw.extrusion), pin) == before, name
+
+
+# -- the copy-0 blocks of an unpinned bar-joint extrusion ----------------------
+
+
+def bits(value):
+    """``value`` with every array replaced by its dtype, shape and bytes."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, dict):
+        return {key: bits(v) for key, v in value.items()}
+    return value
+
+
+def orbit_path(fw, pin=EMPTY_PIN):
+    """The block decomposition and the mobility report of the orbit path,
+    which block_decompose hands every framework copy_zero_rows refuses."""
+    with mock.patch.object(extrig.symmetry, "block_decompose", _orbit_blocks):
+        return _orbit_blocks(fw, pin), fowler_guest_count(fw, pin)
+
+
+def copy_class_pinning():
+    """The extruded triangle with coordinate 0 pinned on both copies of p0."""
+    fw = triangle_extruded()
+    return fw, PinningSpec(coords={(v, 0) for v in fw.graph.points if v.base == "p0"})
+
+
+def inactive_direction():
+    fw = triangle_extruded(((1.3, 0.4), (-0.2, 1.1)))
+    return Framework(fw.graph, fw.config, ExtrusionSpec(fw.extrusion.directions, active=(0,)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=random_bar_joint_extrusions().map(lambda fw: (fw, EMPTY_PIN)), hand_over=st.just(False))
+@example(case=(with_starred_point(triangle_extruded()), EMPTY_PIN), hand_over=True)
+@example(case=(with_extra_bars(triangle_extruded(), [("p0|0", "p1|1"), ("p0|1", "p1|0")]),
+               EMPTY_PIN), hand_over=True)
+@example(case=copy_class_pinning(), hand_over=True)
+@example(case=(inactive_direction(), EMPTY_PIN), hand_over=True)
+def test_copy_zero_blocks_equal_the_orbit_blocks(case, hand_over):
+    """Blocks, detected flexes and every integer field are the same bits on
+    both paths; the residuals, summed in another order, agree to round-off.
+    A starred point, an edge across words, a pinning and an inactive
+    direction hand over to the orbit path."""
+    fw, pin = case
+    with mock.patch.object(extrig.symmetry, "_orbit_blocks", wraps=_orbit_blocks) as spy:
+        dec = block_decompose(fw, pin)
+        mob = fowler_guest_count(fw, pin)
+    assert spy.called == hand_over
+    assert (dec.copies is None) == hand_over
+    ref, ref_mob = orbit_path(fw, pin)
+    assert [bits(b) for b in dec.blocks] == [bits(b) for b in ref.blocks]
+    assert np.array_equal(dec.freedoms, ref.freedoms)
+    assert np.array_equal(dec.constraints, ref.constraints)
+    fields = [f for f in vars(mob) if f != "offdiag_residual"]
+    assert {f: bits(getattr(mob, f)) for f in fields} == {f: bits(getattr(ref_mob, f)) for f in fields}
+    mine, theirs = dec.offdiag_residual, ref.offdiag_residual
+    assert max(mine, theirs) <= 1e-12 or mine == pytest.approx(theirs, rel=1e-6)
+
+
+def test_copy_zero_path_reads_the_bases_only_on_request():
+    fw = prism_twofold()
+    dec = block_decompose(fw)
+    assert dec.copies is not None and "external" not in vars(dec.reps)
+    ref = _orbit_blocks(fw)
+    for mine, theirs in ((dec.external_bases, ref.external_bases),
+                         (dec.internal_bases, ref.internal_bases)):
+        assert all(np.array_equal(mine[i].dense(), theirs[i].dense()) for i in range(len(mine)))
+
+
+def moved_prism():
+    points = prism().config.points.copy()
+    points[0] += (1e-3, 0.0)
+    return Framework(prism().graph, Configuration(2, points, np.zeros((0, 3))), prism().extrusion)
+
+
+PRECONDITION_FAILURES = {
+    "off symmetry": moved_prism,
+    "copy edge across two directions": lambda: with_extra_bars(
+        extruded([(0, 0), (2, 0.5), (0.4, 1.7)], [(0, 1), (1, 2)], [(1.3, 0.4), (-0.2, 1.1)]),
+        [("p0|00", "p0|11"), ("p0|01", "p0|10")]),
+}
+
+
+@pytest.mark.parametrize("name", PRECONDITION_FAILURES)
+def test_precondition_failures_raise_alike_on_both_paths(name):
+    fw = PRECONDITION_FAILURES[name]()
+    raised = []
+    for call in (copy_zero_rows, block_decompose, _orbit_blocks):
+        with pytest.raises(ValueError) as caught:
+            call(fw)
+        raised.append((type(caught.value), str(caught.value)))
+    assert raised[0] == raised[1] == raised[2]
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_bar_joint_bases())
+def test_blocks_match_the_closed_form(drawn):
+    """Each block has the shape, the singular values (to round-off) and the
+    rank of [R_base ; sqrt(2) D_S], built from the base and the directions."""
+    base, directions = drawn
+    fw = extrude_framework(base, directions)
+    dec, mob = block_decompose(fw), fowler_guest_count(fw)
+    oracle = closed_blocks(base, directions)
+    shape = (sum(b.shape[0] for b in oracle), sum(b.shape[1] for b in oracle))
+    scale = max(np.linalg.norm(b, 2) for b in oracle if b.size)
+    assert dec.block_shapes == [b.shape for b in oracle]
+    for i, (mine, ref) in enumerate(zip(dec.blocks, oracle)):
+        if ref.size:
+            gap = np.linalg.svd(mine, compute_uv=False) - np.linalg.svd(ref, compute_uv=False)
+            assert np.abs(gap).max() <= 1e-12 * scale
+        assert mob.detected_flex_dims[i] == ref.shape[1] - numeric_rank(ref, scale=scale, shape=shape)
