@@ -636,6 +636,7 @@ def copy_class_pinning():
 
 
 def inactive_direction():
+    """The triangle extruded twice, with only direction 0 active."""
     fw = triangle_extruded(((1.3, 0.4), (-0.2, 1.1)))
     return Framework(fw.graph, fw.config, ExtrusionSpec(fw.extrusion.directions, active=(0,)))
 
@@ -679,9 +680,10 @@ def test_copy_zero_path_reads_the_bases_only_on_request():
 
 
 def moved_prism():
-    points = prism().config.points.copy()
+    fw = prism()
+    points = fw.config.points.copy()
     points[0] += (1e-3, 0.0)
-    return Framework(prism().graph, Configuration(2, points, np.zeros((0, 3))), prism().extrusion)
+    return Framework(fw.graph, Configuration(fw.dim, points, fw.config.hyperplanes), fw.extrusion)
 
 
 PRECONDITION_FAILURES = {
