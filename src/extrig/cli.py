@@ -37,6 +37,16 @@ def _tolerance(text: str) -> float:
                                      "(EXTRIG_TOL sets the default)")
 
 
+def _count(text: str) -> int:
+    """The type of ``push --seed`` and ``--max-iter``: a non-negative integer."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+
+
 def _load(path):
     try:
         return documents.load(path)
@@ -302,8 +312,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("push", help="numerical linear push on a pinned document")
     common(p)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-iter", type=int, default=None)
+    p.add_argument("--seed", type=_count, default=0)
+    p.add_argument("--max-iter", type=_count, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_push)
 

@@ -10,7 +10,10 @@ parallel rows and with its pp and normalization rows doubled.
 Restricting the Jacobian to an affine subspace whose points achieve
 locally maximal rank turns an infinitesimal flex into a certified finite
 one; the linear push grows such a subspace from a single flex of a
-minimally pinned framework.
+minimally pinned framework.  It ranks each Jacobian and takes its flex
+from one triangular factor (:func:`~extrig.linalg.rank_and_kernel_vector`),
+on every unpinned coordinate of a bar-joint framework and on the
+parallel-respecting directions of a point-hyperplane one.
 
 Regularity is sampled on one row per orbit.  An extrusion element that
 flips only directions along which the subspace's character is +1 keeps
@@ -50,9 +53,9 @@ import numpy as np
 
 from .frameworks import Framework, affine_span_check, complete_kernel_check
 from .linalg import (CONTAINMENT_TOL, RANK_TOL, intersect_columns, nullspace, numeric_rank,
-                     orthonormal_columns, projection_residual)
-from .rigidity import (CoordinateIndex, EMPTY_PIN, PinningSpec, RowLayout, trivial_motion_basis,
-                       trivial_motion_dim)
+                     orthonormal_columns, projection_residual, rank_and_kernel_vector)
+from .rigidity import (CoordinateIndex, EMPTY_PIN, PinningSpec, RowLayout,
+                       _surviving_trivial_motions, trivial_motion_basis, trivial_motion_generators)
 from .symmetry import block_decompose  # noqa: F401  (perfbench traces it under this name)
 from .symmetry import build_reps, copy_zero_rows
 
@@ -441,57 +444,64 @@ def linear_push(fw: Framework, pin: PinningSpec, seed: int = 0, max_iter: int = 
     framework until the flex is certified linearly detectable or refuted.
 
     Each iteration samples a seeded random point of the current subspace;
-    a rank above the base rank refutes detectability, a sample nullspace
+    a rank above the base rank refutes detectability, a sample flex
     already inside the subspace certifies it, anything else extends the
-    subspace by the sample's unit flex.  All ranks and nullspaces are taken
-    on the parallel-respecting domain, which for point-hyperplane
-    frameworks replaces the rigidity matrix's explicit parallel rows.
+    subspace by the sample's unit flex.  Ranks and flexes come from
+    :func:`~extrig.linalg.rank_and_kernel_vector`: one triangular factor
+    per Jacobian, no singular vectors.  They are taken on the
+    parallel-respecting domain, which for point-hyperplane frameworks
+    replaces the rigidity matrix's explicit parallel rows; a bar-joint
+    framework's domain is every unpinned coordinate, so there no basis of
+    it is built or multiplied.
     """
     d = fw.dim
     expected = d * (d + 1) // 2
     mm = measurement_map(fw, pin)
-    wg = mm.wg_basis
+    wg = None if fw.is_bar_joint() else mm.wg_basis   # None: every unpinned coordinate
     base = mm.base_reduced()
+    width = mm.index.size if wg is None else wg.shape[1]
+
+    def lift(vecs):
+        return vecs if wg is None else wg @ vecs
+
+    def jacobian(reduced):
+        jac = mm.jacobian(reduced)
+        return jac if wg is None else jac @ wg
 
     def subspace(basis_w):
-        return AffineSubspace(base, wg @ basis_w)
+        return AffineSubspace(base, lift(basis_w))
 
     def failed(reason, iterations=0, trace=None, sub=None):
         return LinearPushResult(determination=PRECONDITION_FAILED,
                                 subspace=sub if sub is not None
-                                else subspace(np.zeros((wg.shape[1], 0))),
+                                else subspace(np.zeros((width, 0))),
                                 iterations=iterations, trace=trace or [], seed=seed,
                                 reason=reason)
 
     n_pinned = mm.index.full_size - mm.index.size
     if n_pinned != expected:
         return failed(f"pinning removes {n_pinned} coordinates, expected {expected}")
-    if trivial_motion_dim(fw, pin, tol) != 0:
+    if _surviving_trivial_motions(trivial_motion_generators(fw), tol)(~mm.index.keep) != 0:
         return failed("pinned framework retains trivial motions")
-    jac = mm.jacobian(base) @ wg
-    kern = nullspace(jac, tol)
-    rank_base = jac.shape[1] - kern.shape[1]
-    if kern.shape[1] != 1:
-        return failed(f"pinned framework has nullity {kern.shape[1]}, need exactly 1")
+    rank_base, flex = rank_and_kernel_vector(jacobian(base), tol)
+    if flex is None:
+        return failed(f"pinned framework has nullity {width - rank_base}, need exactly 1")
 
-    cap = wg.shape[1] if max_iter is None else min(max_iter, wg.shape[1])
-    basis = kern  # columns in the parallel-respecting coordinates
+    cap = width if max_iter is None else min(max_iter, width)
+    basis = flex[:, None]  # columns in the parallel-respecting coordinates
     rng = np.random.default_rng(seed)
     scale = 1.0 + float(np.linalg.norm(base))
     trace = []
     for it in range(1, cap + 1):
         z = basis @ (rng.uniform(-1.0, 1.0, basis.shape[1]) * scale)
-        jq = mm.jacobian(base + wg @ z) @ wg
-        kern_q = nullspace(jq, tol)
-        rank_q = jq.shape[1] - kern_q.shape[1]
+        rank_q, gen = rank_and_kernel_vector(jacobian(base + lift(z)), tol)
         trace.append((rank_q, basis.shape[1]))
         if rank_q > rank_base:
             return LinearPushResult(NOT_LINEARLY_DETECTABLE, subspace(basis), it, trace, seed)
         if rank_q < rank_base:
             return failed(f"sample at iteration {it} has nullity "
-                          f"{wg.shape[1] - rank_q} > 1, outside the single-flex hypothesis",
+                          f"{width - rank_q} > 1, outside the single-flex hypothesis",
                           it, trace, subspace(basis))
-        gen = kern_q[:, 0]
         if projection_residual(gen, basis) <= CONTAINMENT_TOL:
             return LinearPushResult(LINEARLY_DETECTABLE, subspace(basis), it, trace, seed)
         extra = gen - basis @ (basis.T @ gen)

@@ -20,10 +20,20 @@ more than it saves.  The cut is still taken only in :func:`_rank`, on the
 original shape, or on the shape of the matrix the caller's compressed one
 stands for.
 
+:func:`rank_and_kernel_vector` keeps that contract: its rank is the same
+cut, on the matrix's shape, of the singular values of the triangular
+factor R of one QR decomposition.  Only when the nullity is exactly 1 does
+it return a unit kernel vector, found without singular vectors by inverse
+iteration on R^T R = J^T J from a seeded start: three triangular solves
+(Ipsen, "Computing an eigenvector with inverse iteration", SIAM Review
+1997).  Its error is the SVD's, of order eps sigma_1 / sigma_{n-1}.
+
 Every other tolerance of the package is defined here too, once; none of
 them is an option.
 """
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -114,6 +124,46 @@ def nullspace(mat, tol: float = RANK_TOL, scale: float = None, shape: tuple = No
     _, sigma, vt = np.linalg.svd(mat, full_matrices=m < n)
     scale = None if scale is None else max(scale, sigma[0])
     return vt[_rank(sigma, mat.shape if shape is None else shape, tol, scale):].T
+
+
+@lru_cache(maxsize=None)
+def _start(n: int) -> np.ndarray:
+    """The seeded start of inverse iteration on n columns (read-only)."""
+    vec = np.random.default_rng(n).standard_normal(n)
+    vec.flags.writeable = False
+    return vec
+
+
+def rank_and_kernel_vector(mat, tol: float = RANK_TOL) -> tuple:
+    """(numerical rank, unit kernel vector or None) of a dense matrix; the
+    vector only when the nullity is exactly 1.
+
+    The rank is :func:`numeric_rank`'s cut, on the matrix's shape, of the
+    singular values of the triangular factor R of one QR decomposition.
+    The vector is R^-1 R^-T R^-1 s for a seeded s, normalised: one step of
+    inverse iteration on R^T R = J^T J from the start R^-1 s, three
+    triangular solves in all.  Against the singular vectors V of J, R^-1 s
+    weights v_i by 1 / sigma_i and the step by 1 / sigma_i^2 more, so the
+    start's error shrinks by (sigma_n / sigma_{n-1})^3 and what is left is
+    the solves' round-off, eps sigma_1 / sigma_{n-1} as for the SVD.  A wide
+    matrix is padded with zero rows, and an exactly zero pivot is replaced
+    by eps * max|R|."""
+    mat = np.atleast_2d(np.asarray(mat, dtype=float))
+    n = mat.shape[1]
+    if mat.size == 0:
+        return 0, (np.ones(1) if n == 1 else None)
+    r = np.linalg.qr(mat, mode="r")
+    rank = _rank(np.linalg.svd(r, compute_uv=False), mat.shape, tol)
+    if rank != n - 1:
+        return rank, None
+    if r.shape[0] < n:
+        r = np.vstack([r, np.zeros((n - r.shape[0], n))])
+    r /= np.abs(r).max() or 1.0      # max|R| = 1: the solves neither overflow nor underflow
+    diag = np.diagonal(r)
+    if not diag.all():
+        r += np.diag(np.where(diag == 0, np.finfo(float).eps, 0.0))
+    vec = np.linalg.solve(r, np.linalg.solve(r.T, np.linalg.solve(r, _start(n))))
+    return rank, vec / np.linalg.norm(vec)
 
 
 def orthonormal_columns(mat, tol: float = RANK_TOL) -> np.ndarray:

@@ -85,14 +85,14 @@ def character_of(matrices) -> np.ndarray:
 
 
 def decompose_character(char, elements) -> np.ndarray:
-    """Multiplicities of the irreducibles in a character vector.
+    """Multiplicities of the irreducibles in a character vector, or in each
+    row of a stack of them, read against one character table.
 
     Coefficients are (1/|G|) sum_gamma chi(gamma) rho_i(gamma); they must be
     integers up to ``INT_TOL`` or the representation is malformed.
     """
     char = np.asarray(char, dtype=float)
-    table = character_matrix(elements)
-    coeff = table @ char / len(elements)
+    coeff = char @ character_matrix(elements).T / len(elements)
     rounded = np.rint(coeff)
     if np.max(np.abs(coeff - rounded), initial=0.0) > INT_TOL:
         raise ValueError(f"character does not decompose integrally: {coeff}")
@@ -817,9 +817,7 @@ def fowler_guest_count(fw: Framework, pin: PinningSpec = EMPTY_PIN,
     dec = block_decompose(fw, pin)
     named, ext_total, int_total, trans = character_rows(fw, dec.reps)
     elements = dec.reps.elements
-    lam = decompose_character(ext_total, elements)
-    mu = decompose_character(int_total, elements)
-    nu = decompose_character(trans, elements)
+    lam, mu, nu = decompose_character(np.stack([ext_total, int_total, trans]), elements)
     if not np.array_equal(lam, dec.freedoms) or not np.array_equal(mu, dec.constraints):
         raise AssertionError("combinatorial characters disagree with matrix traces")
     nets = lam - nu - mu

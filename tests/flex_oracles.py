@@ -10,14 +10,18 @@ largest those rows can have, at which point the package stops.
 moved configuration, the block-0 reference for the fully-symmetric
 component.  :func:`complete_graph_oracle` ranks the complete decorated
 graph's measurement Jacobian, which the package reads off the trivial
-motions instead.  None is a code path of the package.
+motions instead.  :func:`reference_linear_push` is the linear push on
+kernels from full SVDs, which the package replaced by inverse iteration on
+one triangular factor per sample.  None is a code path of the package.
 """
 import numpy as np
 
-from extrig.finiteflex import MeasurementMap, _OrbitSampler
+from extrig.finiteflex import (LINEARLY_DETECTABLE, NOT_LINEARLY_DETECTABLE, PRECONDITION_FAILED,
+                               AffineSubspace, LinearPushResult, MeasurementMap, _OrbitSampler,
+                               measurement_map)
 from extrig.frameworks import Configuration, Framework
 from extrig.graphs import complete_decorated
-from extrig.linalg import RANK_TOL, numeric_rank
+from extrig.linalg import CONTAINMENT_TOL, RANK_TOL, nullspace, numeric_rank, projection_residual
 from extrig.rigidity import EMPTY_PIN, CoordinateIndex, RowLayout, trivial_motion_dim
 from extrig.symmetry import block_decompose
 
@@ -122,3 +126,55 @@ def complete_kernel_excess(fw):
     mm = complete_measurement_map(fw, EMPTY_PIN)
     jac = mm.jacobian(mm.base_reduced()) @ mm.wg_basis
     return jac.shape[1] - numeric_rank(jac) - trivial_motion_dim(fw)
+
+
+def reference_linear_push(fw, pin, seed=0, max_iter=None, tol=RANK_TOL):
+    """The linear push with every rank and flex read off a full SVD
+    (:func:`extrig.linalg.nullspace`) of the Jacobian times the
+    parallel-respecting basis, the identity for a bar-joint framework."""
+    d = fw.dim
+    mm = measurement_map(fw, pin)
+    wg = mm.wg_basis
+    base = mm.base_reduced()
+
+    def subspace(basis_w):
+        return AffineSubspace(base, wg @ basis_w)
+
+    def failed(reason, iterations=0, trace=None, sub=None):
+        return LinearPushResult(PRECONDITION_FAILED,
+                                sub if sub is not None else subspace(np.zeros((wg.shape[1], 0))),
+                                iterations, trace or [], seed, reason)
+
+    n_pinned = mm.index.full_size - mm.index.size
+    if n_pinned != d * (d + 1) // 2:
+        return failed(f"pinning removes {n_pinned} coordinates, expected {d * (d + 1) // 2}")
+    if trivial_motion_dim(fw, pin, tol) != 0:
+        return failed("pinned framework retains trivial motions")
+    jac = mm.jacobian(base) @ wg
+    kern = nullspace(jac, tol)
+    rank_base = jac.shape[1] - kern.shape[1]
+    if kern.shape[1] != 1:
+        return failed(f"pinned framework has nullity {kern.shape[1]}, need exactly 1")
+    cap = wg.shape[1] if max_iter is None else min(max_iter, wg.shape[1])
+    basis = kern
+    rng = np.random.default_rng(seed)
+    scale = 1.0 + float(np.linalg.norm(base))
+    trace = []
+    for it in range(1, cap + 1):
+        z = basis @ (rng.uniform(-1.0, 1.0, basis.shape[1]) * scale)
+        jq = mm.jacobian(base + wg @ z) @ wg
+        kern_q = nullspace(jq, tol)
+        rank_q = jq.shape[1] - kern_q.shape[1]
+        trace.append((rank_q, basis.shape[1]))
+        if rank_q > rank_base:
+            return LinearPushResult(NOT_LINEARLY_DETECTABLE, subspace(basis), it, trace, seed)
+        if rank_q < rank_base:
+            return failed(f"sample at iteration {it} has nullity "
+                          f"{wg.shape[1] - rank_q} > 1, outside the single-flex hypothesis",
+                          it, trace, subspace(basis))
+        gen = kern_q[:, 0]
+        if projection_residual(gen, basis) <= CONTAINMENT_TOL:
+            return LinearPushResult(LINEARLY_DETECTABLE, subspace(basis), it, trace, seed)
+        extra = gen - basis @ (basis.T @ gen)
+        basis = np.column_stack([basis, extra / np.linalg.norm(extra)])
+    return failed(f"no determination within {cap} iterations", cap, trace, subspace(basis))

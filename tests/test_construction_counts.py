@@ -16,8 +16,8 @@ import extrig.finiteflex
 import extrig.rigidity
 from extrig import documents
 from extrig.cli import build_report
-from extrig.finiteflex import finite_flex_test
-from extrig.fixtures import point_line_twofold_pinned, prism
+from extrig.finiteflex import finite_flex_test, linear_push
+from extrig.fixtures import point_line_extruded_fixed, point_line_twofold_pinned, prism
 from extrig.graphs import PHGraph
 from extrig.rigidity import EMPTY_PIN, RowLayout, infinitesimal_analysis, minimal_pinning
 from extrig.symmetry import fowler_guest_count
@@ -75,6 +75,14 @@ CALLS = {
                                            "parallel_respecting_basis": 1,
                                            "PHGraph.act": 4 * 8}),
     "minimal_pinning": (lambda: minimal_pinning(prism()), {}),
+    # the trivial count reads the measurement map's index; a bar-joint
+    # framework's domain is every unpinned coordinate, so no basis of it is built
+    "linear_push": (lambda: linear_push(prism(), minimal_pinning(prism()), seed=11),
+                    {"CoordinateIndex": 1, "RowLayout": 1, "parallel_respecting_basis": 0}),
+    "linear_push_point_hyperplane": (
+        lambda: linear_push(point_line_extruded_fixed(),
+                            minimal_pinning(point_line_extruded_fixed()), seed=3),
+        {"CoordinateIndex": 1, "RowLayout": 1, "parallel_respecting_basis": 1}),
 }
 
 
@@ -82,7 +90,8 @@ CALLS = {
 def test_bookkeeping_is_built_once_per_use(counts, name):
     call, expected = CALLS[name]
     call()
-    assert dict(counts) == expected
+    # a name listed with 0 must not be counted at all
+    assert {name: counts[name] for name in counts.keys() | expected.keys()} == expected
 
 
 @pytest.mark.parametrize("name", ["prism_twofold.json", "point_line_twofold_pinned.json",

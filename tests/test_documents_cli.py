@@ -270,6 +270,23 @@ def test_analyze_of_a_minimal_pinning_exits_3_naming_the_pinning(tmp_path):
     assert res.returncode == 3 and "pinned coordinates" in res.stderr, res.stderr
 
 
+@pytest.mark.parametrize("option,value", [("--seed", "-1"), ("--max-iter", "-3"),
+                                          ("--seed", "1.5"), ("--max-iter", "x")])
+def test_push_counts_are_non_negative_integers(option, value, tmp_path):
+    # --seed -1 ended in numpy's ValueError traceback (exit 1), --max-iter -3
+    # in "no determination within -3 iterations" (exit 3)
+    doc = tmp_path / "prism.json"
+    doc.write_text((DATA / "prism.json").read_text())
+    pinned = tmp_path / "prism_min.json"
+    assert run_cli("pin", "--mode", "minimal", str(doc), "-o", str(pinned)).returncode == 0
+    res = run_cli("push", str(pinned), option, value, "--json")
+    assert res.returncode == 2 and not res.stdout, res.stderr
+    assert "is not a non-negative integer" in res.stderr and "Traceback" not in res.stderr
+    # zero is a count: seed 0, or no iteration at all (no determination, exit 3)
+    res = run_cli("push", str(pinned), option, "0", "--json")
+    assert res.returncode == (3 if option == "--max-iter" else 0), res.stderr
+
+
 def test_push_requires_pinned_document(tmp_path):
     doc = tmp_path / "prism.json"
     doc.write_text((DATA / "prism.json").read_text())

@@ -2,7 +2,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 import extrig.finiteflex
 from extrig import documents
@@ -28,7 +28,8 @@ from extrusions import (degenerate_point_hyperplane_extrusions, extruded,
                         random_bar_joint_extrusions, random_point_hyperplane_extrusions,
                         triangle_extruded, with_extra_bars, with_starred_point)
 from flex_oracles import (block_rank_at, complete_graph_oracle, complete_kernel_excess,
-                          dense_regularity, restricted_rank_oracle, sampled_regularity)
+                          dense_regularity, reference_linear_push, restricted_rank_oracle,
+                          sampled_regularity)
 
 GALLERY = sorted(p.name for p in (resources.files("extrig") / "data").iterdir()
                  if p.name.endswith(".json"))
@@ -733,6 +734,45 @@ def test_linear_push_rejects_bad_pinning():
     res = linear_push(fw, EMPTY_PIN, seed=1)
     assert res.determination == PRECONDITION_FAILED
     assert "expected 3" in res.reason
+
+
+def push_outcome(res):
+    return res.determination, res.iterations, res.trace, res.reason, res.subspace.dim
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(random_bar_joint_extrusions(),
+                 random_point_hyperplane_extrusions().map(lambda drawn: drawn[0]))
+       .map(lambda fw: (fw, None)),
+       st.integers(0, 20))
+@example((k33_orthogonal(), k33_pinnings()[1]), 5).via("adjacent pinning: NotLinearlyDetectable")
+@example((prism(), None), 11).via("LinearlyDetectable after two samples")
+def test_linear_push_equals_the_svd_kernel_push(case, seed):
+    # inverse iteration on one triangular factor decides as the full SVD
+    # does; the flexes agree only up to sign, and so do the samples drawn
+    # along them, so the subspaces are compared by dimension
+    fw, pin = case
+    if pin is None:
+        try:
+            pin = minimal_pinning(fw)
+        except ValueError:
+            reject()
+    got = linear_push(fw, pin, seed=seed)
+    assert push_outcome(got) == push_outcome(reference_linear_push(fw, pin, seed=seed))
+
+
+@pytest.mark.parametrize("fw,pin", [(prism(), None), (k33_orthogonal(), k33_pinnings()[0]),
+                                    (k33_orthogonal(), k33_pinnings()[1])])
+def test_linear_push_forms_no_singular_vectors(monkeypatch, fw, pin):
+    pin = minimal_pinning(fw) if pin is None else pin
+    svd = np.linalg.svd
+
+    def values_only(mat, *args, compute_uv=True, **kwargs):
+        assert not compute_uv, "singular vectors formed inside linear_push"
+        return svd(mat, *args, compute_uv=compute_uv, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", values_only)
+    assert linear_push(fw, pin, seed=5).iterations > 0
 
 
 def test_certified_subspace_is_stable():

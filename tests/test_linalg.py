@@ -3,7 +3,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import extrig.linalg
-from extrig.linalg import RANK_TOL, _rank, kernels, nullspace, numeric_rank, orthonormal_columns
+from extrig.finiteflex import measurement_map
+from extrig.fixtures import prism
+from extrig.linalg import (RANK_TOL, _rank, kernels, nullspace, numeric_rank, orthonormal_columns,
+                           rank_and_kernel_vector)
+from extrig.rigidity import minimal_pinning
+
+EPS = np.finfo(float).eps
 
 
 def low_rank_matrix(draw, m, n):
@@ -103,3 +109,76 @@ def test_rank_threshold_is_relative_to_shape_and_largest_value():
             right, left = kernels(mat)
             assert numeric_rank(mat) == rank == shape[1] - right.shape[1] == shape[0] - left.shape[1]
             assert orthonormal_columns(mat).shape[1] == rank
+
+
+# sigma_n (or sigma_{n-1}, for the last case) placed against the rank cut
+# tol * max(shape) * sigma_1
+SPECTRUM_ENDS = {
+    "sigma_n zero": lambda cut: (None, 0.0),
+    "sigma_n at eps sigma_1": lambda cut: (None, EPS),
+    "sigma_n just below the cut": lambda cut: (None, 0.9 * cut),
+    "sigma_n just above the cut": lambda cut: (None, 1.1 * cut),
+    "sigma_n-1 just above the cut": lambda cut: (1.1 * cut, 0.0),
+    "sigma_n-1 just below the cut": lambda cut: (0.9 * cut, EPS),
+}
+
+
+@st.composite
+def prescribed_spectra(draw):
+    """A tall, square or wide (n - 1) x n matrix with singular values drawn
+    in [1e-2, 1] * scale, the largest exactly scale, and its smallest one or
+    two placed by :data:`SPECTRUM_ENDS` (a wide matrix has no sigma_n)."""
+    n = draw(st.integers(2, 24))
+    m = draw(st.sampled_from([n + draw(st.integers(1, 2 * n)), n, n - 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sigma = np.sort(rng.uniform(1e-2, 1.0, n))[::-1]
+    sigma[0] = 1.0
+    second, last = SPECTRUM_ENDS[draw(st.sampled_from(sorted(SPECTRUM_ENDS)))](RANK_TOL * max(m, n))
+    sigma[-1] = last
+    if second is not None:
+        sigma[-2] = second
+    k = min(m, n)
+    u = np.linalg.qr(rng.normal(size=(m, m)))[0][:, :k]
+    v = np.linalg.qr(rng.normal(size=(n, n)))[0][:, :k]
+    return (u * (sigma[:k] * 10.0 ** draw(st.integers(-6, 6)))) @ v.T
+
+
+def pinned_prism_jacobian():
+    """The measurement Jacobian of the minimally pinned prism: integer
+    entries, nullity 1."""
+    fw = prism()
+    mm = measurement_map(fw, minimal_pinning(fw))
+    return mm.jacobian(mm.base_reduced())
+
+
+def with_zero_column(seed, m, n, col):
+    """A random m x n matrix whose column ``col`` is zero: its R factor has an
+    exactly zero pivot there, and its kernel is e_col."""
+    mat = np.random.default_rng(seed).normal(size=(m, n))
+    mat[:, col] = 0.0
+    return mat
+
+
+@settings(max_examples=300, deadline=None)
+@given(prescribed_spectra())
+@example(pinned_prism_jacobian()).via("integer prism Jacobian")
+@example(with_zero_column(1, 9, 6, 2)).via("zero column, tall")
+@example(with_zero_column(2, 5, 6, 5)).via("zero column, wide")
+@example(with_zero_column(3, 6, 6, 0)).via("zero column, square")
+@example(np.zeros((3, 1))).via("one zero column")
+@example(np.zeros((0, 1))).via("no rows, one column")
+@example(np.zeros((4, 2))).via("all zero, nullity 2")
+def test_rank_and_kernel_vector_against_the_svd(mat):
+    # equal rank; a vector only at nullity 1, within c eps sigma_1 / sigma_{n-1}
+    # of the SVD's v_n up to sign.  Both vectors carry round-off of that
+    # size; c = 100 holds the worst of 5000 draws, 18, with room
+    m, n = mat.shape
+    _, sigma, vt = np.linalg.svd(mat) if mat.size else (None, np.zeros(0), np.eye(n))
+    rank = _rank(sigma, mat.shape, RANK_TOL)
+    got, vec = rank_and_kernel_vector(mat)
+    assert got == rank
+    if n - rank != 1:
+        assert vec is None
+        return
+    bound = 100 * EPS * (sigma[0] / sigma[n - 2] if n > 1 else 1.0)
+    assert min(np.linalg.norm(vec - vt[-1]), np.linalg.norm(vec + vt[-1])) <= bound

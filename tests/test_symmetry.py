@@ -76,6 +76,17 @@ def test_decompose_examples():
         decompose_character([1.5, 0.2], el)
 
 
+def test_decompose_a_stack_row_by_row():
+    # fowler_guest_count decomposes lambda, mu and nu against one table
+    el2 = group_elements(2)
+    stack = [[24, -6, -6, 0], [12, 0, 0, 0], [2, -2, 2, -2]]
+    got = decompose_character(np.array(stack), el2)
+    assert got.dtype == decompose_character(stack[0], el2).dtype
+    assert np.array_equal(got, [decompose_character(row, el2) for row in stack])
+    with pytest.raises(ValueError, match="integrally"):
+        decompose_character([[12, 0], [1.5, 0.2]], group_elements(1))
+
+
 def test_reps_are_homomorphisms():
     for name, case in SYMMETRIC_CASES:
         fw, pin = case()
