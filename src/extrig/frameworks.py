@@ -6,6 +6,7 @@ nonzero normal ``a``; it is the zero set of ``<a, x> - r``.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -108,24 +109,33 @@ class Framework:
         of :func:`group_elements`: a column per point (point translation),
         then two per hyperplane (equal normals, then offset shift).
 
+        The identity row is zero without a pass (it moves and displaces
+        nothing, even on a non-finite configuration).  Every other pair looks
+        up its image once and reads the coordinate arrays there; each norm
+        is sqrt(x @ x), bitwise what ``np.linalg.norm`` returns.
+
         Computed on first use and kept: the graph, the read-only arrays of
         the configuration and the extrusion spec of a framework never change.
         """
         spec, graph = self.extrusion, self.graph
         if spec is None:
             raise ValueError("framework has no extrusion specification")
+        points, planes = self.config.points, self.config.hyperplanes
+        pos, n = graph.position, len(points)
         elements = group_elements(spec.order)
-        out = np.empty((len(elements), len(graph.points) + 2 * len(graph.hyperplanes)))
-        for row, gamma in zip(out, elements):
+        out = np.zeros((len(elements), n + 2 * len(planes)))
+        for row, gamma in zip(out[1:], elements[1:]):
             disp = displacements(spec, graph.steps, gamma)
+            moved = points + disp[:n]
             res = []
-            for v, shift in zip(graph.points, disp):
-                res.append(np.linalg.norm(self.point(graph.act(gamma, v)) - (self.point(v) + shift)))
-            for w, shift in zip(graph.hyperplanes, disp[len(graph.points):]):
-                a, r = self.hyperplane(w)
-                ia, ir = self.hyperplane(graph.act(gamma, w))
-                res.append(np.linalg.norm(ia - a))
-                res.append(abs(ir - (r + float(np.dot(a, shift)))))
+            for v, want in zip(graph.points, moved):
+                diff = points[pos[graph.act(gamma, v)]] - want
+                res.append(math.sqrt(diff @ diff))
+            for w, plane, shift in zip(graph.hyperplanes, planes, disp[n:]):
+                image = planes[pos[graph.act(gamma, w)] - n]
+                diff = image[:-1] - plane[:-1]
+                res.append(math.sqrt(diff @ diff))
+                res.append(abs(image[-1] - (plane[-1] + float(np.dot(plane[:-1], shift)))))
             row[:] = res
         out.flags.writeable = False
         return out

@@ -488,7 +488,7 @@ def minimal_pinning(fw: Framework, tol: float = RANK_TOL) -> PinningSpec:
         raise ValueError("configuration does not affinely span the ambient space")
     d, graph = fw.dim, fw.graph
     left_by = _surviving_trivial_motions(trivial_motion_generators(fw), tol)
-    start = {v: int(column_start(graph, d, graph.position[v])) for v in graph.points}
+    start = dict(zip(graph.points, column_start(graph, d, np.arange(len(graph.points))).tolist()))
 
     def surviving(coords) -> int:
         return left_by(sorted(start[v] + c for v, c in coords))

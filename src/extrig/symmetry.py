@@ -813,6 +813,10 @@ def fowler_guest_count(fw: Framework, pin: PinningSpec = EMPTY_PIN,
     detected motion is necessarily non-trivial; for d >= 3 a rotation may
     masquerade as one, which is flagged as a caveat.  For a symmetric bar-joint
     framework the block kernel dimensions add up to R's nullity at any ``tol``.
+
+    Every block is cut at the largest singular value of all blocks.  On the
+    copy-0 path each block is a row subset of the last, so by interlacing
+    that is the last block's 2-norm.
     """
     dec = block_decompose(fw, pin)
     named, ext_total, int_total, trans = character_rows(fw, dec.reps)
@@ -826,7 +830,8 @@ def fowler_guest_count(fw: Framework, pin: PinningSpec = EMPTY_PIN,
              for g in elements]
     # each block is cut as the block-diagonal matrix of all blocks is
     shape = (int(mu.sum()), int(lam.sum()))
-    scale = max((np.linalg.norm(block, 2) for block in dec.blocks if block.size), default=0.0)
+    blocks = dec.blocks if dec.copies is None else dec.blocks[-1:]
+    scale = max((np.linalg.norm(block, 2) for block in blocks if block.size), default=0.0)
     flex_dims, flexes, stress_dims = {}, {}, {}
     for i, block in enumerate(dec.blocks):
         kern = nullspace(block, tol, scale, shape)

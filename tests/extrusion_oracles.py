@@ -3,7 +3,8 @@
 :func:`scalar_verify_extrusion_symmetry` evaluates every law for every vertex
 and requested element in one Python loop, recording as it goes, as
 :func:`extrig.frameworks.verify_extrusion_symmetry` did before it kept the
-residuals on the framework.  :func:`masked_extrusion_product` builds each edge
+residuals on the framework; :func:`residual_table` is the table it keeps,
+one ``np.linalg.norm`` per pair.  :func:`masked_extrusion_product` builds each edge
 copy by masking both of its ends with the copy's bits, and
 :func:`word_permutations` reads each element's vertex permutation off the
 words by :func:`word_add` and a position lookup.  :func:`extrusion_displacement`
@@ -45,6 +46,26 @@ def extrusion_displacement(spec, word: str, gamma) -> np.ndarray:
         elif g == 1 and c == "1":
             out -= spec.directions[h]
     return out
+
+
+def residual_table(fw) -> np.ndarray:
+    """The residuals of laws (i), (ii) and (iv), one row per element of
+    Z2^t in the order of :func:`group_elements`, each pair evaluated by its
+    definition with ``np.linalg.norm``, the identity row included."""
+    spec, graph = fw.extrusion, fw.graph
+    rows = []
+    for gamma in group_elements(spec.order):
+        row = []
+        for v in graph.points:
+            shift = extrusion_displacement(spec, v.word, gamma)
+            row.append(np.linalg.norm(fw.point(graph.act(gamma, v)) - (fw.point(v) + shift)))
+        for w in graph.hyperplanes:
+            shift = extrusion_displacement(spec, w.word, gamma)
+            a, r = fw.hyperplane(w)
+            ia, ir = fw.hyperplane(graph.act(gamma, w))
+            row += [np.linalg.norm(ia - a), abs(ir - (r + float(np.dot(a, shift))))]
+        rows.append(row)
+    return np.array(rows, dtype=float)
 
 
 def scalar_verify_extrusion_symmetry(fw, tol=RANK_TOL, active_only=False) -> SymmetryReport:

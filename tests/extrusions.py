@@ -29,6 +29,25 @@ def random_bar_joint_extrusions():
     return random_bar_joint_bases().map(lambda drawn: extrude_framework(*drawn))
 
 
+@st.composite
+def rigid_fan_extrusions(draw):
+    """A seeded rigid fan in the plane, extruded once along a drawn direction.
+
+    A hub at the origin is joined to 3..12 rim points, and the rim points
+    are joined in a path.  They sit on a convex arc at jittered angles and
+    radii, so every fan triangle keeps an area bounded away from zero.  The
+    two copies are rigid bodies joined by parallel bars of equal length:
+    under a minimal pinning the extrusion has exactly one flex."""
+    rim = draw(st.integers(3, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    angles = (np.arange(rim) + rng.uniform(0.3, 0.7, rim)) * (np.pi / rim)
+    radii = rng.uniform(3.0, 5.0, rim)
+    points = np.vstack([(0.0, 0.0), radii[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])])
+    bars = [(0, i) for i in range(1, rim + 1)] + [(i, i + 1) for i in range(1, rim)]
+    angle = rng.uniform(0.0, np.pi)
+    return extruded(points, bars, [rng.uniform(2.0, 4.0) * np.array([np.cos(angle), np.sin(angle)])])
+
+
 def extruded(base_points, bars, directions):
     """Bar-joint framework on points p0.. with bars between the index pairs, extruded."""
     pts = tuple(Vertex(f"p{i}") for i in range(len(base_points)))

@@ -26,7 +26,8 @@ from extrig.symmetry import SymmetryPreconditionError, block_decompose
 from coordinate_labels import coordinate_labels
 from extrusions import (degenerate_point_hyperplane_extrusions, extruded,
                         random_bar_joint_extrusions, random_point_hyperplane_extrusions,
-                        triangle_extruded, with_extra_bars, with_starred_point)
+                        rigid_fan_extrusions, triangle_extruded, with_extra_bars,
+                        with_starred_point)
 from flex_oracles import (block_rank_at, complete_graph_oracle, complete_kernel_excess,
                           dense_regularity, reference_linear_push, restricted_rank_oracle,
                           sampled_regularity)
@@ -741,23 +742,28 @@ def push_outcome(res):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(random_bar_joint_extrusions(),
-                 random_point_hyperplane_extrusions().map(lambda drawn: drawn[0]))
-       .map(lambda fw: (fw, None)),
+@given(st.one_of(st.one_of(random_bar_joint_extrusions(),
+                           random_point_hyperplane_extrusions().map(lambda drawn: drawn[0]))
+                 .map(lambda fw: (fw, None, False)),
+                 rigid_fan_extrusions().map(lambda fw: (fw, None, True))),
        st.integers(0, 20))
-@example((k33_orthogonal(), k33_pinnings()[1]), 5).via("adjacent pinning: NotLinearlyDetectable")
-@example((prism(), None), 11).via("LinearlyDetectable after two samples")
+@example((k33_orthogonal(), k33_pinnings()[1], True), 5).via(
+    "adjacent pinning: NotLinearlyDetectable")
+@example((prism(), None, True), 11).via("LinearlyDetectable after two samples")
 def test_linear_push_equals_the_svd_kernel_push(case, seed):
     # inverse iteration on one triangular factor decides as the full SVD
     # does; the flexes agree only up to sign, and so do the samples drawn
-    # along them, so the subspaces are compared by dimension
-    fw, pin = case
+    # along them, so the subspaces are compared by dimension.  A case with
+    # one flex (every extruded rigid fan) must reach the sample loop.
+    fw, pin, one_flex = case
     if pin is None:
         try:
             pin = minimal_pinning(fw)
         except ValueError:
+            assert not one_flex
             reject()
     got = linear_push(fw, pin, seed=seed)
+    assert got.iterations > 0 or not one_flex, got.reason
     assert push_outcome(got) == push_outcome(reference_linear_push(fw, pin, seed=seed))
 
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extrusion_oracles import extrusion_displacement, scalar_verify_extrusion_symmetry
+from extrusion_oracles import (extrusion_displacement, residual_table,
+                               scalar_verify_extrusion_symmetry)
 from extrusions import random_bar_joint_extrusions, random_point_hyperplane_extrusions
 from extrig.frameworks import (Configuration, ExtrusionSpec, Framework, affine_span_check,
                                apply_affine, apply_infinitesimal_rotation,
@@ -141,6 +142,17 @@ def test_verify_matches_the_scalar_check_on_repeated_calls(case):
         assert_reports_equal(fw, tol, active_only)
 
 
+@settings(max_examples=150, deadline=None)
+@given(symmetry_checks())
+def test_residual_table_equals_the_per_pair_norms_bitwise(case):
+    """Each residual is the per-pair np.linalg.norm of its law, to the bit,
+    and the identity row is zero."""
+    fw, _ = case
+    table = fw.symmetry_residuals
+    assert table.tobytes() == residual_table(fw).tobytes()
+    assert not table[0].any()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_verify_matches_the_scalar_check_on_non_finite_coordinates(value):
@@ -157,6 +169,10 @@ def test_verify_matches_the_scalar_check_on_non_finite_coordinates(value):
     for case in broken:
         for tol, active_only in itertools.product((1e-12, 1e-6), (False, True)):
             assert_reports_equal(case, tol, active_only)
+        # the identity row is zero without being evaluated; the rest are the per-pair norms
+        table = case.symmetry_residuals
+        assert not table[0].any()
+        assert table[1:].tobytes() == residual_table(case)[1:].tobytes()
 
 
 def test_residuals_are_kept_on_the_framework_and_read_only():

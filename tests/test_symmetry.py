@@ -690,6 +690,42 @@ def test_copy_zero_path_reads_the_bases_only_on_request():
         assert all(np.array_equal(mine[i].dense(), theirs[i].dense()) for i in range(len(mine)))
 
 
+@settings(max_examples=300, deadline=None)
+@given(random_bar_joint_extrusions())
+def test_copy_zero_cut_scale_is_the_last_blocks_norm(fw):
+    """Every copy-0 block is a row subset of the last one, so its 2-norm is
+    the largest, to the bit."""
+    dec = block_decompose(fw)
+    assert dec.copies is not None
+    norms = [np.linalg.norm(block, 2) for block in dec.blocks if block.size]
+    assert np.linalg.norm(dec.blocks[-1], 2) == max(norms)
+
+
+@pytest.mark.parametrize("name, path, expected", [
+    ("prism.json", "copy-0", 1), ("prism_twofold.json", "copy-0", 1),
+    ("prism_pinned.json", "orbit", 2), ("point_line_twofold_pinned.json", "orbit", 2)])
+def test_cut_scale_takes_one_matrix_norm_on_the_copy_zero_path(monkeypatch, name, path, expected):
+    """fowler_guest_count takes the 2-norm of the last block alone on the
+    copy-0 path, and of each of the blocks, one per element of the active
+    subgroup, on the orbit path."""
+    doc = documents.load(resources.files("extrig").joinpath("data", name))
+    fw, pin = doc.framework, doc.pinning or EMPTY_PIN
+    dec = block_decompose(fw, pin)
+    assert (dec.copies is not None) == (path == "copy-0")
+    seen, norm = [], np.linalg.norm
+
+    def counted(x, ord=None, *args, **kwargs):
+        if ord == 2 and np.ndim(x) == 2:
+            seen.append(np.shape(x))
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    fowler_guest_count(fw, pin)
+    assert len(seen) == expected
+    if path == "copy-0":
+        assert seen == [dec.blocks[-1].shape]
+
+
 def moved_prism():
     fw = prism()
     points = fw.config.points.copy()
