@@ -12,8 +12,11 @@ is the displacement of one word by its definition, the reference for
 :func:`extrig.frameworks.displacements` on :attr:`extrig.graphs.PHGraph.steps`.
 :func:`row_flips` and :func:`row_action` map the rows of a
 :class:`~extrig.rigidity.RowLayout` one label at a time, from
-:func:`extrusion_coordinate` and the word images of the ends.  None is a
-code path of the package.
+:func:`extrusion_coordinate` and the word images of the ends.
+:func:`scalar_edge_positions` checks and orders a graph's edges one at a
+time, as :class:`~extrig.graphs.PHGraph` did before it worked on arrays, and
+:func:`pairwise_coincident` compares every pair of extruded points.  None
+is a code path of the package.
 """
 import itertools
 
@@ -21,7 +24,7 @@ import numpy as np
 
 from extrig.frameworks import SymmetryReport, _contained
 from extrig.graphs import _EDGE_FIELDS, STAR, PHGraph, Vertex, group_elements, subgroup_elements
-from extrig.linalg import RANK_TOL, numeric_rank
+from extrig.linalg import COINCIDENT_TOL, RANK_TOL, numeric_rank
 from extrig.rigidity import ROW_KINDS
 
 
@@ -201,3 +204,46 @@ def row_action(layout, elements) -> list:
         out.append((np.array(target, dtype=np.intp), np.array(sign)))
     return out
 
+
+
+# edge field kinds, and whether each end is a point
+EDGE_KINDS = (("pp", (True, True)), ("ph", (True, False)),
+              ("hh-angle", (False, False)), ("hh-par", (False, False)))
+
+
+def scalar_edge_positions(points, hyperplanes, fields) -> list:
+    """Per edge field (pp, ph, hh-angle, hh-par), the sorted (m, 2) array of
+    end positions in PHGraph's vertex order (sorted points, then sorted
+    hyperplanes), lower position first.  Edge by edge, in field order, the
+    first self-loop, end outside the vertices or of the wrong kind, or repeat
+    of an earlier edge raises its ValueError."""
+    verts = (tuple(sorted(points, key=Vertex.sort_key))
+             + tuple(sorted(hyperplanes, key=Vertex.sort_key)))
+    pos, n = {v: i for i, v in enumerate(verts)}, len(points)
+    seen = set()
+    out = []
+    for (kind, point_ends), edges in zip(EDGE_KINDS, fields):
+        pairs = []
+        for u, v in edges:
+            if u == v:
+                raise ValueError(f"self-loop at {u}")
+            iu, iv = pos.get(u, -1), pos.get(v, -1)
+            if min(iu, iv) < 0 or (iu < n, iv < n) != point_ends:
+                raise ValueError(f"edge {u}-{v} has endpoints inconsistent with kind {kind}")
+            pair = (iu, iv) if iu < iv else (iv, iu)
+            if pair in seen:
+                raise ValueError(f"duplicate edge {u}-{v}")
+            seen.add(pair)
+            pairs.append(pair)
+        out.append(np.array(sorted(pairs), dtype=np.intp).reshape(-1, 2))
+    return out
+
+
+def pairwise_coincident(points) -> bool:
+    """Whether two rows of ``points`` lie closer than COINCIDENT_TOL, from the
+    full table of pairwise distances."""
+    if len(points) < 2:
+        return False
+    dists = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
+    np.fill_diagonal(dists, np.inf)
+    return bool(np.any(dists < COINCIDENT_TOL))

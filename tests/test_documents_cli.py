@@ -407,6 +407,13 @@ def _rename(old, new):
     return mutate
 
 
+def _add_edge(u, v, kind):
+    """Mutation of a document: one more edge, appended after the others."""
+    def mutate(doc):
+        doc["edges"].append({"u": u, "v": v, "kind": kind})
+    return mutate
+
+
 MALFORMED = {   # name -> (gallery document, mutation)
     "coordinate_string": ("prism", _set(("vertices", 0, "coords", 0), "x")),
     "coordinate_nan": ("prism", _set(("vertices", 0, "coords", 1), float("nan"))),
@@ -438,6 +445,14 @@ MALFORMED = {   # name -> (gallery document, mutation)
                                          _set(("vertices", 1, "coords", 0), 1e300))),
     "normals_1e200": ("point_line_extruded", _each(_set(("vertices", 2, "normal", 0), 1e200),
                                                    _set(("vertices", 3, "normal", 0), 1e200))),
+    "edge_self_loop": ("prism", _add_edge("p2|1", "p2|1", "pp")),
+    "edge_unknown_end": ("prism", _add_edge("p2|1", "p4|1", "pp")),
+    "edge_wrong_kind": ("point_line_twofold", _add_edge("v1|00", "w2|1*", "pp")),
+    "edge_ph_between_points": ("point_line_twofold", _add_edge("v1|00", "v1|11", "ph")),
+    "edge_duplicate": ("prism", _add_edge("p1|1", "p3|1", "pp")),
+    "edge_reversed_duplicate": ("prism", _add_edge("p3|1", "p1|1", "pp")),
+    "edge_parallel_reversed_duplicate": ("point_line_twofold",
+                                         _add_edge("w2|1*", "w2|0*", "hh-parallel")),
 }
 
 

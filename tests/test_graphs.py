@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extrusion_oracles import (extrusion_coordinate, masked_extrusion_product, word_add,
-                               word_permutations)
+from extrusion_oracles import (extrusion_coordinate, masked_extrusion_product,
+                               scalar_edge_positions, word_add, word_permutations)
 from extrusions import random_bar_joint_extrusions, random_point_hyperplane_extrusions
 from extrig import documents
 from extrig.graphs import (PHGraph, Vertex, complete_decorated, extrusion_product, group_elements,
@@ -335,3 +335,115 @@ def test_vertex_hash_is_cached_and_equality_unchanged(base, word, other_base, ot
     lookup[Vertex(base, word)] = 2           # an equal vertex is the same key
     assert lookup == {v: 2} and len({v, Vertex(base, word), w}) == (1 if v == w else 2)
     assert repr(v) == f"Vertex({v.label!r})"
+
+
+P0, P1, P2, W0, W1, W2, STRAY = (Vertex(b) for b in ("p0", "p1", "p2", "w0", "w1", "w2", "x"))
+FIELDS = ("edges_pp", "edges_ph", "edges_hh_angle", "edges_hh_par")
+# one well-formed edge per field; w0 and w1 form one parallel class
+VALID = ((P0, P1), (P0, W0), (W0, W2), (W0, W1))
+# per field, per case: the malformed edge and the message it raises
+MALFORMED_EDGES = {
+    "self-loop": [((P2, P2), "self-loop at p2"), ((P2, P2), "self-loop at p2"),
+                  ((W2, W2), "self-loop at w2"), ((W2, W2), "self-loop at w2")],
+    "unknown end": [((P2, STRAY), "edge p2-x has endpoints inconsistent with kind pp"),
+                    ((P2, STRAY), "edge p2-x has endpoints inconsistent with kind ph"),
+                    ((STRAY, W2), "edge x-w2 has endpoints inconsistent with kind hh-angle"),
+                    ((W2, STRAY), "edge w2-x has endpoints inconsistent with kind hh-par")],
+    "wrong kind": [((P2, W2), "edge p2-w2 has endpoints inconsistent with kind pp"),
+                   ((W2, P2), "edge w2-p2 has endpoints inconsistent with kind ph"),
+                   ((P2, W2), "edge p2-w2 has endpoints inconsistent with kind hh-angle"),
+                   ((W2, P2), "edge w2-p2 has endpoints inconsistent with kind hh-par")],
+    "duplicate": [((P0, P1), "duplicate edge p0-p1"), ((P0, W0), "duplicate edge p0-w0"),
+                  ((W0, W2), "duplicate edge w0-w2"), ((W0, W1), "duplicate edge w0-w1")],
+    # a ph edge names its point first, so the reversed one has the wrong kind
+    "reversed duplicate": [((P1, P0), "duplicate edge p1-p0"),
+                           ((W0, P0), "edge w0-p0 has endpoints inconsistent with kind ph"),
+                           ((W2, W0), "duplicate edge w2-w0"), ((W1, W0), "duplicate edge w1-w0")],
+}
+
+
+@pytest.mark.parametrize("field", range(4))
+@pytest.mark.parametrize("case", sorted(MALFORMED_EDGES))
+def test_edge_errors_name_the_first_offender_in_field_order(field, case):
+    """Each field holds a well-formed edge, then the malformed one; a later
+    offender in the same field (a self-loop at p1 or w1) and one in every
+    later field go unreported."""
+    edge, message = MALFORMED_EDGES[case][field]
+    fields = [[e] for e in VALID]
+    fields[field] += [edge, (P1, P1) if field < 2 else (W1, W1)]
+    for later in range(field + 1, 4):
+        fields[later].append(MALFORMED_EDGES["self-loop"][later][0])
+    with pytest.raises(ValueError) as err:
+        PHGraph(points=(P2, P1, P0), hyperplanes=(W2, W1, W0),
+                **{name: tuple(edges) for name, edges in zip(FIELDS, fields)})
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        scalar_edge_positions((P2, P1, P0), (W2, W1, W0), fields)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("angle, par", [(((W0, W2), (W0, W1)), ((W0, W1), (W2, W0))),
+                                        (((W0, W2), (W1, W0)), ((W0, W1),))])
+def test_an_angle_edge_repeated_as_a_parallel_edge_is_a_duplicate(angle, par):
+    """The fields share one set of seen pairs: the repeat is reported in the
+    later field, hh-par, with its ends as given there."""
+    u, v = next(e for e in par if frozenset(e) in {frozenset(a) for a in angle})
+    with pytest.raises(ValueError) as err:
+        PHGraph(points=(P0,), hyperplanes=(W0, W1, W2), edges_hh_angle=angle, edges_hh_par=par)
+    assert str(err.value) == f"duplicate edge {u}-{v}"
+
+
+@st.composite
+def edge_fields(draw):
+    """Points, hyperplanes and the four edge fields: well-formed edges in
+    random order and orientation, with up to two malformed edges inserted
+    (any two vertices, the stray x among them, or a repeat of a placed edge,
+    as given or reversed).  Angle edges join hyperplanes of distinct labels,
+    parallel edges hyperplanes of one label."""
+    pts = tuple(Vertex(f"p{i}") for i in range(draw(st.integers(0, 4))))
+    hyps = tuple(Vertex(f"w{i}") for i in range(draw(st.integers(0, 4))))
+    label = {w: draw(st.integers(0, 1)) for w in hyps}
+    hh = list(itertools.combinations(hyps, 2))
+    choices = (list(itertools.combinations(pts, 2)), list(itertools.product(pts, hyps)),
+               [e for e in hh if label[e[0]] != label[e[1]]],
+               [e for e in hh if label[e[0]] == label[e[1]]])
+    fields = []
+    for f, pairs in enumerate(choices):
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+        fields.append([(v, u) if flip and f != 1 else (u, v) for (u, v), flip in zip(edges, flips)])
+    every = pts + hyps + (STRAY,)
+    for _ in range(draw(st.integers(0, 2))):
+        placed = [e for edges in fields for e in edges]
+        anywhere = st.tuples(st.sampled_from(every), st.sampled_from(every))
+        edge = draw(st.one_of(anywhere, st.sampled_from(placed)) if placed else anywhere)
+        edge = edge[::-1] if draw(st.booleans()) else edge
+        f = draw(st.integers(0, 3))
+        fields[f].insert(draw(st.integers(0, len(fields[f]))), edge)
+    return pts, hyps, fields
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_fields())
+def test_edge_checks_and_order_match_the_per_edge_loop(drawn):
+    """The constructor and the per-edge loop give equal edge_ends and edge
+    tuples in the same order, or the same exception with the same message.
+    A well-formed edge set may still put an angle edge inside one parallel
+    class, which only the constructor checks."""
+    pts, hyps, fields = drawn
+    kwargs = {name: tuple(edges) for name, edges in zip(FIELDS, fields)}
+    try:
+        want = scalar_edge_positions(pts, hyps, fields)
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as err:
+            PHGraph(points=pts, hyperplanes=hyps, **kwargs)
+        assert type(err.value) is type(exc) and str(err.value) == str(exc)
+        return
+    try:
+        g = PHGraph(points=pts, hyperplanes=hyps, **kwargs)
+    except ValueError as exc:
+        assert "joins hyperplanes in one parallel class" in str(exc)
+        return
+    for name, ends, pairs in zip(FIELDS, g.edge_ends, want):
+        assert np.array_equal(ends, pairs) and ends.dtype == pairs.dtype
+        assert getattr(g, name) == tuple((g.vertices[a], g.vertices[b]) for a, b in pairs)
