@@ -6,7 +6,6 @@ nonzero normal ``a``; it is the zero set of ``<a, x> - r``.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -110,9 +109,10 @@ class Framework:
         then two per hyperplane (equal normals, then offset shift).
 
         The identity row is zero without a pass (it moves and displaces
-        nothing, even on a non-finite configuration).  Every other pair looks
-        up its image once and reads the coordinate arrays there; each norm
-        is sqrt(x @ x), bitwise what ``np.linalg.norm`` returns.
+        nothing, even on a non-finite configuration).  Only the image lookup
+        (:meth:`PHGraph.act`) runs per pair; each other row is array work.  Its
+        norms and offset shifts are row-wise stacked matmuls, which round as
+        ``np.linalg.norm`` and ``np.dot`` do, bit for bit (``einsum`` does not).
 
         Computed on first use and kept: the graph, the read-only arrays of
         the configuration and the extrusion spec of a framework never change.
@@ -126,17 +126,12 @@ class Framework:
         out = np.zeros((len(elements), n + 2 * len(planes)))
         for row, gamma in zip(out[1:], elements[1:]):
             disp = displacements(spec, graph.steps, gamma)
-            moved = points + disp[:n]
-            res = []
-            for v, want in zip(graph.points, moved):
-                diff = points[pos[graph.act(gamma, v)]] - want
-                res.append(math.sqrt(diff @ diff))
-            for w, plane, shift in zip(graph.hyperplanes, planes, disp[n:]):
-                image = planes[pos[graph.act(gamma, w)] - n]
-                diff = image[:-1] - plane[:-1]
-                res.append(math.sqrt(diff @ diff))
-                res.append(abs(image[-1] - (plane[-1] + float(np.dot(plane[:-1], shift)))))
-            row[:] = res
+            image = np.array([pos[graph.act(gamma, v)] for v in graph.vertices], dtype=np.intp)
+            moved = planes[image[n:] - n]
+            diffs = points[image[:n]] - (points + disp[:n]), moved[:, :-1] - planes[:, :-1]
+            row[:n], row[n::2] = (np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0, 0] for x in diffs)
+            shift = (planes[:, None, :-1] @ disp[n:, :, None])[:, 0, 0]
+            row[n + 1::2] = np.abs(moved[:, -1] - (planes[:, -1] + shift))
         out.flags.writeable = False
         return out
 
@@ -154,6 +149,22 @@ def displacements(spec: ExtrusionSpec, steps, gamma) -> np.ndarray:
 
 def _contained(tau, a, tol) -> bool:
     return abs(float(np.dot(tau, a))) <= tol * np.linalg.norm(tau) * np.linalg.norm(a)
+
+
+def _has_coincident(points) -> bool:
+    """Whether two rows of ``points`` lie closer than COINCIDENT_TOL: a sweep in
+    their widest coordinate, whose gap bounds a pair's distance from below."""
+    if not points.size:
+        return False
+    axis = int(np.argmax(np.ptp(points, axis=0)))
+    pts = points[np.argsort(points[:, axis], kind="stable")]
+    for lag in range(1, len(pts)):
+        near = np.flatnonzero(pts[lag:, axis] - pts[:-lag, axis] <= COINCIDENT_TOL)
+        if not near.size:
+            return False
+        if np.any(np.linalg.norm(pts[near + lag] - pts[near], axis=-1) < COINCIDENT_TOL):
+            return True
+    return False
 
 
 def extrude_framework(base: Framework, directions, fixed_sets=None, tol: float = RANK_TOL) -> Framework:
@@ -206,11 +217,8 @@ def extrude_framework(base: Framework, directions, fixed_sets=None, tol: float =
         offset[bits] += (hyper[bits, None, :-1] @ directions[h])[:, 0]
     hyper[:, -1] += offset
 
-    if len(points) > 1:
-        dists = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=-1)
-        np.fill_diagonal(dists, np.inf)
-        if np.any(dists < COINCIDENT_TOL):
-            warnings.warn("extrusion produced coincident points", stacklevel=2)
+    if _has_coincident(points):
+        warnings.warn("extrusion produced coincident points", stacklevel=2)
 
     return Framework(graph=graph, config=Configuration(base.dim, points, hyper), extrusion=spec)
 

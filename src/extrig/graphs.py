@@ -27,6 +27,7 @@ import numpy as np
 
 STAR = "*"
 _CHAR_ORDER = {"0": 0, "1": 1, STAR: 2}
+_DIGITS = str.maketrans(STAR, "2")   # a word's digits as characters that sort like them
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,7 @@ class Vertex:
         return Vertex, (self.base, self.word)
 
     def sort_key(self):
-        return (self.base, tuple(_CHAR_ORDER[c] for c in self.word))
+        return (self.base, self.word.translate(_DIGITS))
 
     @property
     def label(self) -> str:
@@ -97,6 +98,9 @@ _EDGE_KINDS = (("edges_pp", "pp", (True, True)), ("edges_ph", "ph", (True, False
                ("edges_hh_angle", "hh-angle", (False, False)),
                ("edges_hh_par", "hh-par", (False, False)))
 _EDGE_FIELDS = tuple(name for name, _, _ in _EDGE_KINDS)
+_POINT_ENDS = np.array([ends for _, _, ends in _EDGE_KINDS])
+_NO_ENDS = np.zeros((0, 2), dtype=np.intp)
+_NO_ENDS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -105,7 +109,10 @@ class PHGraph:
 
     The vertex words are the one record of the extrusion structure:
     :attr:`steps` and :attr:`fixed_sets` are read off them.  Each edge is
-    stored with its ends in vertex order, edges sorted by them.
+    stored with its ends in vertex order, edges sorted by them.  Each edge
+    end's position is looked up once; checking, sorting and the action are
+    integer array work.  A bad edge raises for the first offender in field
+    order, named as given.
     """
 
     points: tuple
@@ -127,10 +134,12 @@ class PHGraph:
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(sorted(self.points, key=Vertex.sort_key)))
         object.__setattr__(self, "hyperplanes", tuple(sorted(self.hyperplanes, key=Vertex.sort_key)))
+        verts = self.points + self.hyperplanes
+        # a word outside {0, 1, *} raises the digit table's KeyError, where the sort key did
+        digits = list(map(_CHAR_ORDER.__getitem__, "".join([v.word for v in verts])))
         if set(self.points) & set(self.hyperplanes):
             raise ValueError("a vertex cannot be both point and hyperplane")
         t = self.extrusion_order
-        verts = self.points + self.hyperplanes
         for v in verts:
             if len(v.word) != t:
                 raise ValueError(f"vertex {v} word length differs from extrusion order {t}")
@@ -138,61 +147,66 @@ class PHGraph:
         object.__setattr__(self, "_position", {v: i for i, v in enumerate(verts)})
         ends = self._edge_positions()
         for name, pairs in zip(_EDGE_FIELDS, ends):
-            object.__setattr__(self, name, tuple((verts[a], verts[b]) for a, b in pairs))
-            pairs.flags.writeable = False
-        object.__setattr__(self, "_edge_ends", tuple(ends))
+            cols = pairs.T.tolist() if len(pairs) else ((), ())
+            object.__setattr__(self, name, tuple(zip(*(map(verts.__getitem__, c) for c in cols))))
+        object.__setattr__(self, "_edge_ends", ends)
         object.__setattr__(self, "_classes", self._compute_parallel_classes())
         object.__setattr__(self, "_class_index",
                            {v: i for i, cls in enumerate(self._classes) for v in cls})
         for u, v in self.edges_hh_angle:
             if self._class_index[u] == self._class_index[v]:
                 raise ValueError(f"angle edge {u}-{v} joins hyperplanes in one parallel class")
-        object.__setattr__(self, "_permutations", self._action_permutations(ends))
+        object.__setattr__(self, "_permutations", self._action_permutations(ends, digits))
 
     # -- construction checks -------------------------------------------------
 
-    def _edge_positions(self) -> list:
-        """Check every edge; per edge field, its sorted (m, 2) array of end positions."""
-        pos, n = self._position, len(self.points)
-        seen = set()
-        out = []
-        for name, kind, point_ends in _EDGE_KINDS:
-            pairs = []
-            for u, v in getattr(self, name):
-                if u == v:
-                    raise ValueError(f"self-loop at {u}")
-                iu, iv = pos.get(u, -1), pos.get(v, -1)
-                if min(iu, iv) < 0 or (iu < n, iv < n) != point_ends:
-                    raise ValueError(f"edge {u}-{v} has endpoints inconsistent with kind {kind}")
-                pair = (iu, iv) if iu < iv else (iv, iu)
-                if pair in seen:
-                    raise ValueError(f"duplicate edge {u}-{v}")
-                seen.add(pair)
-                pairs.append(pair)
-            out.append(np.array(sorted(pairs), dtype=np.intp).reshape(-1, 2))
-        return out
+    def _edge_positions(self) -> tuple:
+        """Check every edge; per edge field, its sorted read-only (m, 2) array of end positions."""
+        fields = [getattr(self, name) for name in _EDGE_FIELDS]
+        counts = [len(edges) for edges in fields]
+        pos, n, size = self._position, len(self.points), len(self._vertices)
+        flat = itertools.chain.from_iterable(itertools.chain.from_iterable(fields))
+        given = np.fromiter(map(pos.get, flat, itertools.repeat(-1)), np.intp).reshape(-1, 2)
+        kind = np.repeat(np.arange(4), counts)
+        pairs = np.sort(given, axis=1)
+        bad = (pairs[:, 0] < 0) | (pairs[:, 0] == pairs[:, 1]) | np.any((given < n) != _POINT_ENDS[kind], 1)
+        # pp, ph and hh pairs never meet, so hh-angle and hh-par share a key range
+        key = (np.minimum(kind, 2) * size + pairs[:, 0]) * size + pairs[:, 1]
+        order = np.argsort(key, kind="stable")
+        repeats = order[1:][key[order[1:]] == key[order[:-1]]]   # each after its first
+        offenders = np.concatenate([np.flatnonzero(bad), repeats])
+        if offenders.size:
+            first = offenders.min()
+            u, v = next(itertools.islice(itertools.chain.from_iterable(fields), first, None))
+            raise ValueError(f"self-loop at {u}" if u == v else f"edge {u}-{v} has endpoints "
+                             f"inconsistent with kind {_EDGE_KINDS[kind[first]][1]}"
+                             if bad[first] else f"duplicate edge {u}-{v}")
+        pairs = pairs[order[np.argsort(kind[order], kind="stable")]]   # by field, then by ends
+        pairs.flags.writeable = False
+        cut = list(itertools.accumulate(counts, initial=0))
+        return tuple(pairs[a:b] if b > a else _NO_ENDS for a, b in zip(cut, cut[1:]))
 
-    def _action_permutations(self, ends) -> dict:
+    def _action_permutations(self, ends, digits) -> dict:
         """Permutation of the vertex positions by each group element.
 
         Composed from one permutation per direction, which must map the
         vertices onto themselves and preserve every edge set (ValueError).
         A vertex's key is the rank of its base and its word read in base 3
-        (digits 0, 1, * as 0, 1, 2); flipping direction h adds its
+        (``digits``: 0, 1, * as 0, 1, 2); flipping direction h adds its
         :attr:`steps` entry times the place value of digit h.  Keeps the
         base ranks and the steps on the graph.
         """
         t, verts = self.extrusion_order, self._vertices
         n = len(verts)
         perms = {(): np.arange(n)}
-        digits = np.array([[_CHAR_ORDER[c] for c in v.word] for v in verts],
-                          dtype=np.int64).reshape(n, t)
+        digits = np.array(digits, dtype=np.int64).reshape(n, t)
         steps = np.where(digits == 2, 0, 1 - 2 * digits)
         steps.flags.writeable = False
         object.__setattr__(self, "_steps", steps)
         if t:
             # |bases| 3^t fits an int64 long before the 2^t permutations fit memory
-            rank = np.unique([v.base for v in verts], return_inverse=True)[1].reshape(n)
+            ids = {b: i for i, b in enumerate(sorted({v.base for v in verts}))}
+            rank = np.fromiter((ids[v.base] for v in verts), np.intp, n)
             place = 3 ** np.arange(t - 1, -1, -1, dtype=np.int64)
             keys = rank * 3 ** t + digits @ place
             rank.flags.writeable = False
@@ -200,16 +214,19 @@ class PHGraph:
             # a key shared by repeated vertices finds the last one, as a dict would
             order = np.argsort(keys, kind="stable")
             sorted_keys = keys[order]
+            # every edge as one key (field, lower end, upper end): sorted, as the fields are
+            field = np.repeat(np.arange(4), [len(pairs) for pairs in ends]) * n
+            pairs = np.concatenate(ends)
+            edge_keys = (field + pairs[:, 0]) * n + pairs[:, 1]
         for h in range(t):
             image = keys + steps[:, h] * place[h]
             at = np.searchsorted(sorted_keys, image, side="right") - 1
             gen = np.where((at >= 0) & (sorted_keys[at] == image), order[at], -1).astype(np.intp)
             if np.any(gen < 0):
                 raise ValueError(f"extrusion action for direction {h} does not permute the vertices")
-            for pairs in ends:   # sorted and distinct: compare the sorted keys lo * n + hi
-                image = np.sort(gen[pairs], axis=1)
-                if not np.array_equal(np.sort(image @ (n, 1)), pairs @ (n, 1)):
-                    raise ValueError(f"extrusion action for direction {h} does not preserve an edge set")
+            image = np.sort(gen[pairs], axis=1)
+            if not np.array_equal(np.sort((field + image[:, 0]) * n + image[:, 1]), edge_keys):
+                raise ValueError(f"extrusion action for direction {h} does not preserve an edge set")
             perms = {g + (b,): gen[p] if b else p for g, p in perms.items() for b in (0, 1)}
         for p in perms.values():
             p.flags.writeable = False
@@ -346,36 +363,30 @@ def extrusion_product(base: PHGraph, fixed_sets) -> PHGraph:
     # copy k of a vertex sits at the bits of k, direction 0 the most significant;
     # a vertex contracted along the directions in its mask has one copy per
     # choice of the other bits: copy k is copy k & ~mask
-    bit = [1 << (t - 1 - h) for h in range(t)]
     elements = range(2 ** t)
-    words = {}   # mask -> the word of each copy
-
-    def copies(v: Vertex) -> tuple:
-        mask = sum(b for b, fs in zip(bit, fixed_sets) if v.base in fs)
-        if mask not in words:
-            words[mask] = ["".join(STAR if mask & b else "1" if k & b else "0" for b in bit)
-                           for k in elements]
-        out = []
-        for k, word in zip(elements, words[mask]):
-            out.append(out[k & ~mask] if k & mask else Vertex(v.base, word))
-        return mask, out
-
-    copy = {v: copies(v) for v in base.vertices}
-    made = {v: [w for k, w in enumerate(cv) if not k & mask] for v, (mask, cv) in copy.items()}
-    points = [w for v in made if base.is_point(v) for w in made[v]]
-    hyperplanes = [w for v in made if not base.is_point(v) for w in made[v]]
+    plain = [format(k, f"0{t}b") for k in elements]
+    masks = [int("".join("1" if v.base in fs else "0" for fs in fixed_sets), 2) for v in base.vertices]
+    copies = []   # per base vertex, its copy at each element
+    for v, mask in zip(base.vertices, masks):
+        own = [Vertex(v.base, "".join(STAR if s == "1" else c for c, s in zip(w, plain[mask]))
+                      if mask else w) for w in plain]
+        copies.append([own[k & ~mask] for k in elements] if mask else own)
+    nb = len(base.points)
+    points = [w for cv in copies[:nb] for w in cv]
+    hyperplanes = [cv[k] for cv, mask in zip(copies[nb:], masks[nb:]) for k in elements
+                   if not k & mask]
 
     # the copies of an edge repeat along the directions contracting both ends
     carried = {}
-    for name in _EDGE_FIELDS:
-        carried[name] = []
-        for u, v in getattr(base, name):
-            (mu, cu), (mv, cv) = copy[u], copy[v]
-            carried[name] += [(cu[k], cv[k]) for k in elements if not k & mu & mv]
+    for name, pairs in zip(_EDGE_FIELDS, base.edge_ends):
+        edges = carried[name] = []
+        for iu, iv in pairs.tolist():
+            both, cu, cv = masks[iu] & masks[iv], copies[iu], copies[iv]
+            edges += [(cu[k], cv[k]) for k in elements if not k & both] if both else zip(cu, cv)
     # copy-joining edges, skipping contracted coordinates
-    for v, (mask, cv) in copy.items():
-        joined = carried["edges_pp" if base.is_point(v) else "edges_hh_par"]
-        for b in bit:
+    for i, (mask, cv) in enumerate(zip(masks, copies)):
+        joined = carried["edges_pp" if i < nb else "edges_hh_par"]
+        for b in (1 << (t - 1 - h) for h in range(t)):
             if not mask & b:
                 joined += [(cv[k], cv[k | b]) for k in elements if not k & (mask | b)]
 

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from extrusion_oracles import (extrusion_displacement, residual_table,
+from extrusion_oracles import (extrusion_displacement, pairwise_coincident, residual_table,
                                scalar_verify_extrusion_symmetry)
 from extrusions import random_bar_joint_extrusions, random_point_hyperplane_extrusions
-from extrig.frameworks import (Configuration, ExtrusionSpec, Framework, affine_span_check,
+from extrig.frameworks import (Configuration, ExtrusionSpec, Framework, _has_coincident,
+                               affine_span_check,
                                apply_affine, apply_infinitesimal_rotation,
                                displacements, extrude_framework,
                                normalize_hyperplanes, verify_extrusion_symmetry)
@@ -293,6 +294,51 @@ def test_extrusion_warns_on_a_coincident_pair_only():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         extrude_framework(base, [(1.0, 0.5 + 10 * COINCIDENT_TOL)])
+
+
+@st.composite
+def point_sets(draw):
+    """0..5 random points in d = 2 or 3 at a drawn scale, with up to three
+    planted rows: an exact duplicate of a row, a row 0.5, 1 or 2 times
+    COINCIDENT_TOL from one along an axis or a diagonal, or a copy of a row
+    with a NaN or infinite coordinate."""
+    d = draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = list(rng.normal(size=(draw(st.integers(0, 5)), d)) * draw(st.sampled_from([1e-12, 1.0, 1e3])))
+    for _ in range(draw(st.integers(0, 3))):
+        p = rows[draw(st.integers(0, len(rows) - 1))] if rows else rng.normal(size=d)
+        plant = draw(st.sampled_from(["duplicate", "axis", "diagonal", "non-finite"]))
+        q = p.copy()
+        if plant in ("axis", "diagonal"):
+            step = np.eye(d)[draw(st.integers(0, d - 1))] if plant == "axis" else np.ones(d) / np.sqrt(d)
+            q += draw(st.sampled_from([0.5, 1.0, 2.0])) * COINCIDENT_TOL * step
+        elif plant == "non-finite":
+            q[draw(st.integers(0, d - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        rows.insert(draw(st.integers(0, len(rows))), q)
+    return np.array(rows).reshape(-1, d)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=500, deadline=None)
+@given(point_sets())
+def test_coincidence_sweep_matches_all_pairs(points):
+    """The sweep finds a pair closer than COINCIDENT_TOL exactly when the
+    table of all pairwise distances does."""
+    assert _has_coincident(points) == pairwise_coincident(points)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("points, want", [
+    ([], False), ([[0.0, 0.0]], False), ([[0.0, 0.0], [0.0, 0.0]], True),
+    ([[0.0, 0.0], [0.5 * COINCIDENT_TOL, 0.0]], True), ([[0.0, 0.0], [COINCIDENT_TOL, 0.0]], False),
+    ([[1.0, 1.0], [1.0 + 0.5 * COINCIDENT_TOL, 1.0 + 0.5 * COINCIDENT_TOL]], True),
+    ([[np.nan, 0.0], [np.nan, 0.0]], False), ([[np.inf, 0.0], [np.inf, 0.0]], False),
+    ([[np.inf, 0.0], [0.0, 0.0], [5.0, 1.0], [0.0, 0.0]], True)])
+def test_coincidence_on_small_and_non_finite_sets(d, points, want):
+    pts = np.array([p + [0.0] * (d - 2) for p in points]).reshape(-1, d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert _has_coincident(pts) == pairwise_coincident(pts) == want
 
 
 @settings(max_examples=100, deadline=None)
