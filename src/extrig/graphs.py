@@ -135,7 +135,7 @@ class PHGraph:
         object.__setattr__(self, "points", tuple(sorted(self.points, key=Vertex.sort_key)))
         object.__setattr__(self, "hyperplanes", tuple(sorted(self.hyperplanes, key=Vertex.sort_key)))
         verts = self.points + self.hyperplanes
-        # a word outside {0, 1, *} raises the digit table's KeyError, where the sort key did
+        # a word outside {0, 1, *} raises the digit table's KeyError, before any other check
         digits = list(map(_CHAR_ORDER.__getitem__, "".join([v.word for v in verts])))
         if set(self.points) & set(self.hyperplanes):
             raise ValueError("a vertex cannot be both point and hyperplane")
@@ -167,21 +167,20 @@ class PHGraph:
         pos, n, size = self._position, len(self.points), len(self._vertices)
         flat = itertools.chain.from_iterable(itertools.chain.from_iterable(fields))
         given = np.fromiter(map(pos.get, flat, itertools.repeat(-1)), np.intp).reshape(-1, 2)
-        kind = np.repeat(np.arange(4), counts)
+        kind = np.arange(4).repeat(counts)
         pairs = np.sort(given, axis=1)
-        bad = (pairs[:, 0] < 0) | (pairs[:, 0] == pairs[:, 1]) | np.any((given < n) != _POINT_ENDS[kind], 1)
+        bad = (pairs[:, 0] < 0) | (pairs[:, 0] == pairs[:, 1]) | ((given < n) != _POINT_ENDS[kind]).any(1)
         # pp, ph and hh pairs never meet, so hh-angle and hh-par share a key range
         key = (np.minimum(kind, 2) * size + pairs[:, 0]) * size + pairs[:, 1]
-        order = np.argsort(key, kind="stable")
+        order = key.argsort(kind="stable")
         repeats = order[1:][key[order[1:]] == key[order[:-1]]]   # each after its first
-        offenders = np.concatenate([np.flatnonzero(bad), repeats])
-        if offenders.size:
-            first = offenders.min()
+        if repeats.size or bad.any():
+            first = np.concatenate([bad.nonzero()[0], repeats]).min()
             u, v = next(itertools.islice(itertools.chain.from_iterable(fields), first, None))
             raise ValueError(f"self-loop at {u}" if u == v else f"edge {u}-{v} has endpoints "
                              f"inconsistent with kind {_EDGE_KINDS[kind[first]][1]}"
                              if bad[first] else f"duplicate edge {u}-{v}")
-        pairs = pairs[order[np.argsort(kind[order], kind="stable")]]   # by field, then by ends
+        pairs = pairs[order[kind[order].argsort(kind="stable")]]   # by field, then by ends
         pairs.flags.writeable = False
         cut = list(itertools.accumulate(counts, initial=0))
         return tuple(pairs[a:b] if b > a else _NO_ENDS for a, b in zip(cut, cut[1:]))
