@@ -10,8 +10,7 @@ from extrusion_oracles import (extrusion_displacement, pairwise_coincident, resi
                                scalar_verify_extrusion_symmetry)
 from extrusions import random_bar_joint_extrusions, random_point_hyperplane_extrusions
 from extrig.frameworks import (Configuration, ExtrusionSpec, Framework, _has_coincident,
-                               affine_span_check,
-                               apply_affine, apply_infinitesimal_rotation,
+                               affine_span_check, apply_affine, apply_infinitesimal_rotation,
                                displacements, extrude_framework,
                                normalize_hyperplanes, verify_extrusion_symmetry)
 from extrig.graphs import PHGraph, Vertex, group_elements
