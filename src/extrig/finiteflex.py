@@ -54,7 +54,7 @@ import numpy as np
 from .frameworks import Framework, affine_span_check, complete_kernel_check
 from .linalg import (CONTAINMENT_TOL, RANK_TOL, intersect_columns, nullspace, numeric_rank,
                      orthonormal_columns, projection_residual, rank_and_kernel_vector)
-from .rigidity import (CoordinateIndex, EMPTY_PIN, PinningSpec, RowLayout,
+from .rigidity import (CoordinateIndex, EMPTY_PIN, ROW_KINDS, PinningSpec, RowLayout,
                        _surviving_trivial_motions, trivial_motion_basis, trivial_motion_generators)
 from .symmetry import block_decompose  # noqa: F401  (perfbench traces it under this name)
 from .symmetry import build_reps, copy_zero_rows
@@ -348,32 +348,31 @@ def _base_flex_test(fw: Framework, tol: float, pin: PinningSpec = EMPTY_PIN):
     configuration.  A copy edge keeps its length along S, and every other
     edge orbit has one member on copy-0 points, so J S has the singular
     values of the base rows on the copy-0 columns: the orbit rigidity
-    matrix of rho_0 (Schulze & Whiteley 2011).  They are cut as
-    :class:`_OrbitSampler` cuts them, on the shape of J S and |J|_F.  At the
-    rank bound min(base rows, dim S) the configuration is regular; below
-    it, and wherever :func:`~extrig.symmetry.copy_zero_rows` hands over (a
-    pinning, an inactive direction, a starred point, an edge across
-    words), None.  The trivial motions in S are the translations and the
-    rotations W with W tau_h = 0 for every direction, (d - r)(d - r - 1)/2
-    of them for r = rank of the directions, so the complete graph's rank
-    dim S - dim(S n T) needs no SVD of [T S].
+    matrix of rho_0 (Schulze & Whiteley 2011), the only rows evaluated.  They
+    are cut as :class:`_OrbitSampler` cuts them, on the shape of J S and
+    |J|_F, here from the pp blocks of every edge.  At the rank bound
+    min(base rows, dim S) the configuration is regular; below it, and
+    wherever :func:`~extrig.symmetry.copy_zero_rows` hands over (a pinning,
+    an inactive direction, a starred point, an edge across words), None.
+    The trivial motions in S are the translations and the rotations W with
+    W tau_h = 0 for every direction, (d - r)(d - r - 1)/2 of them for r =
+    rank of the directions, so the complete graph's rank dim S - dim(S n T)
+    needs no SVD of [T S].
     """
     found = copy_zero_rows(fw, pin)
     if found is None:
         return None
-    layout, first, copy = found
-    d, t = fw.dim, fw.graph.extrusion_order
-    m = layout.shape[0]
-    base_row = np.zeros(m, dtype=bool)   # both ends on copy-0 points
-    base_row[first[layout.flip[first] == t]] = True
-    on_base = np.repeat(copy == 0, d)   # columns of the copy-0 points
-    row, col, value = layout.nonzeros(fw.config.points, fw.config.hyperplanes, scaled=True)
-    kept = base_row[row]
-    rows = int(np.count_nonzero(base_row))
-    mat = np.zeros((rows, int(np.count_nonzero(on_base))))
-    mat[(np.cumsum(base_row) - 1)[row[kept]], (np.cumsum(on_base) - 1)[col[kept]]] = value[kept]
-    dim = mat.shape[1]
-    rank_g = numeric_rank(mat, tol, scale=float(np.linalg.norm(value)), shape=(m, dim))
+    lo, hi, copy = found
+    d, kind = fw.dim, ROW_KINDS["pp"]
+    blocks = kind.blocks(fw.config.points, fw.config.hyperplanes, (lo, hi), None)
+    base = (copy[lo] == 0) & (copy[hi] == 0)   # both ends on copy-0 points
+    column = d * (np.cumsum(copy == 0) - 1)[:, None] + np.arange(d)   # a copy-0 point's columns
+    mat = np.zeros((int(np.count_nonzero(base)), d * int(np.count_nonzero(copy == 0))))
+    for end, block in zip((lo[base], hi[base]), blocks):
+        mat[np.arange(len(mat))[:, None], column[end]] = kind.jacobian_factor * block[base]
+    rows, dim = mat.shape
+    scale = kind.jacobian_factor * float(np.linalg.norm([np.linalg.norm(b) for b in blocks]))
+    rank_g = numeric_rank(mat, tol, scale=scale, shape=(len(lo), dim))
     if rank_g < min(rows, dim):
         return None
     free = d - numeric_rank(fw.extrusion.directions, tol)

@@ -245,8 +245,23 @@ def verify_extrusion_symmetry(fw: Framework, tol: float = RANK_TOL,
     over all of Z2^t, and kept on it (:attr:`Framework.symmetry_residuals`);
     that is sound because a framework's graph, spec and read-only
     configuration arrays never change.  Each call thresholds the rows of its
-    elements at its own ``tol``; containment is checked per call.
+    elements at its own ``tol``; containment is checked per call.  Both are
+    :func:`symmetry_violations`, which the symmetry gate reads alone.
     """
+    table, violations = symmetry_violations(fw, tol, active_only)
+    spec = fw.extrusion
+    # fmax skips NaN residuals, as max(max_res, res) did in the scalar loop
+    max_res = float(np.fmax.reduce(table, axis=None, initial=0.0))
+    notes = []
+    if spec.order > 1 and numeric_rank(spec.directions) < min(spec.order, fw.dim):
+        notes.append("extrusion directions are linearly dependent")
+    return SymmetryReport(ok=not violations, max_residual=max_res,
+                          violations=tuple(violations), notes=tuple(notes))
+
+
+def symmetry_violations(fw: Framework, tol: float, active_only: bool) -> tuple:
+    """``(table, violations)`` of :func:`verify_extrusion_symmetry`: the rows
+    of :attr:`Framework.symmetry_residuals` it reads, and its violations."""
     if fw.extrusion is None:
         raise ValueError("framework has no extrusion specification")
     spec = fw.extrusion
@@ -267,8 +282,6 @@ def verify_extrusion_symmetry(fw: Framework, tol: float = RANK_TOL,
     # row of each element in group_elements: its bits, direction 0 the most significant
     rows = [sum(b << (spec.order - 1 - h) for h, b in enumerate(gamma)) for gamma in elements]
     table = fw.symmetry_residuals[rows]
-    # fmax skips NaN residuals, as max(max_res, res) did in the scalar loop
-    max_res = float(np.fmax.reduce(table, axis=None, initial=0.0))
     violations = []
     hits = np.nonzero(table > tol * scale)
     if hits[0].size:
@@ -289,12 +302,7 @@ def verify_extrusion_symmetry(fw: Framework, tol: float = RANK_TOL,
             if not inside and starred:
                 violations.append(("containment", f"{w} direction={h}",
                                    float(abs(np.dot(tau, a)) / (np.linalg.norm(tau) * np.linalg.norm(a)))))
-
-    notes = []
-    if spec.order > 1 and numeric_rank(spec.directions) < min(spec.order, fw.dim):
-        notes.append("extrusion directions are linearly dependent")
-    return SymmetryReport(ok=not violations, max_residual=max_res,
-                          violations=tuple(violations), notes=tuple(notes))
+    return table, violations
 
 
 def apply_affine(fw: Framework, mat, vec) -> Framework:

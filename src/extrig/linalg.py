@@ -26,7 +26,8 @@ factor R of one QR decomposition.  Only when the nullity is exactly 1 does
 it return a unit kernel vector, found without singular vectors by inverse
 iteration on R^T R = J^T J from a seeded start: three triangular solves
 (Ipsen, "Computing an eigenvector with inverse iteration", SIAM Review
-1997).  Its error is the SVD's, of order eps sigma_1 / sigma_{n-1}.
+1997), each by block substitution (Higham 2002, ch. 13).  Its error is
+the SVD's, of order eps sigma_1 / sigma_{n-1}.
 
 Every other tolerance of the package is defined here too, once; none of
 them is an option.
@@ -51,6 +52,12 @@ MAX_MAGNITUDE = 1e100    # largest accepted |number| of a document: squares stay
 # took 1.05-2.1x the time of the plain values-only SVD at n <= 192,
 # about 1x at n = 224-320 and 0.74-0.88x at n >= 384.
 _QR_MIN_COLUMNS = 256
+
+# Largest diagonal block _triangular_solve hands to np.linalg.solve, an
+# O(n^3) LU blind to the zeros.  The three solves of rank_and_kernel_vector
+# on the R of a random 1.24n x n matrix, same host: equal at n <= 64, then
+# 96 -> 83 us at n = 72, 252 -> 157 at 117 and 476 -> 207 at 157.
+_SOLVE_BLOCK = 64
 
 
 def _rank(sigma, shape, tol: float, scale: float = None) -> int:
@@ -117,13 +124,22 @@ def nullspace(mat, tol: float = RANK_TOL, scale: float = None, shape: tuple = No
     when rounding left it below.  The left factor is full only for a wide
     matrix, where it is the small one: either way the SVD returns the
     complete n x n right factor."""
+    return _kernel(mat, tol, scale, shape)[0]
+
+
+def kernel_and_scale(mat, tol: float = RANK_TOL, shape: tuple = None) -> tuple:
+    """(:func:`nullspace`, largest singular value) from the one SVD."""
+    return _kernel(mat, tol, None, shape)
+
+
+def _kernel(mat, tol, scale, shape) -> tuple:
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     if mat.size == 0:
-        return np.eye(mat.shape[1])
+        return np.eye(mat.shape[1]), 0.0
     m, n = mat.shape
     _, sigma, vt = np.linalg.svd(mat, full_matrices=m < n)
     scale = None if scale is None else max(scale, sigma[0])
-    return vt[_rank(sigma, mat.shape if shape is None else shape, tol, scale):].T
+    return vt[_rank(sigma, mat.shape if shape is None else shape, tol, scale):].T, sigma[0]
 
 
 @lru_cache(maxsize=None)
@@ -142,10 +158,11 @@ def rank_and_kernel_vector(mat, tol: float = RANK_TOL) -> tuple:
     singular values of the triangular factor R of one QR decomposition.
     The vector is R^-1 R^-T R^-1 s for a seeded s, normalised: one step of
     inverse iteration on R^T R = J^T J from the start R^-1 s, three
-    triangular solves in all.  Against the singular vectors V of J, R^-1 s
-    weights v_i by 1 / sigma_i and the step by 1 / sigma_i^2 more, so the
-    start's error shrinks by (sigma_n / sigma_{n-1})^3 and what is left is
-    the solves' round-off, eps sigma_1 / sigma_{n-1} as for the SVD.  A wide
+    triangular solves in all (:func:`_triangular_solve`).  Against the
+    singular vectors V of J, R^-1 s weights v_i by 1 / sigma_i and the step
+    by 1 / sigma_i^2 more, so the start's error shrinks by (sigma_n /
+    sigma_{n-1})^3 and what is left is the solves' round-off, eps sigma_1 /
+    sigma_{n-1} as for the SVD.  A wide
     matrix is padded with zero rows, and an exactly zero pivot is replaced
     by eps * max|R|."""
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
@@ -162,8 +179,22 @@ def rank_and_kernel_vector(mat, tol: float = RANK_TOL) -> tuple:
     diag = np.diagonal(r)
     if not diag.all():
         r += np.diag(np.where(diag == 0, np.finfo(float).eps, 0.0))
-    vec = np.linalg.solve(r, np.linalg.solve(r.T, np.linalg.solve(r, _start(n))))
+    vec = _triangular_solve(r, _triangular_solve(r.T, _triangular_solve(r, _start(n), False), True),
+                            False)
     return rank, vec / np.linalg.norm(vec)
+
+
+def _triangular_solve(tri, rhs, lower: bool) -> np.ndarray:
+    """tri^-1 rhs by substitution on halves, down to diagonal blocks of at
+    most ``_SOLVE_BLOCK`` rows, each one ``np.linalg.solve``."""
+    if len(rhs) <= _SOLVE_BLOCK:
+        return np.linalg.solve(tri, rhs)
+    halves = slice(0, len(rhs) // 2), slice(len(rhs) // 2, None)
+    a, b = halves if lower else halves[::-1]   # a is solved first
+    out = np.empty(len(rhs))
+    out[a] = _triangular_solve(tri[a, a], rhs[a], lower)
+    out[b] = _triangular_solve(tri[b, b], rhs[b] - tri[b, a] @ out[a], lower)
+    return out
 
 
 def orthonormal_columns(mat, tol: float = RANK_TOL) -> np.ndarray:

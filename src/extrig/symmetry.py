@@ -35,10 +35,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .frameworks import Framework, displacements, verify_extrusion_symmetry
+from .frameworks import Framework, displacements, symmetry_violations
 from .graphs import subgroup_elements
-from .linalg import (INT_TOL, RANK_TOL, SYMMETRY_TOL, nullspace, numeric_rank,
-                     orthonormal_columns)
+from .linalg import (INT_TOL, RANK_TOL, SYMMETRY_TOL, kernel_and_scale, nullspace,
+                     numeric_rank, orthonormal_columns)
 from .rigidity import (CoordinateIndex, EMPTY_PIN, PinningSpec, RowLayout, column_start,
                        live_contracted_hyperplanes, rigidity_matrix)
 
@@ -117,14 +117,15 @@ def _check_ph_hypothesis(fw: Framework, pin: PinningSpec, active):
 def check_extrusion_symmetry(fw: Framework):
     """The symmetry gate: :class:`SymmetryPreconditionError` unless every
     active element is a symmetry of the configuration at ``SYMMETRY_TOL``
-    (nothing to check without an extrusion spec)."""
+    (nothing to check without an extrusion spec).  It reads the violations
+    of :func:`~extrig.frameworks.verify_extrusion_symmetry`, off the cached
+    residual table, and names the first, without building its report."""
     if fw.extrusion is None:
         return
-    check = verify_extrusion_symmetry(fw, tol=SYMMETRY_TOL, active_only=True)
-    if not check.ok:
-        first = check.violations[0]
-        raise SymmetryPreconditionError(
-            f"framework is not extrusion-symmetric: {first[0]} at {first[1]}")
+    violations = symmetry_violations(fw, SYMMETRY_TOL, active_only=True)[1]
+    if violations:
+        law, where, _ = violations[0]
+        raise SymmetryPreconditionError(f"framework is not extrusion-symmetric: {law} at {where}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,6 +328,20 @@ def character_rows(fw: Framework, reps: RepBundle):
     trans = translation_character(fw, reps.index.pin)
     named.append((trans_name, trans))
     return named, ext_total, int_total, trans
+
+
+def _copy_zero_characters(fw: Framework, reps: RepBundle):
+    """:func:`character_rows` of a framework :func:`copy_zero_rows` accepts,
+    in closed form: no element but the identity fixes a point, and e_h fixes
+    only the copy edges across h, each with sign -1."""
+    d, t = fw.dim, fw.graph.extrusion_order
+    points, edges = np.zeros(2 ** t), np.zeros(2 ** t)
+    points[0], edges[0] = len(fw.graph.points), reps.layout.shape[0]
+    edges[1 << np.arange(t - 1, -1, -1)] = -np.bincount(reps.layout.flip, minlength=t + 1)[:t]
+    trans = translation_character(fw)
+    named = [("chi(P_V)", points), (f"chi(P_V x I{d})", d * points), ("chi(P'_E)", edges),
+             (f"chi(P_V x I{d})^(T)", trans)]
+    return named, d * points, edges, trans
 
 
 def translation_character(fw: Framework, pin: PinningSpec = EMPTY_PIN) -> np.ndarray:
@@ -614,63 +629,64 @@ def _orbit_blocks(fw: Framework, pin: PinningSpec = EMPTY_PIN) -> BlockDecomposi
 
 
 def copy_zero_rows(fw: Framework, pin: PinningSpec = EMPTY_PIN):
-    """``(layout, rows, copy)`` for an unpinned bar-joint extrusion whose row
-    orbits all meet its copy-0 points; None where the orbit path decides.
+    """``(lo, hi, copy)`` for an unpinned bar-joint extrusion whose row orbits
+    all meet its copy-0 points; None where the orbit path decides.
 
     The framework qualifies when it has an extrusion spec with every
-    direction active, no pinning, no hyperplane, no starred point (the
+    direction active, in direction order (the element order that the copy
+    numbers index), no pinning, no hyperplane, no starred point (the
     action fixes one, so no copy-0 row reaches its coordinates), and no
     edge across words: one joining copies of two base points with different
     words has an orbit with no member on copy-0 points.  Then every orbit
     of the action is free.  ``copy`` gives each point's word read in binary,
-    direction 0 first; the copy-0 points are those with copy 0.  ``layout``
-    is the graph's :class:`RowLayout` (a bar-joint graph's rows are its pp
-    edges, in :attr:`PHGraph.edge_ends` order), and ``rows`` its rows from a
-    copy-0 point, ascending: one per base edge, both ends on copy 0, and one
-    per copy-0 point and direction, the copy edge to the copy across it.
-    Each is the first row of its orbit.
+    direction 0 first; the copy-0 points are those with copy 0.  ``lo`` and
+    ``hi`` are the positions of the pp edge ends, in :attr:`PHGraph.edge_ends`
+    order, which is the row order of a bar-joint graph.
 
-    The symmetry gate runs before the layout's flip coordinates are read,
+    The symmetry gate runs before the copies of an edge's ends are compared,
     so a framework raises what :func:`build_reps` raises, in its order:
-    :class:`SymmetryPreconditionError` off symmetry, then ValueError for an
-    edge joining copies that differ in two directions.
+    :class:`SymmetryPreconditionError` off symmetry, then the ValueError of
+    :attr:`RowLayout.flip` for an edge joining copies that differ in two
+    directions.
     """
     spec, graph = fw.extrusion, fw.graph
     if (spec is None or not pin.is_empty() or not fw.is_bar_joint()
-            or set(spec.active) != set(range(spec.order)) or (graph.steps == 0).any()):
+            or spec.active != tuple(range(spec.order)) or (graph.steps == 0).any()):
         return None
     t = spec.order
     copy = (graph.steps < 0) @ (1 << np.arange(t - 1, -1, -1))
     start = np.arange(len(copy)) - copy   # the copy-0 point of each point's base
     lo, hi = graph.edge_ends[0].T
-    if ((start[lo] != start[hi]) & (copy[lo] != copy[hi])).any():
+    pair, across = start[lo] == start[hi], copy[lo] ^ copy[hi]
+    if (~pair & (across != 0)).any():
         return None
     check_extrusion_symmetry(fw)
-    layout = RowLayout(graph, fw.dim)
-    layout.flip   # ValueError for copies differing in two directions, as build_reps raises it
-    return layout, np.flatnonzero(copy[lo] == 0), copy
+    if (pair & ((across & (across - 1)) != 0)).any():
+        RowLayout(graph, fw.dim).flip   # raises the ValueError build_reps raises
+    return lo, hi, copy
 
 
-def _copy_zero_blocks(fw: Framework, layout: RowLayout, rows, copy) -> BlockDecomposition:
+def _copy_zero_blocks(fw: Framework, lo, hi, copy) -> BlockDecomposition:
     """The blocks of an unpinned bar-joint extrusion from its copy-0 rows.
 
     Every orbit is free, so A_i takes the coordinates x_v of the copy-0
     points to chi_i(w) x_v / 2^{t/2} on each copy w, and block i is the
-    orbit rigidity matrix [R_base ; sqrt(2) D_S]: the rows of ``rows`` on
-    the copy-0 columns, a copy edge's only for the directions S that
-    chi_i negates.  The entries are scaled with the floating-point
+    orbit rigidity matrix [R_base ; sqrt(2) D_S]: the rows from a copy-0
+    point on the copy-0 columns, a copy edge's only for the directions S
+    that chi_i negates.  The entries are scaled with the floating-point
     operations of :func:`_orbit_blocks`, so the blocks are the same bit for
     bit.  The off-diagonal residual comes from :func:`_copy_zero_residual`.
     """
     graph, d, t = fw.graph, fw.dim, fw.graph.extrusion_order
     elements = active_elements(fw)
+    layout = RowLayout(graph, d)
+    rows = np.flatnonzero(copy[lo] == 0)   # ascending: the first row of each orbit
     table = character_matrix(elements)
     flip = layout.flip[rows]
     on_copy = flip < t
     row, col, value = layout.nonzeros(fw.config.points, fw.config.hyperplanes)
     point = col // d
     # a row's orbit: the element of its lower end's copy takes it to the orbit's first row
-    lo, hi = graph.edge_ends[0].T
     n, shift = len(copy), copy[lo]
     orbit = np.searchsorted(lo[rows] * n + hi[rows], (lo - shift) * n + hi - shift)[row]
     # each coordinate's column: that of x_v for its point's copy-0 point v
@@ -816,10 +832,13 @@ def fowler_guest_count(fw: Framework, pin: PinningSpec = EMPTY_PIN,
 
     Every block is cut at the largest singular value of all blocks.  On the
     copy-0 path each block is a row subset of the last, so by interlacing
-    that is the last block's 2-norm.
+    that is the last block's, from the SVD that gives its kernel, and the
+    characters have a closed form (:func:`_copy_zero_characters`).
     """
     dec = block_decompose(fw, pin)
-    named, ext_total, int_total, trans = character_rows(fw, dec.reps)
+    closed = dec.copies is not None
+    characters = _copy_zero_characters if closed else character_rows
+    named, ext_total, int_total, trans = characters(fw, dec.reps)
     elements = dec.reps.elements
     lam, mu, nu = decompose_character(np.stack([ext_total, int_total, trans]), elements)
     if not np.array_equal(lam, dec.freedoms) or not np.array_equal(mu, dec.constraints):
@@ -830,11 +849,13 @@ def fowler_guest_count(fw: Framework, pin: PinningSpec = EMPTY_PIN,
              for g in elements]
     # each block is cut as the block-diagonal matrix of all blocks is
     shape = (int(mu.sum()), int(lam.sum()))
-    blocks = dec.blocks if dec.copies is None else dec.blocks[-1:]
-    scale = max((np.linalg.norm(block, 2) for block in blocks if block.size), default=0.0)
+    if closed:
+        last, scale = kernel_and_scale(dec.blocks[-1], tol, shape)
+    else:
+        scale = max((np.linalg.norm(block, 2) for block in dec.blocks if block.size), default=0.0)
     flex_dims, flexes, stress_dims = {}, {}, {}
     for i, block in enumerate(dec.blocks):
-        kern = nullspace(block, tol, scale, shape)
+        kern = last if closed and i == len(dec.blocks) - 1 else nullspace(block, tol, scale, shape)
         flex_dims[i] = kern.shape[1]
         flexes[i] = dec.lift(i, kern)
         stress_dims[i] = block.shape[0] - (block.shape[1] - kern.shape[1])

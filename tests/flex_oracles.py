@@ -12,18 +12,23 @@ component.  :func:`complete_graph_oracle` ranks the complete decorated
 graph's measurement Jacobian, which the package reads off the trivial
 motions instead.  :func:`reference_linear_push` is the linear push on
 kernels from full SVDs, which the package replaced by inverse iteration on
-one triangular factor per sample.  None is a code path of the package.
+one triangular factor per sample.  :func:`layout_base_flex_test` assembles
+the copy-0 certificate of :func:`extrig.finiteflex._base_flex_test` from the
+graph's whole :class:`~extrig.rigidity.RowLayout`: every row's nonzeros,
+masked to the base rows, after a gate that builds the full symmetry report.
+None is a code path of the package.
 """
 import numpy as np
 
 from extrig.finiteflex import (LINEARLY_DETECTABLE, NOT_LINEARLY_DETECTABLE, PRECONDITION_FAILED,
-                               AffineSubspace, LinearPushResult, MeasurementMap, _OrbitSampler,
-                               measurement_map)
-from extrig.frameworks import Configuration, Framework
+                               AffineSubspace, FlexTestResult, LinearPushResult, MeasurementMap,
+                               _OrbitSampler, _determination, measurement_map)
+from extrig.frameworks import Configuration, Framework, verify_extrusion_symmetry
 from extrig.graphs import complete_decorated
-from extrig.linalg import CONTAINMENT_TOL, RANK_TOL, nullspace, numeric_rank, projection_residual
+from extrig.linalg import (CONTAINMENT_TOL, RANK_TOL, SYMMETRY_TOL, nullspace, numeric_rank,
+                           projection_residual)
 from extrig.rigidity import EMPTY_PIN, CoordinateIndex, RowLayout, trivial_motion_dim
-from extrig.symmetry import block_decompose
+from extrig.symmetry import SymmetryPreconditionError, block_decompose
 
 
 def _product_rank(jac, basis, tol: float) -> int:
@@ -178,3 +183,57 @@ def reference_linear_push(fw, pin, seed=0, max_iter=None, tol=RANK_TOL):
         extra = gen - basis @ (basis.T @ gen)
         basis = np.column_stack([basis, extra / np.linalg.norm(extra)])
     return failed(f"no determination within {cap} iterations", cap, trace, subspace(basis))
+
+
+def layout_copy_zero_rows(fw, pin=EMPTY_PIN):
+    """``(layout, rows, copy)``: the copy-0 entry read off the graph's
+    :class:`RowLayout`.  The same eligibility and hand-overs as
+    :func:`extrig.symmetry.copy_zero_rows`, then the gate on the full report
+    of :func:`verify_extrusion_symmetry`, then the layout's flip coordinates,
+    which raise for an edge joining copies that differ in two directions.
+    ``rows`` are the rows from a copy-0 point."""
+    spec, graph = fw.extrusion, fw.graph
+    if (spec is None or not pin.is_empty() or not fw.is_bar_joint()
+            or spec.active != tuple(range(spec.order)) or (graph.steps == 0).any()):
+        return None
+    t = spec.order
+    copy = (graph.steps < 0) @ (1 << np.arange(t - 1, -1, -1))
+    start = np.arange(len(copy)) - copy
+    lo, hi = graph.edge_ends[0].T
+    if ((start[lo] != start[hi]) & (copy[lo] != copy[hi])).any():
+        return None
+    check = verify_extrusion_symmetry(fw, tol=SYMMETRY_TOL, active_only=True)
+    if not check.ok:
+        law, where, _ = check.violations[0]
+        raise SymmetryPreconditionError(f"framework is not extrusion-symmetric: {law} at {where}")
+    layout = RowLayout(graph, fw.dim)
+    layout.flip
+    return layout, np.flatnonzero(copy[lo] == 0), copy
+
+
+def layout_base_flex_test(fw, tol=RANK_TOL, pin=EMPTY_PIN):
+    """``(result, matrix, scale)`` of the copy-0 certificate from every row's
+    nonzeros: the base rows on the copy-0 columns, and |J|_F over all rows.
+    ``result`` is None where the package hands over, and the matrix and
+    scale are None where it hands over before ranking."""
+    found = layout_copy_zero_rows(fw, pin)
+    if found is None:
+        return None, None, None
+    layout, first, copy = found
+    d, t = fw.dim, fw.graph.extrusion_order
+    m = layout.shape[0]
+    base_row = np.zeros(m, dtype=bool)
+    base_row[first[layout.flip[first] == t]] = True
+    on_base = np.repeat(copy == 0, d)
+    row, col, value = layout.nonzeros(fw.config.points, fw.config.hyperplanes, scaled=True)
+    kept = base_row[row]
+    mat = np.zeros((int(np.count_nonzero(base_row)), int(np.count_nonzero(on_base))))
+    mat[(np.cumsum(base_row) - 1)[row[kept]], (np.cumsum(on_base) - 1)[col[kept]]] = value[kept]
+    scale = float(np.linalg.norm(value))
+    rows, dim = mat.shape
+    rank_g = numeric_rank(mat, tol, scale=scale, shape=(m, dim))
+    if rank_g < min(rows, dim):
+        return None, mat, scale
+    free = d - numeric_rank(fw.extrusion.directions, tol)
+    rank_k = dim - d - free * (free - 1) // 2
+    return FlexTestResult(_determination(True, rank_g, rank_k), True, rank_g, rank_k, dim), mat, scale

@@ -61,10 +61,11 @@ CALLS = {
     # its rank line reads the blocks, and only the trivial motions index again
     "build_report": (prism_twofold_report, {"CoordinateIndex": 2, "RowLayout": 1,
                                             "PHGraph.act": 3 * 12}),
-    # irreducible 0 of an unpinned bar-joint extrusion reads the copy-0 rows
-    # of one measurement layout; the gate's residual pass is the only other work
+    # irreducible 0 of an unpinned bar-joint extrusion evaluates its base rows
+    # from the edge ends, with no layout; the gate's residual pass is the only
+    # other work
     "finite_flex_test": (lambda: finite_flex_test(prism()),
-                         {"RowLayout": 1, "PHGraph.act": 1 * 6}),
+                         {"RowLayout": 0, "PHGraph.act": 1 * 6}),
     # any other irreducible takes the general path: the representations, the
     # measurement map and the trivial motions each index the coordinates
     "finite_flex_test_irrep_1": (lambda: finite_flex_test(prism(), irrep_index=1),
@@ -93,6 +94,15 @@ def test_bookkeeping_is_built_once_per_use(counts, name):
     call()
     # a name listed with 0 must not be counted at all
     assert {name: counts[name] for name in counts.keys() | expected.keys()} == expected
+
+
+def test_base_certificate_evaluates_no_row_layout(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("row layout evaluated")
+
+    monkeypatch.setattr(RowLayout, "nonzeros", refuse)
+    monkeypatch.setattr(RowLayout, "__init__", refuse)
+    assert finite_flex_test(prism()).determination == "FiniteFlexCertified"
 
 
 @pytest.mark.parametrize("name", ["prism_twofold.json", "point_line_twofold_pinned.json",

@@ -16,7 +16,7 @@ from extrig.fixtures import (constrained_cube, constrained_cube_pinned, k33_orth
                              k33_pinnings, point_line_extruded_fixed, point_line_twofold,
                              point_line_twofold_pinned, prism, prism_twofold, triangle,
                              triangle_cycle, triangle_cycle_classes)
-from extrig.frameworks import (Configuration, Framework, affine_span_check,
+from extrig.frameworks import (Configuration, ExtrusionSpec, Framework, affine_span_check,
                                complete_kernel_check, extrude_framework)
 from extrig.graphs import PHGraph, Vertex
 from extrig.linalg import RANK_TOL, numeric_rank
@@ -29,8 +29,8 @@ from extrusions import (degenerate_point_hyperplane_extrusions, extruded,
                         rigid_fan_extrusions, triangle_extruded, with_extra_bars,
                         with_starred_point)
 from flex_oracles import (block_rank_at, complete_graph_oracle, complete_kernel_excess,
-                          dense_regularity, reference_linear_push, restricted_rank_oracle,
-                          sampled_regularity)
+                          dense_regularity, layout_base_flex_test, reference_linear_push,
+                          restricted_rank_oracle, sampled_regularity)
 
 GALLERY = sorted(p.name for p in (resources.files("extrig") / "data").iterdir()
                  if p.name.endswith(".json"))
@@ -685,6 +685,122 @@ def test_precondition_failures_raise_alike_on_both_paths(name):
         general_flex_test(fw)
     assert type(base.value) is type(general.value)
     assert str(base.value) == str(general.value)
+
+
+def base_certificate(fw, tol=RANK_TOL, pin=EMPTY_PIN):
+    """``(result, matrix, scale, shape)`` of ``_base_flex_test``: its first
+    rank decision is the certificate's, and the matrix, scale and shape it
+    cut are read off that call (None where it hands over before ranking)."""
+    seen = []
+
+    def spy(mat, tol=RANK_TOL, scale=None, shape=None):
+        seen.append((mat, scale, shape))
+        return numeric_rank(mat, tol, scale, shape)
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(extrig.finiteflex, "numeric_rank", spy)
+        result = extrig.finiteflex._base_flex_test(fw, tol, pin)
+    return (result, *(seen[0] if seen else (None, None, None)))
+
+
+def assert_certificate_matches_the_layout_oracle(fw, pin=EMPTY_PIN):
+    """The base rows equal, bit for bit, the rows the whole layout gives;
+    |J|_F, summed in another order, agrees to round-off; the results, and
+    what either raises (type and message), are equal."""
+    got = outcome(lambda: base_certificate(fw, RANK_TOL, pin))
+    want = outcome(lambda: layout_base_flex_test(fw, RANK_TOL, pin))
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    (result, mat, scale, shape), (ref, ref_mat, ref_scale) = got, want
+    assert result == ref
+    assert (mat is None) == (ref_mat is None)
+    if ref_mat is not None:
+        assert (mat.shape, mat.tobytes()) == (ref_mat.shape, ref_mat.tobytes())
+        assert shape == (len(fw.graph.edges_pp), mat.shape[1])
+        assert scale == pytest.approx(ref_scale, rel=1e-14)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_bar_joint_extrusions())
+def test_base_certificate_equals_the_layout_oracle(fw):
+    assert_certificate_matches_the_layout_oracle(fw)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rigid_fan_extrusions())
+def test_base_certificate_equals_the_layout_oracle_on_fans(fw):
+    assert_certificate_matches_the_layout_oracle(fw)
+
+
+@pytest.mark.parametrize("name", GALLERY)
+def test_base_certificate_equals_the_layout_oracle_on_gallery(name):
+    doc = documents.load(resources.files("extrig").joinpath("data", name))
+    for pin in {EMPTY_PIN, doc.pinning or EMPTY_PIN}:
+        assert_certificate_matches_the_layout_oracle(doc.framework, pin)
+
+
+def two_direction_edge():
+    return PRECONDITION_FAILURES["copy edge across two directions"][0]()
+
+
+def with_spec(fw, active):
+    return Framework(fw.graph, fw.config, ExtrusionSpec(fw.extrusion.directions, active=active))
+
+
+def copy_class_pinned(fw):
+    return fw, PinningSpec(coords={(v, 0) for v in fw.graph.points if v.base == "p0"})
+
+
+# (framework, pinning), and what the base certificate gives: None for a
+# hand-over, else the exception type; where several apply, the first in
+# the entry's order decides
+CERTIFICATE_CASES = {
+    "pinned": (lambda: copy_class_pinned(triangle_extruded()), None),
+    "pinned off symmetry": (lambda: copy_class_pinned(moved(triangle_extruded(), (1e-3, 0))), None),
+    "inactive direction": (lambda: (with_spec(triangle_extruded(((1.3, 0.4), (-0.2, 1.1))), (0,)),
+                                    EMPTY_PIN), None),
+    "active out of order": (lambda: (with_spec(triangle_extruded(((1.3, 0.4), (-0.2, 1.1))),
+                                               (1, 0)), EMPTY_PIN), None),
+    "starred point": (lambda: (HAND_OVERS["starred point"](), EMPTY_PIN), None),
+    "starred point off symmetry": (lambda: (moved(HAND_OVERS["starred point"](), (1e-3, 0)),
+                                            EMPTY_PIN), None),
+    "edge across words": (lambda: (HAND_OVERS["edge across words"](), EMPTY_PIN), None),
+    "edge across words off symmetry": (
+        lambda: (moved(HAND_OVERS["edge across words"](), (1e-3, 0)), EMPTY_PIN), None),
+    "below the rank bound": (lambda: (k4_extruded(), EMPTY_PIN), None),
+    "off symmetry": (lambda: (moved(prism(), (1e-3, 0)), EMPTY_PIN), SymmetryPreconditionError),
+    "copy edge across two directions": (lambda: (two_direction_edge(), EMPTY_PIN), ValueError),
+    "two directions off symmetry": (lambda: (moved(two_direction_edge(), (1e-3, 0)), EMPTY_PIN),
+                                    SymmetryPreconditionError),
+}
+
+
+@pytest.mark.parametrize("name", CERTIFICATE_CASES)
+def test_certificate_hand_overs_and_errors_keep_their_order(name):
+    """Each hand-over and each error of the copy-0 entry, alone or ahead of
+    another, as the layout oracle gives it: None, or the same exception
+    type and message; finite_flex_test then equals the general path."""
+    build, expect = CERTIFICATE_CASES[name]
+    fw, pin = build()
+    assert_certificate_matches_the_layout_oracle(fw, pin)
+    got = outcome(lambda: extrig.finiteflex._base_flex_test(fw, RANK_TOL, pin))
+    if expect is None:
+        assert got is None
+    else:
+        assert got[0] is expect
+        assert outcome(lambda: finite_flex_test(fw, pin)) == got
+    if not pin.is_empty():
+        return
+    assert outcome(lambda: finite_flex_test(fw)) == outcome(lambda: general_flex_test(fw))
+
+
+def test_a_coarse_tolerance_reads_no_base_certificate(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("base certificate read at a coarse tolerance")
+
+    monkeypatch.setattr(extrig.finiteflex, "copy_zero_rows", refuse)
+    assert finite_flex_test(prism(), tol=1e-3) == general_flex_test(prism(), 1e-3)
 
 
 def test_linear_push_prism():

@@ -23,8 +23,8 @@ from extrig.cli import build_report
 from extrig.linalg import RANK_TOL, numeric_rank
 from extrig.rigidity import (EMPTY_PIN, CoordinateIndex, PinningSpec, RowLayout,
                              infinitesimal_analysis, rigidity_matrix)
-from extrig.symmetry import (PermutationRep, SymmetryPreconditionError, _orbit_blocks,
-                             active_elements, block_decompose, build_reps, coordinate_action,
+from extrig.symmetry import (PermutationRep, SymmetryPreconditionError, _copy_zero_characters,
+                             _orbit_blocks, active_elements, block_decompose, build_reps, coordinate_action,
                              copy_zero_rows,
                              character_matrix, character_of, character_rows,
                              decompose_character, fowler_guest_count,
@@ -32,7 +32,7 @@ from extrig.symmetry import (PermutationRep, SymmetryPreconditionError, _orbit_b
                              symmetry_adapted_basis,
                              translation_character)
 from extrusions import (extruded, random_bar_joint_bases, random_bar_joint_extrusions,
-                        random_point_hyperplane_extrusions, triangle_extruded,
+                        random_point_hyperplane_extrusions, rigid_fan_extrusions, triangle_extruded,
                         with_extra_bars, with_starred_point)
 
 SYMMETRIC_CASES = [
@@ -652,6 +652,13 @@ def inactive_direction():
     return Framework(fw.graph, fw.config, ExtrusionSpec(fw.extrusion.directions, active=(0,)))
 
 
+def permuted_active():
+    """The triangle extruded twice, both directions active, listed in reverse:
+    the elements are then not in the order of the copy numbers."""
+    fw = triangle_extruded(((1.3, 0.4), (-0.2, 1.1)))
+    return Framework(fw.graph, fw.config, ExtrusionSpec(fw.extrusion.directions, active=(1, 0)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=random_bar_joint_extrusions().map(lambda fw: (fw, EMPTY_PIN)), hand_over=st.just(False))
 @example(case=(with_starred_point(triangle_extruded()), EMPTY_PIN), hand_over=True)
@@ -659,11 +666,12 @@ def inactive_direction():
                EMPTY_PIN), hand_over=True)
 @example(case=copy_class_pinning(), hand_over=True)
 @example(case=(inactive_direction(), EMPTY_PIN), hand_over=True)
+@example(case=(permuted_active(), EMPTY_PIN), hand_over=True)
 def test_copy_zero_blocks_equal_the_orbit_blocks(case, hand_over):
     """Blocks, detected flexes and every integer field are the same bits on
     both paths; the residuals, summed in another order, agree to round-off.
-    A starred point, an edge across words, a pinning and an inactive
-    direction hand over to the orbit path."""
+    A starred point, an edge across words, a pinning, an inactive direction
+    and active directions out of order hand over to the orbit path."""
     fw, pin = case
     with mock.patch.object(extrig.symmetry, "_orbit_blocks", wraps=_orbit_blocks) as spy:
         dec = block_decompose(fw, pin)
@@ -690,6 +698,36 @@ def test_copy_zero_path_reads_the_bases_only_on_request():
         assert all(np.array_equal(mine[i].dense(), theirs[i].dense()) for i in range(len(mine)))
 
 
+def assert_closed_characters_equal_the_counted_ones(fw):
+    dec = block_decompose(fw)
+    assert dec.copies is not None
+    closed, counted = _copy_zero_characters(fw, dec.reps), character_rows(fw, dec.reps)
+    assert [name for name, _ in closed[0]] == [name for name, _ in counted[0]]
+    for mine, theirs in zip([vec for _, vec in closed[0]] + list(closed[1:]),
+                            [vec for _, vec in counted[0]] + list(counted[1:])):
+        assert np.array_equal(mine, theirs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_bar_joint_extrusions())
+def test_closed_form_characters_equal_the_counted_ones(fw):
+    """chi(P_V) and chi(P'_E) in closed form equal the fixed vertices and
+    rows that character_rows counts, on every copy-0 framework."""
+    assert_closed_characters_equal_the_counted_ones(fw)
+
+
+@settings(max_examples=50, deadline=None)
+@given(rigid_fan_extrusions())
+def test_closed_form_characters_equal_the_counted_ones_on_fans(fw):
+    assert_closed_characters_equal_the_counted_ones(fw)
+
+
+@pytest.mark.parametrize("name", ["prism.json", "prism_twofold.json"])
+def test_closed_form_characters_equal_the_counted_ones_on_gallery(name):
+    assert_closed_characters_equal_the_counted_ones(
+        documents.load(resources.files("extrig").joinpath("data", name)).framework)
+
+
 @settings(max_examples=300, deadline=None)
 @given(random_bar_joint_extrusions())
 def test_copy_zero_cut_scale_is_the_last_blocks_norm(fw):
@@ -702,28 +740,34 @@ def test_copy_zero_cut_scale_is_the_last_blocks_norm(fw):
 
 
 @pytest.mark.parametrize("name, path, expected", [
-    ("prism.json", "copy-0", 1), ("prism_twofold.json", "copy-0", 1),
+    ("prism.json", "copy-0", 0), ("prism_twofold.json", "copy-0", 0),
     ("prism_pinned.json", "orbit", 2), ("point_line_twofold_pinned.json", "orbit", 2)])
 def test_cut_scale_takes_one_matrix_norm_on_the_copy_zero_path(monkeypatch, name, path, expected):
-    """fowler_guest_count takes the 2-norm of the last block alone on the
-    copy-0 path, and of each of the blocks, one per element of the active
-    subgroup, on the orbit path."""
+    """fowler_guest_count takes no 2-norm on the copy-0 path, where the cut
+    scale comes from the SVD that gives the last block's kernel, one SVD per
+    block, and the 2-norm of each of the blocks, one per element of the
+    active subgroup, on the orbit path."""
     doc = documents.load(resources.files("extrig").joinpath("data", name))
     fw, pin = doc.framework, doc.pinning or EMPTY_PIN
     dec = block_decompose(fw, pin)
     assert (dec.copies is not None) == (path == "copy-0")
-    seen, norm = [], np.linalg.norm
+    seen, svds, norm, svd = [], [], np.linalg.norm, np.linalg.svd
 
     def counted(x, ord=None, *args, **kwargs):
         if ord == 2 and np.ndim(x) == 2:
             seen.append(np.shape(x))
         return norm(x, ord, *args, **kwargs)
 
+    def counted_svd(x, *args, **kwargs):
+        svds.append(np.shape(x))
+        return svd(x, *args, **kwargs)
+
     monkeypatch.setattr(np.linalg, "norm", counted)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
     fowler_guest_count(fw, pin)
     assert len(seen) == expected
     if path == "copy-0":
-        assert seen == [dec.blocks[-1].shape]
+        assert svds == dec.block_shapes[-1:] + dec.block_shapes[:-1]
 
 
 def moved_prism():
