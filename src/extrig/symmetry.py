@@ -115,11 +115,10 @@ def _check_ph_hypothesis(fw: Framework, pin: PinningSpec, active):
 
 
 def check_extrusion_symmetry(fw: Framework):
-    """The symmetry gate: :class:`SymmetryPreconditionError` unless every
-    active element is a symmetry of the configuration at ``SYMMETRY_TOL``
-    (nothing to check without an extrusion spec).  It reads the violations
-    of :func:`~extrig.frameworks.verify_extrusion_symmetry`, off the cached
-    residual table, and names the first, without building its report."""
+    """The symmetry gate: :class:`SymmetryPreconditionError`, naming the first
+    violation :func:`~extrig.frameworks.verify_extrusion_symmetry` finds among
+    the active elements at ``SYMMETRY_TOL``, read without building its report
+    (nothing to check without an extrusion spec)."""
     if fw.extrusion is None:
         return
     violations = symmetry_violations(fw, SYMMETRY_TOL, active_only=True)[1]

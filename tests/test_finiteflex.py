@@ -795,14 +795,6 @@ def test_certificate_hand_overs_and_errors_keep_their_order(name):
     assert outcome(lambda: finite_flex_test(fw)) == outcome(lambda: general_flex_test(fw))
 
 
-def test_a_coarse_tolerance_reads_no_base_certificate(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("base certificate read at a coarse tolerance")
-
-    monkeypatch.setattr(extrig.finiteflex, "copy_zero_rows", refuse)
-    assert finite_flex_test(prism(), tol=1e-3) == general_flex_test(prism(), 1e-3)
-
-
 def test_linear_push_prism():
     fw = prism()
     pin = minimal_pinning(fw)
