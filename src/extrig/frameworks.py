@@ -54,9 +54,14 @@ class ExtrusionSpec:
 
     def __post_init__(self):
         dirs = _readonly(np.atleast_2d(np.asarray(self.directions, dtype=float)))
+        if not dirs.size:
+            raise ValueError("no extrusion direction")
         object.__setattr__(self, "directions", dirs)
         if np.any(np.linalg.norm(dirs, axis=1) == 0.0):
             raise ValueError("zero extrusion direction")
+        bad = np.flatnonzero(~np.isfinite(dirs).all(axis=1))
+        if bad.size:
+            raise ValueError(f"extrusion direction #{bad[0]} is not finite")
         act = tuple(range(len(dirs))) if self.active is None else tuple(self.active)
         if any(h < 0 or h >= len(dirs) for h in act):
             raise ValueError("active direction index out of range")
@@ -84,6 +89,7 @@ class Framework:
             raise ValueError("hyperplane count mismatch between graph and configuration")
         if self.extrusion is not None and self.extrusion.order != self.graph.extrusion_order:
             raise ValueError("extrusion order mismatch between graph and spec")
+        _check_direction_length(self.extrusion, self.dim)
 
     @property
     def dim(self) -> int:
@@ -136,6 +142,11 @@ class Framework:
         return out
 
 
+def _check_direction_length(spec: ExtrusionSpec, dim: int):
+    if spec is not None and spec.directions.shape[1] != dim:   # all rows are as long as the first
+        raise ValueError(f"extrusion direction #0 has {spec.directions.shape[1]} coordinates, not {dim}")
+
+
 def displacements(spec: ExtrusionSpec, steps, gamma) -> np.ndarray:
     """Displacement of each vertex induced by ``gamma``, given its row of
     :attr:`PHGraph.steps <extrig.graphs.PHGraph.steps>`: the sum, from zero
@@ -177,15 +188,14 @@ def extrude_framework(base: Framework, directions, fixed_sets=None, tol: float =
     """
     if base.graph.extrusion_order != 0:
         raise ValueError("can only extrude a framework without existing extrusion structure")
-    directions = np.atleast_2d(np.asarray(directions, dtype=float))
-    t = len(directions)
+    spec = ExtrusionSpec(directions=directions)
+    _check_direction_length(spec, base.dim)
+    directions, t = spec.directions, spec.order
     if fixed_sets is None:
         fixed_sets = [frozenset()] * t
     fixed_sets = [frozenset(fs) for fs in fixed_sets]
     if len(fixed_sets) != t:
         raise ValueError("need one fixed set per extrusion direction")
-    if np.any(np.linalg.norm(directions, axis=1) == 0.0):
-        raise ValueError("zero extrusion direction")
 
     for h in range(t):
         for w in base.graph.hyperplanes:
@@ -199,14 +209,12 @@ def extrude_framework(base: Framework, directions, fixed_sets=None, tol: float =
                     f"{w.base!r} is in fixed set {h} but direction {h} does not lie in hyperplane {w}")
 
     graph = extrusion_product(base.graph, fixed_sets)
-    spec = ExtrusionSpec(directions=directions)
 
-    # a copy sits at its base plus the directions of its word's 1 digits
-    # (step -1), summed from zero in direction order
-    n = len(graph.points)
-    at = {v.base: i for i, v in enumerate(base.graph.vertices)}
-    source = np.array([at[v.base] for v in graph.vertices], dtype=np.intp)
-    ones = graph.steps < 0
+    # a copy sits at its base plus the directions of its word's 1 digits (step
+    # -1), summed from zero in direction order; the copies of a base are
+    # consecutive, the first with no 1 digit
+    n, ones = len(graph.points), graph.steps < 0
+    source = np.cumsum(~ones.any(axis=1)) - 1
     shift = np.zeros((n, base.dim))
     for h, bits in enumerate(ones[:n].T):
         shift[bits] += directions[h]

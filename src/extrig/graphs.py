@@ -17,6 +17,8 @@ under ``hh-par`` edges.
 
 :class:`PHGraph` holds the action as permutations of vertex positions, built
 from the words and validated once per graph (:meth:`PHGraph.permutation`).
+:func:`extrusion_product` hands its graph the edge ends, steps, base ranks
+and generators as arrays, unchecked: the copies of a valid base are valid.
 """
 from __future__ import annotations
 
@@ -144,19 +146,46 @@ class PHGraph:
             if len(v.word) != t:
                 raise ValueError(f"vertex {v} word length differs from extrusion order {t}")
         object.__setattr__(self, "_vertices", verts)
-        object.__setattr__(self, "_position", {v: i for i, v in enumerate(verts)})
+        object.__setattr__(self, "_position", dict(zip(verts, range(len(verts)))))
         ends = self._edge_positions()
+        self._set_edges(ends)
+        for u, v in self.edges_hh_angle:
+            if self._class_index[u] == self._class_index[v]:
+                raise ValueError(f"angle edge {u}-{v} joins hyperplanes in one parallel class")
+        self._set_action(*self._action_generators(ends, digits))
+
+    @classmethod
+    def _extruded(cls, points, hyperplanes, t, ends, steps, rank, generators) -> "PHGraph":
+        """A graph from what :func:`extrusion_product` knows: sorted vertices,
+        edge ends, steps, base ranks and generators, taken with no check."""
+        graph, verts = object.__new__(cls), points + hyperplanes
+        for name, value in (("points", points), ("hyperplanes", hyperplanes), ("extrusion_order", t),
+                            ("_vertices", verts), ("_position", dict(zip(verts, range(len(verts)))))):
+            object.__setattr__(graph, name, value)
+        graph._set_edges(ends)
+        graph._set_action(steps, rank, generators)
+        return graph
+
+    def _set_edges(self, ends):
+        """Keep the per-field (m, 2) end arrays, the edges they give and the parallel classes."""
         for name, pairs in zip(_EDGE_FIELDS, ends):
             cols = pairs.T.tolist() if len(pairs) else ((), ())
-            object.__setattr__(self, name, tuple(zip(*(map(verts.__getitem__, c) for c in cols))))
+            object.__setattr__(self, name, tuple(zip(*(map(self._vertices.__getitem__, c) for c in cols))))
         object.__setattr__(self, "_edge_ends", ends)
         object.__setattr__(self, "_classes", self._compute_parallel_classes())
         object.__setattr__(self, "_class_index",
                            {v: i for i, cls in enumerate(self._classes) for v in cls})
-        for u, v in self.edges_hh_angle:
-            if self._class_index[u] == self._class_index[v]:
-                raise ValueError(f"angle edge {u}-{v} joins hyperplanes in one parallel class")
-        object.__setattr__(self, "_permutations", self._action_permutations(ends, digits))
+
+    def _set_action(self, steps, rank, generators):
+        """Keep the steps and base ranks; compose each element's permutation."""
+        perms = {(): np.arange(len(self._vertices))}
+        for gen in generators:
+            perms = {g + (b,): gen[p] if b else p for g, p in perms.items() for b in (0, 1)}
+        for arr in (steps, rank, *perms.values()):
+            arr.flags.writeable = False
+        object.__setattr__(self, "_steps", steps)
+        object.__setattr__(self, "_base_rank", rank)
+        object.__setattr__(self, "_permutations", perms)
 
     # -- construction checks -------------------------------------------------
 
@@ -185,38 +214,34 @@ class PHGraph:
         cut = list(itertools.accumulate(counts, initial=0))
         return tuple(pairs[a:b] if b > a else _NO_ENDS for a, b in zip(cut, cut[1:]))
 
-    def _action_permutations(self, ends, digits) -> dict:
-        """Permutation of the vertex positions by each group element.
+    def _action_generators(self, ends, digits) -> tuple:
+        """``(steps, base ranks, generators)``: one permutation of the vertex
+        positions per direction, which must map the vertices onto themselves
+        and preserve every edge set (ValueError).
 
-        Composed from one permutation per direction, which must map the
-        vertices onto themselves and preserve every edge set (ValueError).
         A vertex's key is the rank of its base and its word read in base 3
         (``digits``: 0, 1, * as 0, 1, 2); flipping direction h adds its
-        :attr:`steps` entry times the place value of digit h.  Keeps the
-        base ranks and the steps on the graph.
+        :attr:`steps` entry times the place value of digit h.
         """
         t, verts = self.extrusion_order, self._vertices
         n = len(verts)
-        perms = {(): np.arange(n)}
         digits = np.array(digits, dtype=np.int64).reshape(n, t)
         steps = np.where(digits == 2, 0, 1 - 2 * digits)
-        steps.flags.writeable = False
-        object.__setattr__(self, "_steps", steps)
-        if t:
-            # |bases| 3^t fits an int64 long before the 2^t permutations fit memory
-            ids = {b: i for i, b in enumerate(sorted({v.base for v in verts}))}
-            rank = np.fromiter((ids[v.base] for v in verts), np.intp, n)
-            place = 3 ** np.arange(t - 1, -1, -1, dtype=np.int64)
-            keys = rank * 3 ** t + digits @ place
-            rank.flags.writeable = False
-            object.__setattr__(self, "_base_rank", rank)
-            # a key shared by repeated vertices finds the last one, as a dict would
-            order = np.argsort(keys, kind="stable")
-            sorted_keys = keys[order]
-            # every edge as one key (field, lower end, upper end): sorted, as the fields are
-            field = np.repeat(np.arange(4), [len(pairs) for pairs in ends]) * n
-            pairs = np.concatenate(ends)
-            edge_keys = (field + pairs[:, 0]) * n + pairs[:, 1]
+        ids = {b: i for i, b in enumerate(sorted({v.base for v in verts}))}
+        rank = np.fromiter((ids[v.base] for v in verts), np.intp, n)
+        if not t:
+            return steps, rank, ()
+        # |bases| 3^t fits an int64 long before the 2^t permutations fit memory
+        place = 3 ** np.arange(t - 1, -1, -1, dtype=np.int64)
+        keys = rank * 3 ** t + digits @ place
+        # a key shared by repeated vertices finds the last one, as a dict would
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        # every edge as one key (field, lower end, upper end): sorted, as the fields are
+        field = np.repeat(np.arange(4), [len(pairs) for pairs in ends]) * n
+        pairs = np.concatenate(ends)
+        edge_keys = (field + pairs[:, 0]) * n + pairs[:, 1]
+        generators = []
         for h in range(t):
             image = keys + steps[:, h] * place[h]
             at = np.searchsorted(sorted_keys, image, side="right") - 1
@@ -226,10 +251,8 @@ class PHGraph:
             image = np.sort(gen[pairs], axis=1)
             if not np.array_equal(np.sort((field + image[:, 0]) * n + image[:, 1]), edge_keys):
                 raise ValueError(f"extrusion action for direction {h} does not preserve an edge set")
-            perms = {g + (b,): gen[p] if b else p for g, p in perms.items() for b in (0, 1)}
-        for p in perms.values():
-            p.flags.writeable = False
-        return perms
+            generators.append(gen)
+        return steps, rank, generators
 
     # -- basic queries --------------------------------------------------------
 
@@ -346,6 +369,11 @@ def extrusion_product(base: PHGraph, fixed_sets) -> PHGraph:
     direction ``h``; those vertices get a ``*`` in word position ``h``.
     Copy-joining edges between point copies go to ``pp``, those between
     hyperplane copies to ``hh-par`` (the copies share a normal).
+
+    Copy k of base point i has the word of k in binary (direction 0 first)
+    and position i 2^t + k; a contracted vertex keeps the copies with no bit
+    of its mask.  The edge ends, steps, base ranks and generators (copy k to
+    k ^ bit_h) are array work, taken unchecked: a valid base's copies are valid.
     """
     if base.extrusion_order != 0:
         raise ValueError("extrusion_product expects a base graph without extrusion structure")
@@ -359,38 +387,36 @@ def extrusion_product(base: PHGraph, fixed_sets) -> PHGraph:
     if t == 0:
         return base
 
-    # copy k of a vertex sits at the bits of k, direction 0 the most significant;
-    # a vertex contracted along the directions in its mask has one copy per
-    # choice of the other bits: copy k is copy k & ~mask
-    elements = range(2 ** t)
-    plain = [format(k, f"0{t}b") for k in elements]
-    masks = [int("".join("1" if v.base in fs else "0" for fs in fixed_sets), 2) for v in base.vertices]
-    copies = []   # per base vertex, its copy at each element
-    for v, mask in zip(base.vertices, masks):
-        own = [Vertex(v.base, "".join(STAR if s == "1" else c for c, s in zip(w, plain[mask]))
-                      if mask else w) for w in plain]
-        copies.append([own[k & ~mask] for k in elements] if mask else own)
-    nb = len(base.points)
-    points = [w for cv in copies[:nb] for w in cv]
-    hyperplanes = [cv[k] for cv, mask in zip(copies[nb:], masks[nb:]) for k in elements
-                   if not k & mask]
+    nb, count = len(base.points), 2 ** t
+    bit = 1 << np.arange(t - 1, -1, -1)
+    masks = [sum(1 << (t - 1 - h) for h, fs in enumerate(fixed_sets) if v.base in fs) for v in base.vertices]
+    mask, k = np.array(masks, dtype=np.intp), np.arange(count)
+    own = (k & mask[:, None]) == 0                    # the copies each base vertex keeps
+    source, copy = own.nonzero()                       # per vertex, in vertex order
+    # the position of copy k of each base vertex: that of its kept copy k & ~mask
+    at = (own.cumsum() - 1).reshape(own.shape)[np.arange(len(mask))[:, None], k & ~mask[:, None]]
+    plain = [format(w, f"0{t}b") for w in range(count)]
+    verts = [Vertex(v.base, "".join(STAR if s == "1" else c for c, s in zip(plain[w], plain[m]))
+                    if m else plain[w]) for v, m in zip(base.vertices, masks) for w in range(count)
+             if not w & m]
 
-    # the copies of an edge repeat along the directions contracting both ends
-    carried = {}
-    for name, pairs in zip(_EDGE_FIELDS, base.edge_ends):
-        edges = carried[name] = []
-        for iu, iv in pairs.tolist():
-            both, cu, cv = masks[iu] & masks[iv], copies[iu], copies[iv]
-            edges += [(cu[k], cv[k]) for k in elements if not k & both] if both else zip(cu, cv)
-    # copy-joining edges, skipping contracted coordinates
-    for i, (mask, cv) in enumerate(zip(masks, copies)):
-        joined = carried["edges_pp" if i < nb else "edges_hh_par"]
-        for b in (1 << (t - 1 - h) for h in range(t)):
-            if not mask & b:
-                joined += [(cv[k], cv[k | b]) for k in elements if not k & (mask | b)]
-
-    return PHGraph(points=tuple(points), hyperplanes=tuple(hyperplanes), extrusion_order=t,
-                   **{k: tuple(e) for k, e in carried.items()})
+    # the copies of an edge repeat along the directions contracting neither end;
+    # copy-joining edges go from copy w to w | bit_h, along each h contracting no end
+    pairs = np.concatenate(base.edge_ends)
+    e, w = ((k & np.bitwise_and.reduce(mask[pairs], axis=1)[:, None]) == 0).nonzero()
+    up = k | bit[:, None]
+    i, h, j = (((up & mask[:, None, None]) == 0) & ((k & bit[:, None]) == 0)).nonzero()
+    ends = np.concatenate([at[pairs[e], w[:, None]], np.array([at[i, j], at[i, up[h, j]]]).T])
+    field = np.concatenate([np.repeat(np.arange(4), [len(p) for p in base.edge_ends])[e], 3 * (i >= nb)])
+    ends = ends[((field * len(verts) + ends[:, 0]) * len(verts) + ends[:, 1]).argsort()]
+    ends.flags.writeable = False
+    cut = [0, *np.bincount(field, minlength=4).cumsum().tolist()]
+    steps = np.where(mask[source, None] & bit, 0, 1 - 2 * ((copy[:, None] & bit) > 0))
+    ids = {b: r for r, b in enumerate(sorted(v.base for v in base.vertices))}
+    rank = np.array([ids[v.base] for v in base.vertices], dtype=np.intp)[source]
+    return PHGraph._extruded(tuple(verts[:nb * count]), tuple(verts[nb * count:]), t,
+                             tuple(ends[a:b] if b > a else _NO_ENDS for a, b in zip(cut, cut[1:])),
+                             steps, rank, at[source[:, None], copy[:, None] ^ bit].T)
 
 
 def remove_edge(graph: PHGraph, u: Vertex, v: Vertex) -> PHGraph:

@@ -23,8 +23,9 @@ times the orbit sums of A_i; this is the orbit rigidity matrix of Schulze &
 Whiteley (2011) per irreducible.  Neither R nor a basis is formed densely;
 vectors are scattered to full coordinates only where a caller reads them.
 
-An unpinned bar-joint extrusion needs neither representation: every orbit
-is free, so block chi_S is [R_base ; sqrt(2) D_S], read off the rows from
+An unpinned bar-joint extrusion needs neither representation, nor a row
+layout or coordinate index: every orbit is free, so block chi_S is
+[R_base ; sqrt(2) D_S], filled from the base edges and the copy edges at
 its copy-0 points (:func:`copy_zero_rows`), and a kernel vector x_v lifts
 to chi_S(w) x_v / 2^{t/2} on copy w.
 """
@@ -39,8 +40,8 @@ from .frameworks import Framework, displacements, symmetry_violations
 from .graphs import subgroup_elements
 from .linalg import (INT_TOL, RANK_TOL, SYMMETRY_TOL, kernel_and_scale, nullspace,
                      numeric_rank, orthonormal_columns)
-from .rigidity import (CoordinateIndex, EMPTY_PIN, PinningSpec, RowLayout, column_start,
-                       live_contracted_hyperplanes, rigidity_matrix)
+from .rigidity import (CoordinateIndex, EMPTY_PIN, ROW_KINDS, PinningSpec, RowLayout,
+                       column_start, live_contracted_hyperplanes, rigidity_matrix)
 
 
 class SymmetryPreconditionError(ValueError):
@@ -58,12 +59,6 @@ def active_elements(fw: Framework) -> list:
     if fw.extrusion is None:
         return [()] if fw.graph.extrusion_order == 0 else subgroup_elements(fw.graph.extrusion_order, ())
     return subgroup_elements(fw.extrusion.order, fw.extrusion.active)
-
-
-def element_label(gamma, active=None) -> str:
-    if active is not None:
-        gamma = tuple(gamma[h] for h in active)
-    return "".join(str(b) for b in gamma) if gamma else "()"
 
 
 def character_matrix(elements) -> np.ndarray:
@@ -91,8 +86,12 @@ def decompose_character(char, elements) -> np.ndarray:
     Coefficients are (1/|G|) sum_gamma chi(gamma) rho_i(gamma); they must be
     integers up to ``INT_TOL`` or the representation is malformed.
     """
-    char = np.asarray(char, dtype=float)
-    coeff = char @ character_matrix(elements).T / len(elements)
+    return _multiplicities(char, character_matrix(elements))
+
+
+def _multiplicities(char, table) -> np.ndarray:
+    """:func:`decompose_character` against a character table already built."""
+    coeff = np.asarray(char, dtype=float) @ table.T / len(table)
     rounded = np.rint(coeff)
     if np.max(np.abs(coeff - rounded), initial=0.0) > INT_TOL:
         raise ValueError(f"character does not decompose integrally: {coeff}")
@@ -201,14 +200,25 @@ def coordinate_action(fw: Framework, elements) -> PermutationRep:
 
 @dataclass
 class RepBundle:
-    """The group elements, coordinate index and constraint rows of a (pinned)
-    framework; both representations and their isotypic bases are built on
-    first read."""
+    """The group elements of a (pinned) framework; its coordinate index,
+    constraint rows, character table, both representations and their
+    isotypic bases are built on first read."""
 
     fw: Framework
     elements: list
-    index: CoordinateIndex
-    layout: RowLayout          # the constraint rows
+    pin: PinningSpec = EMPTY_PIN
+
+    @cached_property
+    def index(self) -> CoordinateIndex:
+        return CoordinateIndex(self.fw, self.pin)
+
+    @cached_property
+    def layout(self) -> RowLayout:
+        return RowLayout(self.fw.graph, self.fw.dim, self.pin)
+
+    @cached_property
+    def _table(self) -> np.ndarray:
+        return character_matrix(self.elements)
 
     @cached_property
     def external(self) -> PermutationRep:
@@ -248,8 +258,8 @@ def build_reps(fw: Framework, pin: PinningSpec = EMPTY_PIN,
     if check_symmetry:
         check_extrusion_symmetry(fw)
     _check_ph_hypothesis(fw, pin, active)
-    reps = RepBundle(fw, elements, CoordinateIndex(fw, pin), RowLayout(fw.graph, fw.dim, pin))
-    reps.external, reps.internal   # raise here when the pinning or a row breaks the action
+    reps = RepBundle(fw, elements, pin)
+    reps.index, reps.external, reps.internal   # raise here when the pinning or a row breaks the action
     return reps
 
 
@@ -324,20 +334,20 @@ def character_rows(fw: Framework, reps: RepBundle):
         int_total = chi["pp"] + chi["ph"] + chi["angle"] + chi["par"] + chi["norm"]
         trans_name = "chi(P'_V)^(T)"
 
-    trans = translation_character(fw, reps.index.pin)
+    trans = translation_character(fw, reps.pin)
     named.append((trans_name, trans))
     return named, ext_total, int_total, trans
 
 
-def _copy_zero_characters(fw: Framework, reps: RepBundle):
-    """:func:`character_rows` of a framework :func:`copy_zero_rows` accepts,
-    in closed form: no element but the identity fixes a point, and e_h fixes
-    only the copy edges across h, each with sign -1."""
-    d, t = fw.dim, fw.graph.extrusion_order
-    points, edges = np.zeros(2 ** t), np.zeros(2 ** t)
-    points[0], edges[0] = len(fw.graph.points), reps.layout.shape[0]
-    edges[1 << np.arange(t - 1, -1, -1)] = -np.bincount(reps.layout.flip, minlength=t + 1)[:t]
-    trans = translation_character(fw)
+def _copy_zero_characters(fw: Framework, bit):
+    """:func:`character_rows` of a framework :func:`copy_zero_rows` accepts, in
+    closed form from the row orbits' ``bit``: no element but the identity fixes
+    a point, e_h fixes only the copy edges across h, 2^{t-1} per orbit, each
+    with sign -1, and every translation survives."""
+    d, count = fw.dim, 2 ** fw.graph.extrusion_order
+    points, trans = np.zeros(count), np.full(count, float(d))
+    edges = (-(count // 2) * np.bincount(bit, minlength=count)).astype(float)
+    points[0], edges[0] = len(fw.graph.points), len(fw.graph.edges_pp)
     named = [("chi(P_V)", points), (f"chi(P_V x I{d})", d * points), ("chi(P'_E)", edges),
              (f"chi(P_V x I{d})^(T)", trans)]
     return named, d * points, edges, trans
@@ -553,7 +563,7 @@ class BlockDecomposition:
     constraints: np.ndarray     # mu_i
     blocks: list                # mu_i x lambda_i
     offdiag_residual: float
-    copies: tuple = None        # copy-0 blocks: per coordinate, its column and chi_i(copy) / 2^{t/2}
+    copies: np.ndarray = None   # copy-0 blocks: per row orbit, e_h of a copy edge across h, else 0
 
     @property
     def external_bases(self) -> OrbitBases:
@@ -573,9 +583,11 @@ class BlockDecomposition:
         """A_i times block-i coefficients, in full coordinates."""
         if self.copies is None:
             return self.reps.index.scatter(self.external_bases[i] @ coeff)
-        column, chi = self.copies
-        # 0.0 + turns a -0.0 product into 0.0, as IsotypicBasis.__matmul__'s sum from zero does
-        return self.reps.index.scatter(0.0 + chi[i][:, None] * coeff[column])
+        # unpinned: x_v chi_i(w) / 2^{t/2} on copy w is in full coordinates; 0.0 + turns
+        # a -0.0 product into 0.0, as IsotypicBasis.__matmul__'s sum from zero does
+        (width, k), count, d = coeff.shape, len(self.reps.elements), self.reps.fw.dim
+        chi = self.reps._table[i] / np.sqrt(count)
+        return (0.0 + chi[:, None, None] * coeff.reshape(width // d, 1, d, k)).reshape(count * width, k)
 
 
 def block_decompose(fw: Framework, pin: PinningSpec = EMPTY_PIN) -> BlockDecomposition:
@@ -585,8 +597,8 @@ def block_decompose(fw: Framework, pin: PinningSpec = EMPTY_PIN) -> BlockDecompo
     row orbit, so block i's row for orbit r is sqrt(|r|) times the
     representative row of r, times A_i: the orbit rigidity matrix of each
     irreducible (Schulze & Whiteley 2011).  An unpinned bar-joint extrusion
-    that :func:`copy_zero_rows` accepts has its blocks read off the copy-0
-    rows (:func:`_copy_zero_blocks`); every other framework takes the orbit
+    that :func:`copy_zero_rows` accepts has its blocks filled from its base
+    edges (:func:`_copy_zero_blocks`); every other framework takes the orbit
     path (:func:`_orbit_blocks`).  Both give the same blocks, bit for bit,
     and raise the same errors.
     """
@@ -666,65 +678,52 @@ def copy_zero_rows(fw: Framework, pin: PinningSpec = EMPTY_PIN):
 
 
 def _copy_zero_blocks(fw: Framework, lo, hi, copy) -> BlockDecomposition:
-    """The blocks of an unpinned bar-joint extrusion from its copy-0 rows.
+    """The blocks of an unpinned bar-joint extrusion from its base edges.
 
     Every orbit is free, so A_i takes the coordinates x_v of the copy-0
     points to chi_i(w) x_v / 2^{t/2} on each copy w, and block i is the
-    orbit rigidity matrix [R_base ; sqrt(2) D_S]: the rows from a copy-0
-    point on the copy-0 columns, a copy edge's only for the directions S
-    that chi_i negates.  The entries are scaled with the floating-point
+    orbit rigidity matrix [R_base ; sqrt(2) D_S]: per orbit its row at copy-0
+    points on the copy-0 columns, a copy edge's (copy 0 to copy bit_h) only for
+    the directions S that chi_i negates.  Orbit o's row with lower end on copy
+    w joins ``lo[o] + w`` and ``hi[o] + w``, so one pp evaluation gives them
+    all.  The entries are scaled with the floating-point
     operations of :func:`_orbit_blocks`, so the blocks are the same bit for
     bit.  The off-diagonal residual comes from :func:`_copy_zero_residual`.
     """
-    graph, d, t = fw.graph, fw.dim, fw.graph.extrusion_order
-    elements = active_elements(fw)
-    layout = RowLayout(graph, d)
-    rows = np.flatnonzero(copy[lo] == 0)   # ascending: the first row of each orbit
-    table = character_matrix(elements)
-    flip = layout.flip[rows]
-    on_copy = flip < t
-    row, col, value = layout.nonzeros(fw.config.points, fw.config.hyperplanes)
-    point = col // d
-    # a row's orbit: the element of its lower end's copy takes it to the orbit's first row
-    n, shift = len(copy), copy[lo]
-    orbit = np.searchsorted(lo[rows] * n + hi[rows], (lo - shift) * n + hi - shift)[row]
-    # each coordinate's column: that of x_v for its point's copy-0 point v
-    column = ((np.cumsum(copy == 0) - 1)[:, None] * d + np.arange(d)).reshape(-1)
-    width = d * int(np.count_nonzero(copy == 0))
-    kept = (shift[row] == 0) & (copy[point] == 0)
-    r, at = orbit[kept], orbit[kept] * width + column[col[kept]]
-    # a copy edge's orbit has half the rows; the other end of its row lies in
-    # the same coordinate orbit and adds the same product once more
-    size = np.where(on_copy, 2 ** (t - 1), 2 ** t)[r]
-    product = np.sqrt(size) * value[kept] * (1.0 / np.sqrt(2 ** t))
-    twice = on_copy[r]
-    filled = np.bincount(np.concatenate([at, at[twice]]),
-                         np.concatenate([product, product[twice]]),
-                         minlength=len(rows) * width).reshape(len(rows), width)
-    flips = np.array(elements, dtype=bool)
-    member = ~on_copy | flips[:, np.where(on_copy, flip, 0)]
-    blocks = [filled[m] for m in member]
-
-    end = point == lo[row]   # each row's vector at its lower end, by orbit and copy
-    edges = np.zeros((len(rows), len(elements), d))
-    edges[orbit[end], copy[point[end]], col[end] - d * point[end]] = value[end]
-    scale = np.abs(value).max(initial=0.0)
-    resid = _copy_zero_residual(table, edges, flip)
-    chi = np.repeat(table[:, copy] / np.sqrt(2 ** t), d, axis=1)
-    return BlockDecomposition(reps=RepBundle(fw, elements, CoordinateIndex(fw), layout),
-                              freedoms=np.full(len(elements), width),
-                              constraints=member.sum(axis=1), blocks=blocks,
-                              offdiag_residual=resid / scale if scale else resid,
-                              copies=(column, chi))
+    d, t = fw.dim, fw.graph.extrusion_order
+    count, reps = 2 ** t, RepBundle(fw, active_elements(fw))
+    first = copy[lo] == 0   # ascending: the first row of each orbit
+    lo, hi = lo[first], hi[first]
+    bit = copy[hi]
+    flips = np.arange(count)[:, None] & bit
+    w, o = (flips == 0).nonzero()   # by copy, so the first rows come first
+    near, far = ROW_KINDS["pp"].blocks(fw.config.points, fw.config.hyperplanes, (lo[o] + w, hi[o] + w), None)
+    scale = np.abs(near).max(initial=0.0)
+    edges = np.zeros((len(lo), count, d))
+    edges[o, w] = near
+    # sqrt(|orbit|) times the first row times chi_i(0) / 2^{t/2}, at the copy-0
+    # point of each end: a copy edge's upper end is its lower end's, and adds
+    # the same product once more
+    m = len(lo)
+    size, near, far = np.sqrt(np.where(bit, count // 2, count))[:, None], near[:m], far[:m]
+    filled = np.zeros((m, len(copy) >> t, d))
+    filled[np.arange(m), lo >> t] += size * near * (1.0 / np.sqrt(count))
+    filled[np.arange(m), hi >> t] += size * np.where(bit[:, None], near, far) * (1.0 / np.sqrt(count))
+    filled, member = filled.reshape(m, -1), flips == bit
+    resid = _copy_zero_residual(reps._table, edges, bit)
+    return BlockDecomposition(reps=reps, freedoms=np.full(count, filled.shape[1]),
+                              constraints=member.sum(axis=1), blocks=[filled[k] for k in member],
+                              offdiag_residual=resid / scale if scale else resid, copies=bit)
 
 
-def _copy_zero_residual(table, edges, flip) -> float:
+def _copy_zero_residual(table, edges, bit) -> float:
     """max |B_j^T R A_i| over j != i for :func:`_copy_zero_blocks`, by a
     character-table (Hadamard) transform of the edge vectors over the copies.
 
     ``edges[o, w]`` is the vector, at its lower end, of row orbit o's row
     whose lower end lies on copy w (zero where there is none), and
-    ``flip[o]`` the direction h of a copy edge's orbit (t for a base edge).
+    ``bit[o]`` the element e_h of a copy edge's direction h (0 for a base
+    edge), which is also its index in ``table``.
     That row has e_w at its lower end and -e_w at its upper end.  A base
     edge's ends lie in two coordinate orbits, so each of its (j, i)
     entries is +-sum_w chi_j(w) chi_i(w) e_w / sqrt(|o| 2^t).  A copy edge's
@@ -735,14 +734,11 @@ def _copy_zero_residual(table, edges, flip) -> float:
     other than 0 and, for a copy edge, other than e_h: only the copies with
     w_h = 0 hold its rows, so the sum is the same at g and g + e_h.
     """
-    count, t = len(table), len(table).bit_length() - 1
-    spectrum = np.abs(table @ edges).max(axis=2)
-    on_copy = flip < t
-    off = np.ones(spectrum.shape, dtype=bool)
-    off[:, 0] = False
-    off[on_copy, 1 << (t - 1 - flip[on_copy])] = False
+    count, on_copy = len(table), bit != 0
     factor = np.where(on_copy, 2.0, 1.0) / np.sqrt(np.where(on_copy, count // 2, count) * count)
-    return float((spectrum * factor[:, None])[off].max(initial=0.0))
+    spectrum = np.abs(table @ edges).max(axis=2) * factor[:, None]
+    spectrum[:, 0] = spectrum[np.arange(len(bit)), bit] = 0.0   # the diagonal: g = 0, and e_h
+    return float(spectrum.max(initial=0.0))
 
 
 def _offdiag_residual(ext: OrbitBases, itn: OrbitBases, row, col, value) -> float:
@@ -836,16 +832,15 @@ def fowler_guest_count(fw: Framework, pin: PinningSpec = EMPTY_PIN,
     """
     dec = block_decompose(fw, pin)
     closed = dec.copies is not None
-    characters = _copy_zero_characters if closed else character_rows
-    named, ext_total, int_total, trans = characters(fw, dec.reps)
+    named, ext_total, int_total, trans = (_copy_zero_characters(fw, dec.copies) if closed
+                                          else character_rows(fw, dec.reps))
     elements = dec.reps.elements
-    lam, mu, nu = decompose_character(np.stack([ext_total, int_total, trans]), elements)
+    lam, mu, nu = _multiplicities([ext_total, int_total, trans], dec.reps._table)
     if not np.array_equal(lam, dec.freedoms) or not np.array_equal(mu, dec.constraints):
         raise AssertionError("combinatorial characters disagree with matrix traces")
     nets = lam - nu - mu
     active = fw.extrusion.active if fw.extrusion is not None else ()
-    names = [("rho_" + element_label(g, active)) if len(elements) > 1 else "rho_0"
-             for g in elements]
+    names = [f"rho_{k:0{len(active)}b}" for k in range(len(elements))]
     # each block is cut as the block-diagonal matrix of all blocks is
     shape = (int(mu.sum()), int(lam.sum()))
     if closed:
@@ -865,7 +860,8 @@ def fowler_guest_count(fw: Framework, pin: PinningSpec = EMPTY_PIN,
     if not fw.is_bar_joint():
         caveats.append("point-hyperplane external representation is not unitary; "
                        "a symmetric flex may move parallel hyperplanes by unequal offsets")
-    named_int = [(name, tuple(int(round(x)) for x in vec)) for name, vec in named]
+    counts = np.rint([vec for _, vec in named]).astype(int).tolist()
+    named_int = [(name, tuple(row)) for (name, _), row in zip(named, counts)]
     return MobilityReport(elements=elements, irrep_names=names, char_rows=named_int,
                           freedoms=lam, translations=nu, constraints=mu, nets=nets,
                           block_shapes=dec.block_shapes, offdiag_residual=dec.offdiag_residual,

@@ -1,5 +1,8 @@
 """Hypothesis strategies for generated extrusion frameworks, shared by the test modules."""
+import importlib.util
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
@@ -133,3 +136,17 @@ def degenerate_point_hyperplane_extrusions():
     normals and point differences often span less than the space, or
     parallel copies are all there is."""
     return _point_hyperplane_extrusions(min_points=0, degenerate=True)
+
+
+def ladder_rung(name, seed=1):
+    """The barjoint_ladder rung of that name, built by the benchmark's own
+    generator (``perfbench/workloads.py``): the ladder reaches t = 5, past
+    what the strategies above draw."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("ladder_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    item, = (item for item in workloads.generate("barjoint_ladder", seed, path.parent)
+             if item["name"] == name)
+    return extrude_framework(workloads.build_base(item["base"]), item["directions"],
+                             [tuple(f) for f in item["fixed"]])

@@ -18,7 +18,8 @@ import extrig.rigidity
 from extrig import documents
 from extrig.cli import build_report
 from extrig.finiteflex import finite_flex_test, linear_push
-from extrig.fixtures import point_line_extruded_fixed, point_line_twofold_pinned, prism
+from extrig.fixtures import (point_line_extruded_fixed, point_line_twofold_pinned, prism,
+                             prism_twofold)
 from extrig.graphs import PHGraph
 from extrig.rigidity import EMPTY_PIN, RowLayout, infinitesimal_analysis, minimal_pinning
 from extrig.symmetry import fowler_guest_count
@@ -52,14 +53,16 @@ def counts(monkeypatch):
 # (t = 2, 12) and point_line_twofold_pinned (t = 2, 8; the pass covers the
 # inactive direction too)
 CALLS = {
+    # an unpinned bar-joint extrusion's blocks come from its base edges and
+    # lift to full coordinates directly: no index and no layout
     "fowler_guest_count": (lambda: fowler_guest_count(prism()),
-                           {"CoordinateIndex": 1, "RowLayout": 1, "PHGraph.act": 1 * 6}),
+                           {"CoordinateIndex": 0, "RowLayout": 0, "PHGraph.act": 1 * 6}),
     # the trivial-motion count reads the rigidity matrix's own index
     "infinitesimal_analysis": (lambda: infinitesimal_analysis(prism()),
                                {"CoordinateIndex": 1, "RowLayout": 1}),
     # the report's check and the block decomposition's gate share one pass;
-    # its rank line reads the blocks, and only the trivial motions index again
-    "build_report": (prism_twofold_report, {"CoordinateIndex": 2, "RowLayout": 1,
+    # its rank line reads the blocks, and only the trivial motions index
+    "build_report": (prism_twofold_report, {"CoordinateIndex": 1, "RowLayout": 0,
                                             "PHGraph.act": 3 * 12}),
     # irreducible 0 of an unpinned bar-joint extrusion evaluates its base rows
     # from the edge ends, with no layout; the gate's residual pass is the only
@@ -96,13 +99,25 @@ def test_bookkeeping_is_built_once_per_use(counts, name):
     assert {name: counts[name] for name in counts.keys() | expected.keys()} == expected
 
 
-def test_base_certificate_evaluates_no_row_layout(monkeypatch):
-    """With the count of 0 layouts above: no layout's nonzeros are read either."""
+def refuse_row_layout(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("row layout evaluated")
 
     monkeypatch.setattr(RowLayout, "nonzeros", refuse)
+
+
+def test_base_certificate_evaluates_no_row_layout(monkeypatch):
+    """With the count of 0 layouts above: no layout's nonzeros are read either."""
+    refuse_row_layout(monkeypatch)
     assert finite_flex_test(prism()).determination == "FiniteFlexCertified"
+
+
+@pytest.mark.parametrize("fixture", [prism, prism_twofold])
+def test_copy_zero_blocks_evaluate_no_row_layout(monkeypatch, fixture):
+    """fowler_guest_count on the copy-0 path reads no layout's nonzeros."""
+    fw = fixture()
+    refuse_row_layout(monkeypatch)
+    assert fowler_guest_count(fw).block_shapes
 
 
 @pytest.mark.parametrize("name", ["prism_twofold.json", "point_line_twofold_pinned.json",

@@ -86,6 +86,36 @@ def test_extrude_rejects_zero_direction():
         extrude_framework(triangle(), [(0.0, 0.0)])
 
 
+BAD_DIRECTIONS = {
+    "nan": ([(1.0, 0.0), (np.nan, 1.0)], "extrusion direction #1 is not finite"),
+    "inf": ([(np.inf, 0.0)], "extrusion direction #0 is not finite"),
+    "three coordinates on a planar base": ([(1.0, 0.0, 0.0)],
+                                           "extrusion direction #0 has 3 coordinates, not 2"),
+    "empty list": ([], "no extrusion direction"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_DIRECTIONS)
+@pytest.mark.parametrize("base", [triangle, point_line_base])
+def test_extrude_rejects_bad_directions_at_once(name, base):
+    """A direction the document loader would refuse fails in extrude_framework
+    itself, before the symmetry gate or an SVD sees it."""
+    directions, message = BAD_DIRECTIONS[name]
+    with pytest.raises(ValueError) as caught:
+        extrude_framework(base(), directions, [()] * len(directions))
+    assert str(caught.value) == message
+
+
+def test_framework_rejects_directions_of_another_dimension():
+    fw = prism()
+    with pytest.raises(ValueError) as caught:
+        Framework(fw.graph, fw.config, ExtrusionSpec([(0.0, 0.0, 2.0)]))
+    assert str(caught.value) == "extrusion direction #0 has 3 coordinates, not 2"
+    with pytest.raises(ValueError) as caught:
+        Framework(fw.graph, fw.config, ExtrusionSpec([(0.0, np.nan)]))
+    assert str(caught.value) == "extrusion direction #0 is not finite"
+
+
 def test_extrude_rejects_inconsistent_fixed_sets():
     base = point_line_base()
     # direction along w1 but not declared fixed

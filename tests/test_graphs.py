@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from extrusion_oracles import (extrusion_coordinate, masked_extrusion_product,
                                scalar_edge_positions, word_add, word_permutations)
-from extrusions import random_bar_joint_extrusions, random_point_hyperplane_extrusions
+from extrusions import (random_bar_joint_extrusions, random_point_hyperplane_extrusions,
+                        rigid_fan_extrusions)
 from extrig import documents
 from extrig.graphs import (PHGraph, Vertex, complete_decorated, extrusion_product, group_elements,
                            remove_edge, subgroup_elements)
@@ -90,6 +91,40 @@ def test_extrusion_product_matches_the_masked_construction(inputs):
     for gamma, perm in word_permutations(oracle).items():
         assert np.array_equal(graph.permutation(gamma), perm)
         assert np.array_equal(oracle.permutation(gamma), perm)
+
+
+def assert_same_graph(graph, ref):
+    """Every field of two graphs, arrays by value, dtype and read-only flag."""
+    assert graph == ref and graph.vertices == ref.vertices and graph.edges == ref.edges
+    assert graph.position == ref.position and graph.class_index == ref.class_index
+    assert graph.parallel_classes == ref.parallel_classes and graph.fixed_sets == ref.fixed_sets
+    pairs = [(a, b) for a, b in zip(graph.edge_ends, ref.edge_ends)] + [(graph.steps, ref.steps)]
+    pairs += [(graph.permutation(g), ref.permutation(g)) for g in group_elements(ref.extrusion_order)]
+    for mine, theirs in pairs:
+        assert np.array_equal(mine, theirs) and mine.dtype == theirs.dtype
+        assert not mine.flags.writeable and mine.flags.c_contiguous
+    u, v = np.triu_indices(len(ref.vertices), 1)
+    outcomes = []
+    for g in (graph, ref):
+        try:
+            outcomes.append(g.copy_coordinate(u, v).tolist())
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(random_extrusions(), random_bar_joint_extrusions().map(lambda fw: fw.graph),
+                 rigid_fan_extrusions().map(lambda fw: fw.graph),
+                 random_point_hyperplane_extrusions().map(lambda case: case[0].graph)))
+def test_extruded_graph_equals_the_validated_one(graph):
+    """extrusion_product hands the graph its ends, steps, base ranks and
+    generators unchecked; the validating constructor, given the same
+    vertices and edges, builds the same graph in every field."""
+    ref = PHGraph(points=graph.points, hyperplanes=graph.hyperplanes, edges_pp=graph.edges_pp,
+                  edges_ph=graph.edges_ph, edges_hh_angle=graph.edges_hh_angle,
+                  edges_hh_par=graph.edges_hh_par, extrusion_order=graph.extrusion_order)
+    assert_same_graph(graph, ref)
 
 
 @given(random_extrusions())
