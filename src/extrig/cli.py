@@ -55,6 +55,15 @@ def _load(path):
         raise SystemExit(EXIT_PARSE)
 
 
+def _write(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_PARSE)
+
+
 def _fmt_row(name, values, width=6):
     return f"  {name:28s}" + "".join(f"{v:>{width}}" for v in values)
 
@@ -169,8 +178,7 @@ def cmd_analyze(args) -> int:
         return EXIT_NUMERIC
     text = json.dumps(report, indent=2) + "\n" if args.json else render_text(report)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.output, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -198,7 +206,7 @@ def cmd_extrude(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    documents.dump(args.output, out)
+    _write(args.output, documents.serialize(out))
     return EXIT_OK
 
 
@@ -215,7 +223,7 @@ def cmd_pin(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    documents.dump(args.output, out_fw, pin)
+    _write(args.output, documents.serialize(out_fw, pin))
     return EXIT_OK
 
 
@@ -271,8 +279,7 @@ def cmd_sketch(args) -> int:
                   file=sys.stderr)
             return EXIT_PARSE
         flex = basis[:, idx]
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(render_svg(fw, flex))
+    _write(args.output, render_svg(fw, flex))
     return EXIT_OK
 
 

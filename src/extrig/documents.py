@@ -212,8 +212,3 @@ def load(path) -> FrameworkDocument:
         except ValueError as exc:   # not UTF-8, or an integer beyond the digit limit
             raise DocumentError(f"{path}: {exc}") from exc
     return framework_from_document(doc)
-
-
-def dump(path, fw: Framework, pin: PinningSpec = None):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize(fw, pin))

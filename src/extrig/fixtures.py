@@ -1,142 +1,64 @@
 """Built-in example frameworks used by the test suite and the CLI gallery.
 
-Each builder returns a fresh :class:`Framework`; the ``*_pinned`` variants
-also return the pinning that restores the block structure or removes the
-rigid-body freedoms.
+Each fixture loads ``extrig/data/<name>.json``, the one definition of the
+gallery, and returns a fresh :class:`Framework`; the ``*_pinned`` variants
+also return the document's pinning, which restores the block structure or
+removes the rigid-body freedoms.
 """
 from __future__ import annotations
 
-import numpy as np
+from pathlib import Path
 
-from .frameworks import Configuration, Framework, extrude_framework
-from .graphs import PHGraph, Vertex, remove_edge
-from .rigidity import PinningSpec, hyperplane_pinning
+from .documents import load
+from .graphs import Vertex
+from .rigidity import PinningSpec
 
-
-def triangle(coords=((0.0, 0.0), (3.0, 0.0), (1.5, 1.0))) -> Framework:
-    """Isostatic triangle in the plane."""
-    pts = tuple(Vertex(f"p{i + 1}") for i in range(3))
-    graph = PHGraph(points=pts, hyperplanes=(),
-                    edges_pp=((pts[0], pts[1]), (pts[0], pts[2]), (pts[1], pts[2])))
-    return Framework(graph, Configuration(2, np.asarray(coords, dtype=float), np.zeros((0, 3))))
+DATA = Path(__file__).with_name("data")
 
 
-def prism() -> Framework:
-    """Triangle extruded once upward: the flexible triangular prism framework."""
-    return extrude_framework(triangle(), [(0.0, 2.0)])
+def _fixture(name, doc=None):
+    """The fixture ``name``, with docstring ``doc``: a load of its bundled document."""
+    def fixture():
+        document = load(DATA / f"{name}.json")
+        if name.endswith("_pinned"):
+            return document.framework, document.pinning
+        return document.framework
+    fixture.__name__ = fixture.__qualname__ = name
+    fixture.__doc__ = doc
+    return fixture
 
 
-def prism_pinned():
-    """Prism with the two leftmost vertices pinned and their joining bar removed."""
-    fw = prism()
-    u, v = Vertex("p1", "0"), Vertex("p1", "1")
-    graph = remove_edge(fw.graph, u, v)
-    pin = PinningSpec(coords={(u, 0), (u, 1), (v, 0), (v, 1)})
-    return Framework(graph, fw.config, fw.extrusion), pin
-
-
-def prism_twofold() -> Framework:
-    """Triangle extruded twice; twelve vertices with Z2 x Z2 symmetry."""
-    base = triangle(((0.0, 0.0), (2.0, 0.0), (1.0, 1.0)))
-    return extrude_framework(base, [(0.0, 3.0), (4.0, -0.8)])
-
-
-def point_line_base() -> Framework:
-    """One point constrained against two lines in the plane."""
-    v, w1, w2 = Vertex("v1"), Vertex("w1"), Vertex("w2")
-    graph = PHGraph(points=(v,), hyperplanes=(w1, w2), edges_ph=((v, w1), (v, w2)))
-    cfg = Configuration(2, np.array([[0.0, 0.0]]),
-                        np.array([[1.0, -1.0, -1.0], [0.0, 1.0, -0.5]]))
-    return Framework(graph, cfg)
-
-
-def point_line_extruded() -> Framework:
-    """Point-line framework extruded along a direction in neither line."""
-    return extrude_framework(point_line_base(), [(4.0, 2.0)], [()])
-
-
-def point_line_extruded_fixed() -> Framework:
-    """Point-line framework extruded along the first line, which is contracted."""
-    return extrude_framework(point_line_base(), [(2.0, 2.0)], [("w1",)])
-
-
-def point_line_extruded_fixed_pinned():
-    fw = point_line_extruded_fixed()
-    pin, reduced = hyperplane_pinning(fw)
-    return Framework(fw.graph, fw.config, reduced), pin
-
-
-def point_line_twofold() -> Framework:
-    """Two-fold extrusion along both lines; every line contains a direction."""
-    return extrude_framework(point_line_base(), [(2.0, 2.0), (4.0, 0.0)],
-                             [("w1",), ("w2",)])
-
-
-def point_line_twofold_pinned():
-    fw = point_line_twofold()
-    pin, reduced = hyperplane_pinning(fw)
-    return Framework(fw.graph, fw.config, reduced), pin
-
-
-def constrained_cube() -> Framework:
-    """Unit cube with coplanarity constraints on four faces and two parallel pairs.
-
-    One point on two orthogonal planes, extruded along x, y, and z.
-    """
-    p, w1, w2 = Vertex("p"), Vertex("w1"), Vertex("w2")
-    graph = PHGraph(points=(p,), hyperplanes=(w1, w2), edges_ph=((p, w1), (p, w2)))
-    cfg = Configuration(3, np.array([[0.0, 0.0, 0.0]]),
-                        np.array([[0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0]]))
-    base = Framework(graph, cfg)
-    return extrude_framework(base, [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)],
-                             [("w1",), ("w1", "w2"), ("w2",)])
-
-
-def constrained_cube_pinned():
-    fw = constrained_cube()
-    pin, reduced = hyperplane_pinning(fw)
-    return Framework(fw.graph, fw.config, reduced), pin
-
-
-def triangle_cycle() -> Framework:
-    """Three translated copies of a triangle, corresponding vertices all joined."""
-    offsets = [np.array([0.0, -0.3]), np.array([0.0, 2.3]), np.array([5.0, 1.0])]
-    shape = [np.array([0.0, 0.0]), np.array([3.0, 0.0]), np.array([1.5, 1.0])]
-    verts, coords = [], []
-    for c in range(3):
-        for j in range(3):
-            verts.append(Vertex(f"v{j + 1}c{c + 1}"))
-            coords.append(shape[j] + offsets[c])
-    byname = {v.base: v for v in verts}
-    order = sorted(range(len(verts)), key=lambda i: verts[i].sort_key())
-    edges = []
-    for c in range(3):
-        edges += [(byname[f"v1c{c + 1}"], byname[f"v2c{c + 1}"]),
-                  (byname[f"v1c{c + 1}"], byname[f"v3c{c + 1}"]),
-                  (byname[f"v2c{c + 1}"], byname[f"v3c{c + 1}"])]
-    for j in range(3):
-        for c1 in range(3):
-            for c2 in range(c1 + 1, 3):
-                edges.append((byname[f"v{j + 1}c{c1 + 1}"], byname[f"v{j + 1}c{c2 + 1}"]))
-    graph = PHGraph(points=tuple(verts), hyperplanes=(), edges_pp=tuple(edges))
-    coords = np.array([coords[i] for i in order])
-    return Framework(graph, Configuration(2, coords, np.zeros((0, 3))))
+triangle = _fixture("triangle", "Isostatic triangle in the plane.")
+prism = _fixture("prism", "Triangle extruded once upward: the flexible triangular prism framework.")
+prism_pinned = _fixture("prism_pinned", "Prism with the two leftmost vertices pinned and "
+                                        "their joining bar removed.")
+prism_twofold = _fixture("prism_twofold",
+                         "Triangle extruded twice; twelve vertices with Z2 x Z2 symmetry.")
+point_line_base = _fixture("point_line_base",
+                           "One point constrained against two lines in the plane.")
+point_line_extruded = _fixture("point_line_extruded",
+                               "Point-line framework extruded along a direction in neither line.")
+point_line_extruded_fixed = _fixture(
+    "point_line_extruded_fixed",
+    "Point-line framework extruded along the first line, which is contracted.")
+point_line_extruded_fixed_pinned = _fixture("point_line_extruded_fixed_pinned")
+point_line_twofold = _fixture("point_line_twofold",
+                              "Two-fold extrusion along both lines; every line contains a direction.")
+point_line_twofold_pinned = _fixture("point_line_twofold_pinned")
+constrained_cube = _fixture(
+    "constrained_cube",
+    "Unit cube with coplanarity constraints on four faces and two parallel pairs.\n\n"
+    "One point on two orthogonal planes, extruded along x, y, and z.")
+constrained_cube_pinned = _fixture("constrained_cube_pinned")
+triangle_cycle = _fixture("triangle_cycle", "Three translated copies of a triangle, "
+                                            "corresponding vertices all joined.")
+k33_orthogonal = _fixture("k33_orthogonal", "K33 with the partite sets on two orthogonal lines; "
+                                            "flexible but isostatic by count.")
 
 
 def triangle_cycle_classes():
     """Vertex classes whose shared-velocity subspace carries the finite flex."""
     return [[Vertex(f"v{j + 1}c{c + 1}") for c in range(3)] for j in range(3)]
-
-
-def k33_orthogonal() -> Framework:
-    """K33 with the partite sets on two orthogonal lines; flexible but isostatic by count."""
-    a = [Vertex(f"a{i}") for i in (1, 2, 3)]
-    b = [Vertex(f"b{i}") for i in (1, 2, 3)]
-    graph = PHGraph(points=tuple(a + b), hyperplanes=(),
-                    edges_pp=tuple((u, v) for u in a for v in b))
-    coords = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0],
-                       [0.0, 1.0], [0.0, 2.0], [0.0, 3.0]])
-    return Framework(graph, Configuration(2, coords, np.zeros((0, 3))))
 
 
 def k33_pinnings():
@@ -147,22 +69,11 @@ def k33_pinnings():
     return non_adjacent, adjacent
 
 
-FIXTURES = {
-    "triangle": triangle,
-    "prism": prism,
-    "prism_twofold": prism_twofold,
-    "point_line_base": point_line_base,
-    "point_line_extruded": point_line_extruded,
-    "point_line_extruded_fixed": point_line_extruded_fixed,
-    "point_line_twofold": point_line_twofold,
-    "constrained_cube": constrained_cube,
-    "triangle_cycle": triangle_cycle,
-    "k33_orthogonal": k33_orthogonal,
-}
+FIXTURES = {f.__name__: f for f in (
+    triangle, prism, prism_twofold, point_line_base, point_line_extruded,
+    point_line_extruded_fixed, point_line_twofold, constrained_cube, triangle_cycle,
+    k33_orthogonal)}
 
-PINNED_FIXTURES = {
-    "prism_pinned": prism_pinned,
-    "point_line_extruded_fixed_pinned": point_line_extruded_fixed_pinned,
-    "point_line_twofold_pinned": point_line_twofold_pinned,
-    "constrained_cube_pinned": constrained_cube_pinned,
-}
+PINNED_FIXTURES = {f.__name__: f for f in (
+    prism_pinned, point_line_extruded_fixed_pinned, point_line_twofold_pinned,
+    constrained_cube_pinned)}

@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 import extrig
 from extrig import documents
 from extrig.fixtures import FIXTURES, PINNED_FIXTURES
-from extrig.frameworks import Configuration, Framework
-from extrig.graphs import PHGraph, Vertex
+from extrig.frameworks import Configuration, Framework, extrude_framework
+from extrig.graphs import PHGraph, Vertex, remove_edge
+from extrig.rigidity import PinningSpec, hyperplane_pinning
 
 GOLDEN = Path(__file__).parent / "golden"
 DATA = resources.files("extrig") / "data"
@@ -78,29 +79,81 @@ def test_round_trip_full_precision():
     assert np.array_equal(doc.framework.config.points, wild)
 
 
-@pytest.mark.parametrize("name", sorted(list(FIXTURES) + list(PINNED_FIXTURES)))
-def test_bundled_documents_match_builders(name):
-    doc = documents.framework_from_document(json.loads((DATA / f"{name}.json").read_text()))
-    if name in FIXTURES:
-        assert frameworks_equal(doc.framework, FIXTURES[name]())
-    else:
-        fw, pin = PINNED_FIXTURES[name]()
-        assert frameworks_equal(doc.framework, fw)
-        assert doc.pinning == pin
+def _bundled(name) -> Framework:
+    return documents.load(DATA / f"{name}.json").framework
+
+
+def _extruded(base, directions, fixes=None):
+    return documents.FrameworkDocument(extrude_framework(base, directions, fixes))
+
+
+def _hyperplane_pinned(name):
+    fw = _bundled(name)
+    pin, reduced = hyperplane_pinning(fw)
+    return documents.FrameworkDocument(Framework(fw.graph, fw.config, reduced), pin)
+
+
+def _prism_pinned():
+    fw, u, v = _bundled("prism"), Vertex("p1", "0"), Vertex("p1", "1")
+    return documents.FrameworkDocument(
+        Framework(remove_edge(fw.graph, u, v), fw.config, fw.extrusion),
+        PinningSpec(coords={(u, 0), (u, 1), (v, 0), (v, 1)}))
+
+
+def _prism_twofold():
+    base = Framework(_bundled("triangle").graph, Configuration(
+        2, np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 1.0]]), np.zeros((0, 3))))
+    return _extruded(base, [(0.0, 3.0), (4.0, -0.8)])
+
+
+def _constrained_cube():
+    p, w1, w2 = Vertex("p"), Vertex("w1"), Vertex("w2")
+    base = Framework(PHGraph(points=(p,), hyperplanes=(w1, w2), edges_ph=((p, w1), (p, w2))),
+                     Configuration(3, np.zeros((1, 3)),
+                                   np.array([[0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0]])))
+    return _extruded(base, [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)],
+                     [("w1",), ("w1", "w2"), ("w2",)])
+
+
+DERIVATIONS = {   # bundled extrusion or pinning -> its construction by library calls
+    "prism": lambda: _extruded(_bundled("triangle"), [(0.0, 2.0)]),
+    "prism_pinned": _prism_pinned,
+    "prism_twofold": _prism_twofold,
+    "point_line_extruded": lambda: _extruded(_bundled("point_line_base"), [(4.0, 2.0)], [()]),
+    "point_line_extruded_fixed": lambda: _extruded(_bundled("point_line_base"), [(2.0, 2.0)],
+                                                   [("w1",)]),
+    "point_line_extruded_fixed_pinned": lambda: _hyperplane_pinned("point_line_extruded_fixed"),
+    "point_line_twofold": lambda: _extruded(_bundled("point_line_base"), [(2.0, 2.0), (4.0, 0.0)],
+                                            [("w1",), ("w2",)]),
+    "point_line_twofold_pinned": lambda: _hyperplane_pinned("point_line_twofold"),
+    "constrained_cube": _constrained_cube,
+    "constrained_cube_pinned": lambda: _hyperplane_pinned("constrained_cube"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DERIVATIONS))
+def test_bundled_extrusions_derive_from_their_bases(name):
+    """Each bundled extrusion and pinning equals, array by array, its construction
+    from the bundled bases (or a base written here) by extrude_framework,
+    hyperplane_pinning and remove_edge."""
+    doc, derived = documents.load(DATA / f"{name}.json"), DERIVATIONS[name]()
+    assert frameworks_equal(doc.framework, derived.framework)
+    assert doc.pinning == derived.pinning
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in DATA.iterdir() if p.name.endswith(".json")))
 def test_gallery_document_round_trip(name, tmp_path):
-    """load -> dump -> load keeps graph, configuration, extrusion spec and
-    pinning, and dumping the reloaded document again gives the same bytes."""
+    """load -> serialize -> load keeps graph, configuration, extrusion spec and
+    pinning, and both loads serialize to the bundled file's text: every
+    bundled document is canonical, so a hand edit must keep it so."""
     first = documents.load(DATA / name)
-    dumped, again = tmp_path / "first.json", tmp_path / "again.json"
-    documents.dump(dumped, first.framework, first.pinning)
+    dumped = tmp_path / name
+    dumped.write_text(documents.serialize(first.framework, first.pinning))
     second = documents.load(dumped)
     assert frameworks_equal(second.framework, first.framework)
     assert second.pinning == first.pinning
-    documents.dump(again, second.framework, second.pinning)
-    assert again.read_bytes() == dumped.read_bytes()
+    assert documents.serialize(second.framework, second.pinning) == dumped.read_text() \
+        == (DATA / name).read_text()
 
 
 def test_parse_errors():
@@ -319,7 +372,7 @@ def test_empty_edge_framework_has_zero_constraint_characters(tmp_path):
     fw = Framework(PHGraph(points=(v1, v2), hyperplanes=()),
                    Configuration(2, np.array([[0.0, 0.0], [1.0, 0.0]]), np.zeros((0, 3))))
     path = tmp_path / "empty.json"
-    documents.dump(path, fw)
+    path.write_text(documents.serialize(fw))
     res = run_cli("analyze", str(path), "--json")
     assert res.returncode == 0, res.stderr
     report = json.loads(res.stdout)
@@ -453,6 +506,10 @@ MALFORMED = {   # name -> (gallery document, mutation)
     "edge_reversed_duplicate": ("prism", _add_edge("p3|1", "p1|1", "pp")),
     "edge_parallel_reversed_duplicate": ("point_line_twofold",
                                          _add_edge("w2|1*", "w2|0*", "hh-parallel")),
+    # w1|*1 and w2|1* share a parallel class through w1|*0 and w2|0*
+    "edge_angle_within_parallel_class": ("point_line_twofold",
+                                         _each(_add_edge("w1|*0", "w2|0*", "hh-parallel"),
+                                               _add_edge("w1|*1", "w2|1*", "hh-angle"))),
 }
 
 
@@ -474,8 +531,29 @@ def test_malformed_document_exits_2_without_traceback(name, tmp_path):
 def test_undecodable_document_exits_2(tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"dimension": 2, "vertices": [{"id": "\xe9"}]}')
+    with pytest.raises(documents.DocumentError, match="utf-8"):
+        documents.load(path)
     res = run_cli("analyze", str(path))
     assert res.returncode == 2 and "Traceback" not in res.stderr, res.stderr
+
+
+def test_ph_edge_may_list_the_hyperplane_first():
+    doc = json.loads((DATA / "point_line_extruded.json").read_text())
+    for entry in doc["edges"]:
+        if entry["kind"] == "ph":
+            entry["u"], entry["v"] = entry["v"], entry["u"]
+    assert frameworks_equal(documents.framework_from_document(doc).framework,
+                            _bundled("point_line_extruded"))
+
+
+@pytest.mark.parametrize("command,options", [("analyze", ()), ("extrude", ("--tau", "0,2")),
+                                             ("pin", ()), ("sketch", ())])
+def test_unwritable_output_exits_2_without_traceback(command, options, tmp_path):
+    out = tmp_path / "missing" / "out"
+    res = run_cli(command, str(DATA / "triangle.json"), *options, "-o", str(out))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr, res.stderr
+    assert not out.parent.exists()
 
 
 def _document_paths(node, prefix=()):

@@ -829,6 +829,26 @@ def test_linear_push_rejects_rigid_framework():
     assert "nullity 0" in res.reason
 
 
+def test_linear_push_rejects_a_pinning_that_keeps_a_rotation():
+    # d(d+1)/2 pins, but x, y of p and y of q leave the rotation about p
+    p, q = Vertex("p"), Vertex("q")
+    fw = Framework(PHGraph(points=(p, q), hyperplanes=(), edges_pp=((p, q),)),
+                   Configuration(2, np.array([[0.0, 0.0], [0.0, 1.0]]), np.zeros((0, 3))))
+    res = linear_push(fw, PinningSpec(coords={(p, 0), (p, 1), (q, 1)}))
+    assert res.determination == PRECONDITION_FAILED
+    assert res.reason == "pinned framework retains trivial motions"
+    assert res.iterations == 0
+
+
+def test_linear_push_stops_at_max_iter():
+    # the prism is certified after two samples (the @example below)
+    fw = prism()
+    res = linear_push(fw, minimal_pinning(fw), seed=11, max_iter=1)
+    assert res.determination == PRECONDITION_FAILED
+    assert res.reason == "no determination within 1 iterations"
+    assert res.iterations == len(res.trace) == 1
+
+
 def test_linear_push_point_hyperplane():
     # an extrusion-symmetric point-line framework is linearly detectable
     # under any minimal pinning; ranks run on the parallel-respecting domain

@@ -22,7 +22,7 @@ from extrig.graphs import PHGraph, Vertex, group_elements, subgroup_elements
 from extrig.cli import build_report
 from extrig.linalg import RANK_TOL, numeric_rank
 from extrig.rigidity import (EMPTY_PIN, CoordinateIndex, PinningSpec, RowLayout,
-                             infinitesimal_analysis, rigidity_matrix)
+                             infinitesimal_analysis, rigidity_matrix, trivial_motion_generators)
 from extrig.symmetry import (PermutationRep, SymmetryPreconditionError, _copy_zero_characters,
                              _orbit_blocks, active_elements, block_decompose, build_reps, coordinate_action,
                              copy_zero_rows,
@@ -147,6 +147,18 @@ def test_translation_characters():
     assert np.array_equal(translation_character(fwc, pinc), [2, 2])
     fwp, pinp = prism_pinned()
     assert np.array_equal(translation_character(fwp, pinp), [0, 0])
+
+
+def test_translation_character_of_a_pinned_hyperplane_offset():
+    # parallel_only keeps the offset column; pinning it as well leaves only the
+    # translations tangent to the hyperplane: nu is d less the rank of the
+    # translation generators at the pinned coordinates
+    fw, w = point_line_extruded_fixed(), Vertex("w1", "*")
+    pin = PinningSpec(coords={(w, fw.dim)}, parallel_only={w})
+    translations = trivial_motion_generators(fw)[:, :fw.dim]
+    nu = fw.dim - numeric_rank(translations[~CoordinateIndex(fw, pin).keep])
+    assert nu == 1
+    assert np.array_equal(translation_character(fw, pin), [nu, nu])
 
 
 def test_prism_mobility_report():
