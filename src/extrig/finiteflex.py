@@ -99,7 +99,7 @@ class MeasurementMap:
     def jacobian(self, reduced) -> np.ndarray:
         """Jacobian at a reduced coordinate vector, pinned columns removed: the
         rigidity rows, pp and normalization rows doubled (squared quantities)."""
-        return self.layout.matrix(*self._coordinates(reduced), scaled=True)[:, self.index.keep]
+        return self.layout.matrix(*self._coordinates(reduced), scaled=True, keep=self.index.keep)
 
 
 def parallel_respecting_basis(fw: Framework, index: CoordinateIndex,

@@ -141,6 +141,11 @@ class Framework:
         out.flags.writeable = False
         return out
 
+    @cached_property
+    def _residual_views(self) -> dict:
+        """Per tuple of checked directions: :func:`symmetry_violations`' elements, table, scale."""
+        return {}
+
 
 def _check_direction_length(spec: ExtrusionSpec, dim: int):
     if spec is not None and spec.directions.shape[1] != dim:   # all rows are as long as the first
@@ -272,24 +277,18 @@ def symmetry_violations(fw: Framework, tol: float, active_only: bool) -> tuple:
     of :attr:`Framework.symmetry_residuals` it reads, and its violations."""
     if fw.extrusion is None:
         raise ValueError("framework has no extrusion specification")
-    spec = fw.extrusion
-    graph = fw.graph
-    scale = 1.0 + max(
-        float(np.abs(fw.config.points).max()) if len(fw.config.points) else 0.0,
-        float(np.abs(fw.config.hyperplanes).max()) if len(fw.config.hyperplanes) else 0.0,
-        float(np.abs(spec.directions).max()),
-    )
-
-    if active_only:
-        elements = subgroup_elements(spec.order, spec.active)
-        directions = spec.active
-    else:
-        elements = group_elements(spec.order)
-        directions = range(spec.order)
-
-    # row of each element in group_elements: its bits, direction 0 the most significant
-    rows = [sum(b << (spec.order - 1 - h) for h, b in enumerate(gamma)) for gamma in elements]
-    table = fw.symmetry_residuals[rows]
+    spec, graph = fw.extrusion, fw.graph
+    directions = spec.active if active_only else tuple(range(spec.order))
+    if directions not in fw._residual_views:   # with every direction active, one view serves both
+        elements = subgroup_elements(spec.order, directions)
+        # row of each element in group_elements: its bits, direction 0 the most significant
+        rows = [sum(b << (spec.order - 1 - h) for h, b in enumerate(gamma)) for gamma in elements]
+        scale = 1.0 + max(float(np.abs(a).max(initial=0.0)) for a in
+                          (fw.config.points, fw.config.hyperplanes, spec.directions))
+        table = fw.symmetry_residuals[rows]
+        table.flags.writeable = False
+        fw._residual_views[directions] = elements, table, scale
+    elements, table, scale = fw._residual_views[directions]
     violations = []
     hits = np.nonzero(table > tol * scale)
     if hits[0].size:
@@ -303,8 +302,7 @@ def symmetry_violations(fw: Framework, tol: float, active_only: bool) -> tuple:
         tau = spec.directions[h]
         for w in graph.hyperplanes:
             a, _ = fw.hyperplane(w)
-            inside = _contained(tau, a, tol)
-            starred = w.word[h] == STAR
+            inside, starred = _contained(tau, a, tol), w.word[h] == STAR
             if inside and not starred:
                 violations.append(("containment", f"{w} direction={h}", float(abs(np.dot(tau, a)))))
             if not inside and starred:

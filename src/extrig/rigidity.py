@@ -231,7 +231,7 @@ class RowLayout:
                    else np.zeros(len(pairs), dtype=np.intp))
             self.groups[name] = (kind, where, positions, ends, starts, sub)
         self.shape = (count, int(column_start(graph, dim, len(graph.vertices))))
-        self._pattern = None   # (row, column) of the nonzeros, see nonzeros
+        self._pattern = self._kept = None   # (row, column) of the nonzeros, see nonzeros and matrix
 
     @cached_property
     def rows(self) -> list:
@@ -282,10 +282,19 @@ class RowLayout:
             self._pattern = rows, cols
         return (*self._pattern, np.concatenate(values))
 
-    def matrix(self, points, hyperplanes, scaled: bool = False) -> np.ndarray:
-        """Dense full-column rows at the given coordinates (see :meth:`nonzeros`)."""
-        out = np.zeros(self.shape)
+    def matrix(self, points, hyperplanes, scaled: bool = False, keep=None) -> np.ndarray:
+        """Dense rows at the given coordinates (see :meth:`nonzeros`) on the columns
+        ``keep`` marks (all by default): only kept nonzeros are written, straight
+        to ``cumsum(keep) - 1``, a scatter worked out once per ``keep`` array."""
         rows, cols, values = self.nonzeros(points, hyperplanes, scaled)
+        width = self.shape[1]
+        if keep is not None and not keep.all():
+            if self._kept is None or self._kept[0] is not keep:
+                used = keep[cols]
+                self._kept = keep, used, rows[used], (np.cumsum(keep) - 1)[cols[used]], int(keep.sum())
+            _, used, rows, cols, width = self._kept
+            values = values[used]
+        out = np.zeros((self.shape[0], width))
         out[rows, cols] = values
         return out
 
@@ -347,8 +356,8 @@ def rigidity_matrix(fw: Framework, pin: PinningSpec = EMPTY_PIN) -> RigidityMatr
         raise ValueError("parallel constraint rows are only defined for d = 2 and d = 3")
     index = CoordinateIndex(fw, pin)
     layout = RowLayout(fw.graph, fw.dim, pin)
-    full = layout.matrix(fw.config.points, fw.config.hyperplanes)
-    return RigidityMatrix(full[:, index.keep], layout, index, pin)
+    return RigidityMatrix(layout.matrix(fw.config.points, fw.config.hyperplanes, keep=index.keep),
+                          layout, index, pin)
 
 
 def trivial_motion_generators(fw: Framework) -> np.ndarray:
@@ -385,10 +394,8 @@ def trivial_motion_basis(fw: Framework, pin: PinningSpec = EMPTY_PIN,
     with the pinning (zero velocity on every deleted coordinate)."""
     gens = trivial_motion_generators(fw)
     index = CoordinateIndex(fw, pin)
-    pinned_rows = gens[~index.keep, :]
-    if pinned_rows.shape[0]:
-        coeff = nullspace(pinned_rows, tol)
-        gens = gens @ coeff
+    if not index.keep.all():
+        gens = gens @ nullspace(gens[~index.keep, :], tol)
     return orthonormal_columns(gens[index.keep, :], tol)
 
 

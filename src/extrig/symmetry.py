@@ -38,8 +38,8 @@ import numpy as np
 
 from .frameworks import Framework, displacements, symmetry_violations
 from .graphs import subgroup_elements
-from .linalg import (INT_TOL, RANK_TOL, SYMMETRY_TOL, kernel_and_scale, nullspace,
-                     numeric_rank, orthonormal_columns)
+from .linalg import (INT_TOL, RANK_TOL, SYMMETRY_TOL, full_column_rank, kernel_and_scale,
+                     nullspace, numeric_rank, orthonormal_columns, rank_and_scale)
 from .rigidity import (CoordinateIndex, EMPTY_PIN, ROW_KINDS, PinningSpec, RowLayout,
                        column_start, live_contracted_hyperplanes, rigidity_matrix)
 
@@ -118,9 +118,8 @@ def check_extrusion_symmetry(fw: Framework):
     violation :func:`~extrig.frameworks.verify_extrusion_symmetry` finds among
     the active elements at ``SYMMETRY_TOL``, read without building its report
     (nothing to check without an extrusion spec)."""
-    if fw.extrusion is None:
-        return
-    violations = symmetry_violations(fw, SYMMETRY_TOL, active_only=True)[1]
+    violations = (symmetry_violations(fw, SYMMETRY_TOL, active_only=True)[1]
+                  if fw.extrusion is not None else ())
     if violations:
         law, where, _ = violations[0]
         raise SymmetryPreconditionError(f"framework is not extrusion-symmetric: {law} at {where}")
@@ -272,12 +271,9 @@ def intertwining_residual(fw: Framework, pin: PinningSpec = EMPTY_PIN) -> float:
     reps = build_reps(fw, pin, check_symmetry=False)
     rig = rigidity_matrix(fw, pin)
     scale = np.abs(rig.matrix).max(initial=0.0)
-    if scale == 0.0:
-        return 0.0
-    worst = 0.0
-    for ext, itn in zip(reps.external, reps.internal):
-        worst = max(worst, float(np.abs(rig.matrix @ ext - itn @ rig.matrix).max(initial=0.0)))
-    return worst / scale
+    worst = max((float(np.abs(rig.matrix @ ext - itn @ rig.matrix).max(initial=0.0))
+                 for ext, itn in zip(reps.external, reps.internal)), default=0.0)
+    return worst / scale if scale else 0.0
 
 
 # -- character table rows ----------------------------------------------------
@@ -359,23 +355,16 @@ def translation_character(fw: Framework, pin: PinningSpec = EMPTY_PIN) -> np.nda
     A translation survives iff it vanishes on every pinned point coordinate
     and is tangent to every fully pinned hyperplane.
     """
-    elements = active_elements(fw)
-    d = fw.dim
-    conditions = []
+    d, conditions = fw.dim, []
     point_set = set(fw.graph.points)
     for v, c in pin.coords:
         if v in point_set:
-            row = np.zeros(d)
-            row[c] = 1.0
-            conditions.append(row)
+            conditions.append(np.eye(d)[c])
         elif c == d:
-            a, _ = fw.hyperplane(v)
-            conditions.append(a.copy())
-    for w in pin.full_hyperplanes:
-        a, _ = fw.hyperplane(w)
-        conditions.append(a.copy())
+            conditions.append(fw.hyperplane(v)[0].copy())
+    conditions += [fw.hyperplane(w)[0].copy() for w in pin.full_hyperplanes]
     dim = d - (numeric_rank(np.stack(conditions)) if conditions else 0)
-    return np.full(len(elements), float(dim))
+    return np.full(len(active_elements(fw)), float(dim))
 
 
 # -- block decomposition ------------------------------------------------------
@@ -827,8 +816,11 @@ def fowler_guest_count(fw: Framework, pin: PinningSpec = EMPTY_PIN,
 
     Every block is cut at the largest singular value of all blocks.  On the
     copy-0 path each block is a row subset of the last, so by interlacing
-    that is the last block's, from the SVD that gives its kernel, and the
-    characters have a closed form (:func:`_copy_zero_characters`).
+    that is the last block's, and the characters have a closed form
+    (:func:`_copy_zero_characters`).  There, for t >= d, block chi_S holds
+    sqrt(2) tau_h at each copy-0 point for h in S; a block this certifies
+    (:func:`~extrig.linalg.full_column_rank`) takes no SVD and has an empty
+    kernel, and the last block's SVD gives its kernel only if uncertified.
     """
     dec = block_decompose(fw, pin)
     closed = dec.copies is not None
@@ -839,17 +831,22 @@ def fowler_guest_count(fw: Framework, pin: PinningSpec = EMPTY_PIN,
     if not np.array_equal(lam, dec.freedoms) or not np.array_equal(mu, dec.constraints):
         raise AssertionError("combinatorial characters disagree with matrix traces")
     nets = lam - nu - mu
-    active = fw.extrusion.active if fw.extrusion is not None else ()
-    names = [f"rho_{k:0{len(active)}b}" for k in range(len(elements))]
-    # each block is cut as the block-diagonal matrix of all blocks is
-    shape = (int(mu.sum()), int(lam.sum()))
+    t = len(fw.extrusion.active) if fw.extrusion is not None else 0
+    names = [f"rho_{k:0{t}b}" for k in range(len(elements))]
+    # each block is cut as the block-diagonal matrix of all blocks is; block k
+    # holds the copy rows of each bit 2^j of k
+    shape, last = (int(mu.sum()), int(lam.sum())), dec.blocks[-1]
+    sure = (full_column_rank(last, np.frexp(dec.copies)[1] - 1, np.arange(len(elements))[:, None]
+                             >> np.arange(t) & 1, fw.dim, tol, shape)
+            if closed and t >= fw.dim else np.zeros(len(elements), dtype=bool))
     if closed:
-        last, scale = kernel_and_scale(dec.blocks[-1], tol, shape)
+        kernel, scale = (None, rank_and_scale(last)[1]) if sure[-1] else kernel_and_scale(last, tol, shape)
     else:
         scale = max((np.linalg.norm(block, 2) for block in dec.blocks if block.size), default=0.0)
     flex_dims, flexes, stress_dims = {}, {}, {}
     for i, block in enumerate(dec.blocks):
-        kern = last if closed and i == len(dec.blocks) - 1 else nullspace(block, tol, scale, shape)
+        kern = (np.zeros((block.shape[1], 0)) if sure[i] else kernel if closed and block is last
+                else nullspace(block, tol, scale, shape))
         flex_dims[i] = kern.shape[1]
         flexes[i] = dec.lift(i, kern)
         stress_dims[i] = block.shape[0] - (block.shape[1] - kern.shape[1])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from extrig.frameworks import Configuration, Framework, extrude_framework
 from extrig.graphs import PHGraph, Vertex
-from extrig.rigidity import EMPTY_PIN, hyperplane_pinning
+from extrig.rigidity import EMPTY_PIN, PinningSpec, hyperplane_pinning
 
 
 @st.composite
@@ -138,15 +138,78 @@ def degenerate_point_hyperplane_extrusions():
     return _point_hyperplane_extrusions(min_points=0, degenerate=True)
 
 
+@st.composite
+def pinned_extrusions(draw, cases=None):
+    """A drawn extrusion with a drawn pinning: one to six coordinates of any
+    vertices, and hyperplanes fully pinned or parallel-only, on top of the
+    pinning the (framework, pinning) ``cases`` draw with it (by default a
+    bar-joint extrusion or a point-hyperplane one, which may come with a
+    hyperplane pinning).  A document holds no empty pinning, so every draw
+    pins something."""
+    if cases is None:
+        cases = st.one_of(random_bar_joint_extrusions().map(lambda fw: (fw, EMPTY_PIN)),
+                          random_point_hyperplane_extrusions())
+    fw, pin = draw(cases)
+    graph, d = fw.graph, fw.dim
+    coords = [(v, c) for v in graph.vertices for c in range(d if graph.is_point(v) else d + 1)]
+    hyperplanes = st.sets(st.sampled_from(graph.hyperplanes)) if graph.hyperplanes else st.just(set())
+    full = pin.full_hyperplanes | draw(hyperplanes)
+    return fw, PinningSpec(coords=pin.coords | draw(st.sets(st.sampled_from(coords), min_size=1, max_size=6)),
+                           full_hyperplanes=full, parallel_only=(pin.parallel_only | draw(hyperplanes)) - full)
+
+
+def _workloads():
+    """The benchmark's input generator, ``perfbench/workloads.py``, loaded once."""
+    if "ladder_workloads" not in sys.modules:
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("ladder_workloads", path)
+        sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[spec.name])
+    return sys.modules["ladder_workloads"]
+
+
 def ladder_rung(name, seed=1):
     """The barjoint_ladder rung of that name, built by the benchmark's own
     generator (``perfbench/workloads.py``): the ladder reaches t = 5, past
     what the strategies above draw."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("ladder_workloads", path)
-    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    item, = (item for item in workloads.generate("barjoint_ladder", seed, path.parent)
+    workloads = _workloads()
+    root = Path(workloads.__file__).parent
+    item, = (item for item in workloads.generate("barjoint_ladder", seed, root)
              if item["name"] == name)
     return extrude_framework(workloads.build_base(item["base"]), item["directions"],
                              [tuple(f) for f in item["fixed"]])
+
+
+def fan_extrusion(rim, t, seed=1):
+    """The ladder's rigid fan of ``rim`` rim points, extruded t times along the
+    directions its generator draws for that t: the rung ``fan{rim}_t{t}`` for
+    t <= 3, and the same construction past the ladder's top."""
+    workloads = _workloads()
+    base = workloads.build_base(workloads.rigid_fan(workloads._rng(seed, 1, rim), rim))
+    directions = workloads.plane_directions(workloads._rng(seed, 2, rim, t), t)
+    return extrude_framework(base, directions, [()] * t)
+
+
+@st.composite
+def near_parallel_extrusions(draw):
+    """A generic bar-joint base of 2..5 points with random bars in d = 2, 3,
+    extruded t = 2..5 times.  Direction 1 lies at a drawn angle between
+    1e-12 and 1e-3 from direction 0; each later one is, at random, a fresh
+    direction or another such near copy of an earlier one.  Near-parallel
+    directions make the blocks that hold both nearly rank deficient."""
+    base, _ = draw(random_bar_joint_bases())
+    d, t = base.dim, draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    directions = [rng.normal(size=d)]
+    for h in range(1, t):
+        if h > 1 and draw(st.booleans()):
+            directions.append(rng.normal(size=d))
+            continue
+        near = directions[draw(st.integers(0, h - 1))]
+        unit = near / np.linalg.norm(near)
+        turn = rng.normal(size=d)
+        turn -= (turn @ unit) * unit
+        angle = 10.0 ** draw(st.floats(-12.0, -3.0))
+        along = np.cos(angle) * unit + np.sin(angle) * turn / np.linalg.norm(turn)
+        directions.append(rng.uniform(0.5, 2.0) * np.linalg.norm(near) * along)
+    return extrude_framework(base, np.array(directions))

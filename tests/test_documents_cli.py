@@ -11,10 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 import extrig
 from extrig import documents
-from extrig.fixtures import FIXTURES, PINNED_FIXTURES
+from extrig.fixtures import FIXTURES
 from extrig.frameworks import Configuration, Framework, extrude_framework
 from extrig.graphs import PHGraph, Vertex, remove_edge
-from extrig.rigidity import PinningSpec, hyperplane_pinning
+from extrig.rigidity import EMPTY_PIN, PinningSpec, hyperplane_pinning
+from extrusions import (degenerate_point_hyperplane_extrusions, pinned_extrusions,
+                        random_bar_joint_extrusions, random_point_hyperplane_extrusions)
 
 GOLDEN = Path(__file__).parent / "golden"
 DATA = resources.files("extrig") / "data"
@@ -53,17 +55,31 @@ def frameworks_equal(a, b):
     return True
 
 
-@pytest.mark.parametrize("name,builder", sorted(FIXTURES.items()))
-def test_round_trip_exact(name, builder):
-    fw = builder()
+# drawn (framework, pinning) pairs with normal-distributed, so full-precision,
+# coordinates, directions and hyperplane rows; a point-hyperplane draw may
+# come with a hyperplane pinning and a reduced active set
+DRAWN = {"bar-joint": lambda: random_bar_joint_extrusions().map(lambda fw: (fw, EMPTY_PIN)),
+         "point-hyperplane": random_point_hyperplane_extrusions,
+         "degenerate": degenerate_point_hyperplane_extrusions}
+
+
+@pytest.mark.parametrize("kind", DRAWN)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_round_trip_exact(kind, data):
+    """serialize -> parse gives a drawn extrusion back exactly: graph,
+    full-precision coordinates, directions and active set."""
+    fw, _ = data.draw(DRAWN[kind]())
     doc = documents.framework_from_document(json.loads(documents.serialize(fw)))
     assert frameworks_equal(doc.framework, fw)
     assert doc.pinning is None
 
 
-@pytest.mark.parametrize("name,builder", sorted(PINNED_FIXTURES.items()))
-def test_round_trip_with_pinning(name, builder):
-    fw, pin = builder()
+@pytest.mark.parametrize("kind", DRAWN)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_round_trip_with_pinning(kind, data):
+    fw, pin = data.draw(pinned_extrusions(DRAWN[kind]()))
     doc = documents.framework_from_document(json.loads(documents.serialize(fw, pin)))
     assert frameworks_equal(doc.framework, fw)
     assert doc.pinning == pin

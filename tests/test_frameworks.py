@@ -12,7 +12,8 @@ from extrusions import random_bar_joint_extrusions, random_point_hyperplane_extr
 from extrig.frameworks import (Configuration, ExtrusionSpec, Framework, _has_coincident,
                                affine_span_check, apply_affine, apply_infinitesimal_rotation,
                                displacements, extrude_framework,
-                               normalize_hyperplanes, verify_extrusion_symmetry)
+                               normalize_hyperplanes, symmetry_violations,
+                               verify_extrusion_symmetry)
 from extrig.graphs import PHGraph, Vertex, group_elements
 from extrig.symmetry import SymmetryPreconditionError, fowler_guest_count
 from extrig.fixtures import (constrained_cube, k33_orthogonal, point_line_base,
@@ -170,6 +171,21 @@ def test_verify_matches_the_scalar_check_on_repeated_calls(case):
     fw, calls = case
     for tol, active_only in calls:
         assert_reports_equal(fw, tol, active_only)
+
+
+@settings(max_examples=50, deadline=None)
+@given(symmetry_checks())
+def test_symmetry_violations_reuse_one_table_per_direction_set(case):
+    """The elements, table and scale a check thresholds are built once per
+    framework and set of checked directions: every later call, at any
+    tolerance, gets the same read-only table, and with every direction
+    active, in order, the active-only check reads the full check's."""
+    fw, calls = case
+    spec, tables = fw.extrusion, {}
+    for tol, active_only in calls:
+        table = symmetry_violations(fw, tol, active_only)[0]
+        key = spec.active if active_only else tuple(range(spec.order))
+        assert tables.setdefault(key, table) is table and not table.flags.writeable
 
 
 @settings(max_examples=150, deadline=None)

@@ -13,13 +13,14 @@ from extrig.linalg import RANK_TOL
 from extrig.fixtures import (constrained_cube, constrained_cube_pinned, k33_orthogonal,
                              k33_pinnings, point_line_twofold, point_line_twofold_pinned,
                              prism, prism_pinned, prism_twofold, triangle, triangle_cycle)
-from extrig.rigidity import (EMPTY_PIN, PinningSpec, RowLayout,
+from extrig.rigidity import (EMPTY_PIN, CoordinateIndex, PinningSpec, RowLayout,
                              hyperplane_pinning, infinitesimal_analysis, maxwell_rhs,
                              minimal_pinning, parallel_axes, rigidity_matrix,
                              trivial_motion_basis, trivial_motion_dim)
 from coordinate_labels import coordinate_labels
 from extrusion_oracles import row_action, row_flips
-from extrusions import random_bar_joint_extrusions, random_point_hyperplane_extrusions
+from extrusions import (pinned_extrusions, random_bar_joint_extrusions,
+                        random_point_hyperplane_extrusions)
 
 ALL_UNPINNED = [triangle, prism, prism_twofold, point_line_twofold, constrained_cube,
                 triangle_cycle, k33_orthogonal]
@@ -524,3 +525,21 @@ def test_analysis_builds_no_labels(monkeypatch):
                                    | set(pin.coords)
                                    for lab in full]
     assert (index.size, index.full_size) == (len(coordinate_labels(index)), len(full))
+
+
+@settings(max_examples=100, deadline=None)
+@given(pinned_extrusions(), st.integers(0, 2 ** 32 - 1))
+def test_pinned_assembly_equals_the_column_selection(case, seed):
+    """RowLayout.matrix on the kept columns is the full-column matrix with the
+    pinned columns dropped, bit for bit, scaled or not, and again at another
+    configuration, where the scatter worked out for the same keep array is
+    reused."""
+    fw, pin = case
+    layout, keep = RowLayout(fw.graph, fw.dim, pin), CoordinateIndex(fw, pin).keep
+    moved = np.random.default_rng(seed).normal(size=fw.config.points.shape)
+    for points in (fw.config.points, moved, fw.config.points):
+        for scaled in (False, True):
+            full = layout.matrix(points, fw.config.hyperplanes, scaled)
+            kept = layout.matrix(points, fw.config.hyperplanes, scaled, keep=keep)
+            assert kept.dtype == full.dtype and kept.tobytes() == full[:, keep].tobytes()
+            assert kept.shape == (full.shape[0], int(keep.sum()))

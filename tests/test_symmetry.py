@@ -20,7 +20,7 @@ from extrig.fixtures import (constrained_cube_pinned, point_line_extruded,
                              prism_pinned, prism_twofold, triangle)
 from extrig.graphs import PHGraph, Vertex, group_elements, subgroup_elements
 from extrig.cli import build_report
-from extrig.linalg import RANK_TOL, numeric_rank
+from extrig.linalg import RANK_TOL, kernel_and_scale, nullspace, numeric_rank
 from extrig.rigidity import (EMPTY_PIN, CoordinateIndex, PinningSpec, RowLayout,
                              infinitesimal_analysis, rigidity_matrix, trivial_motion_generators)
 from extrig.symmetry import (PermutationRep, SymmetryPreconditionError, _copy_zero_characters,
@@ -31,7 +31,8 @@ from extrig.symmetry import (PermutationRep, SymmetryPreconditionError, _copy_ze
                              intertwining_residual, irreducible_characters,
                              symmetry_adapted_basis,
                              translation_character)
-from extrusions import (extruded, ladder_rung, random_bar_joint_bases, random_bar_joint_extrusions,
+from extrusions import (extruded, fan_extrusion, ladder_rung, near_parallel_extrusions,
+                        random_bar_joint_bases, random_bar_joint_extrusions,
                         random_point_hyperplane_extrusions, rigid_fan_extrusions, triangle_extruded,
                         with_extra_bars, with_starred_point)
 
@@ -759,9 +760,13 @@ def test_copy_zero_cut_scale_is_the_last_blocks_norm(fw):
     ("prism_pinned.json", "orbit", 2), ("point_line_twofold_pinned.json", "orbit", 2)])
 def test_cut_scale_takes_one_matrix_norm_on_the_copy_zero_path(monkeypatch, name, path, expected):
     """fowler_guest_count takes no 2-norm on the copy-0 path, where the cut
-    scale comes from the SVD that gives the last block's kernel, one SVD per
-    block, and the 2-norm of each of the blocks, one per element of the
-    active subgroup, on the orbit path."""
+    scale comes from an SVD of the last block, and the 2-norm of each of the
+    blocks, one per element of the active subgroup, on the orbit path.  On
+    the copy-0 path with t >= d the certificate's one stacked SVD of the
+    masked directions comes first; on these well-spread directions it
+    certifies every block of at least d directions, the last block's SVD
+    then gives values only, and only the blocks of fewer than d directions
+    take one SVD each."""
     doc = documents.load(resources.files("extrig").joinpath("data", name))
     fw, pin = doc.framework, doc.pinning or EMPTY_PIN
     dec = block_decompose(fw, pin)
@@ -782,7 +787,77 @@ def test_cut_scale_takes_one_matrix_norm_on_the_copy_zero_path(monkeypatch, name
     fowler_guest_count(fw, pin)
     assert len(seen) == expected
     if path == "copy-0":
-        assert svds == dec.block_shapes[-1:] + dec.block_shapes[:-1]
+        t, d = fw.graph.extrusion_order, fw.dim
+        stack = [(2 ** t, t, d)] if t >= d else []
+        uncertified = [shape for k, shape in enumerate(dec.block_shapes[:-1]) if bin(k).count("1") < d]
+        assert svds == stack + dec.block_shapes[-1:] + uncertified
+
+
+@pytest.mark.parametrize("t, calls", [(1, 2), (3, 6), (5, 8)])
+def test_fan_extrusion_takes_few_svds(monkeypatch, t, calls):
+    """On the seed-1 fan of 30 rim points in the plane, fowler_guest_count
+    makes sum_{k<d} C(t, k) + 2 calls of np.linalg.svd for t >= d (2^t
+    before the certificate), and the two of the two blocks at t = 1, where
+    nothing is certified."""
+    fw, made, svd = fan_extrusion(30, t), [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: made.append(1) or svd(*args, **kwargs))
+    mob = fowler_guest_count(fw)
+    assert len(made) == calls
+    assert all(mob.detected_flex_dims[k] == 0 for k in range(2 ** t) if bin(k).count("1") >= fw.dim)
+
+
+def certificate_and_svd(fw, tol):
+    """The blocks fowler_guest_count certifies at ``tol``, and the ranks the
+    per-block SVD path gives every block: each cut at its shape's share of
+    R's, against sigma_1 of the last block."""
+    dec, verdicts, real = block_decompose(fw), [], extrig.symmetry.full_column_rank
+    with mock.patch.object(extrig.symmetry, "full_column_rank",
+                           lambda *args: verdicts.append(real(*args)) or verdicts[-1]):
+        mob = fowler_guest_count(fw, tol=tol)
+    assert dec.copies is not None and len(verdicts) == (fw.graph.extrusion_order >= fw.dim)
+    shape = (int(dec.constraints.sum()), int(dec.freedoms.sum()))
+    scale = kernel_and_scale(dec.blocks[-1], tol, shape)[1]
+    ranks = [b.shape[1] - nullspace(b, tol, scale, shape).shape[1] for b in dec.blocks]
+    sure = verdicts[0] if verdicts else np.zeros(len(dec.blocks), dtype=bool)
+    return dec, mob, sure, ranks
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(random_bar_joint_extrusions(), near_parallel_extrusions()),
+       st.sampled_from([1e-12, RANK_TOL, 1e-6, 1e-3]))
+@example(ladder_rung("fan30_t3"), RANK_TOL)
+@example(ladder_rung("triangle_t5"), RANK_TOL)
+def test_certificate_never_certifies_a_block_the_svd_cuts(fw, tol):
+    """A block the certificate passes has full column rank at the SVD path's
+    cut, and the report gives it no kernel and mu - lambda stresses."""
+    dec, mob, sure, ranks = certificate_and_svd(fw, tol)
+    for k, block in enumerate(dec.blocks):
+        if sure[k]:
+            assert ranks[k] == block.shape[1]
+            assert mob.detected_flex_dims[k] == 0
+            assert mob.stress_dims[k] == block.shape[0] - block.shape[1]
+
+
+def test_certificate_on_near_parallel_directions():
+    """Two directions 1e-12 rad apart leave their block to the SVD, which
+    finds it rank deficient; 0.5 rad apart, the certificate passes it."""
+    verdicts, tau = {}, np.array([1.3, 0.4])
+    for angle in (1e-12, 0.5):
+        turn = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+        fw = triangle_extruded((tau, 1.5 * turn @ tau))
+        dec, _, sure, ranks = certificate_and_svd(fw, RANK_TOL)
+        verdicts[angle] = sure[-1], ranks[-1] == dec.blocks[-1].shape[1]
+    assert verdicts == {1e-12: (False, False), 0.5: (True, True)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(near_parallel_extrusions())
+def test_certified_report_equals_the_orbit_path(fw):
+    """Near-parallel directions, t up to 5: every report field but the
+    residual is the orbit path's, bit for bit, certified blocks included."""
+    mob, (_, ref) = fowler_guest_count(fw), orbit_path(fw)
+    fields = [f for f in vars(mob) if f != "offdiag_residual"]
+    assert {f: bits(getattr(mob, f)) for f in fields} == {f: bits(getattr(ref, f)) for f in fields}
 
 
 def moved_prism():
