@@ -10,11 +10,12 @@ can be overridden per call and is surfaced on the CLI (``--tol``,
 ``EXTRIG_TOL``).
 
 The one other decision, :func:`full_column_rank`, only ever says "full
-column rank", and only where :func:`_rank` would: it bounds the least
-singular value from below by a block-diagonal set of rows, and certifies
+column rank", and only where :func:`_rank` would: given a table of rows,
+each on one group of columns, it bounds the least singular value of any
+matrix holding them from below by their block-diagonal form, and certifies
 when the bound exceeds ``CERTIFICATE_SAFETY`` (4) times ``max(tol, eps) *
-max(shape) * |mat|_F``, which is above the cut for every scale up to
-|mat|_F.  Whatever it does not certify goes to the SVD.
+max(shape) * norm``, which is above the cut for every scale up to ``norm``
+(the caller's |matrix|_F).  Whatever it does not certify goes to the SVD.
 
 :func:`numeric_rank` computes singular values only.  For a matrix with
 n < m < 11n/6 (after transposing a wide one) and at least
@@ -81,40 +82,33 @@ def _rank(sigma, shape, tol: float, scale: float = None) -> int:
     return int(np.sum(sigma > tol * max(shape) * (sigma[0] if scale is None else scale)))
 
 
-def full_column_rank(mat, label, masks, width: int, tol: float = RANK_TOL,
-                     shape: tuple = None) -> np.ndarray:
-    """Per row k of ``masks``, True when every matrix on ``mat``'s columns that
-    holds the rows of ``mat`` whose ``label`` j has ``masks[k, j]`` set is
-    certain to have full column rank at :func:`_rank`'s cut, against
-    ``shape`` (``mat``'s own by default) and any scale up to |mat|_F.
+def full_column_rank(table, tol: float, shape: tuple, norm: float) -> np.ndarray:
+    """Per subset S of the t labels, in binary order (label j is bit j of
+    the subset's index), True when every matrix whose rows include, for each
+    group g of ``width`` consecutive columns, the rows ``table[g, j]`` for j
+    in S at g's columns is certain to have full column rank at
+    :func:`_rank`'s cut against ``shape`` and any scale up to ``norm``.
 
-    Each labelled row (label >= 0) has its nonzeros in one group of ``width``
-    consecutive columns.  Group g's rows, a zero row where a label is
-    missing, form a matrix T_g; the rows masked by k, T_g^k.  Up to row and
-    column order the matrix holds the block-diagonal diag_g T_g^k, so its
-    least singular value is at least min_g sigma_width(T_g^k), which is at
-    least sigma_width(T^k) - max_g |T_g - T|_F for the mean T of the T_g
-    (Weyl).  One stacked values-only SVD gives every sigma_width(T^k); the
-    rank is certain when that bound exceeds ``CERTIFICATE_SAFETY`` times
-    max(tol, eps) * max(shape) * |mat|_F, an upper bound on the cut that
-    needs no SVD of ``mat``.  The margin covers the round-off of this bound
-    and of the SVD that would decide the matrix's rank (a backward error of
-    a small multiple of eps times the largest singular value), and the eps
-    floor keeps a tolerance below round-off from certifying on noise.  A
-    mask of fewer than ``width`` labels certifies nothing, nor does anything
-    when a labelled row is zero or meets two groups."""
-    at = np.flatnonzero(label >= 0)
-    cells = mat[at].reshape(len(at), mat.shape[1] // width, width)
-    row, group = np.nonzero(cells.any(axis=2))
-    if masks.shape[1] < width or not np.array_equal(row, np.arange(len(at))):
-        return np.zeros(len(masks), dtype=bool)
-    table = np.zeros((cells.shape[1], masks.shape[1], width))
-    table[group, label[at]] = cells[row, group]
+    ``table`` is (groups, t, width) with t >= width, a zero row where a
+    group lacks a label.  Group g's rows in S, T_g^S, make the matrix hold
+    the block-diagonal diag_g T_g^S up to row and column order, so its least
+    singular value is at least min_g sigma_width(T_g^S), which is at least
+    sigma_width(T^S) - max_g |T_g - T|_F for the mean T of the T_g (Weyl).
+    One stacked values-only SVD gives every sigma_width(T^S); the rank is
+    certain when that bound exceeds ``CERTIFICATE_SAFETY`` times max(tol,
+    eps) * max(shape) * ``norm``, an upper bound on the cut that needs no SVD
+    of the matrix.  The margin covers the round-off of this bound and of the
+    SVD that would decide the matrix's rank (a backward error of a small
+    multiple of eps times the largest singular value), and the eps floor
+    keeps a tolerance below round-off from certifying on noise.  A subset of
+    fewer than ``width`` labels certifies nothing."""
+    t, width = table.shape[1:]
+    masks = np.arange(2 ** t)[:, None] >> np.arange(t) & 1
     mean = table.sum(axis=0) / len(table)
     spread = np.sqrt(np.max(((table - mean) ** 2).sum(axis=(1, 2))))
     sigma = np.linalg.svd(mean * masks[:, :, None], compute_uv=False)[:, width - 1]
-    cut = max(tol, np.finfo(float).eps) * max(mat.shape if shape is None else shape)
-    return (masks.sum(axis=1) >= width) & (sigma - spread > CERTIFICATE_SAFETY * cut * np.linalg.norm(mat))
+    cut = max(tol, np.finfo(float).eps) * max(shape)
+    return (masks.sum(axis=1) >= width) & (sigma - spread > CERTIFICATE_SAFETY * cut * norm)
 
 
 def _singular_values(mat) -> np.ndarray:

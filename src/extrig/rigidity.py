@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .frameworks import ExtrusionSpec, Framework
+from .frameworks import ExtrusionSpec, Framework, affine_span_check
 from .graphs import PHGraph, STAR, Vertex
 from .linalg import (RANK_TOL, kernels, nullspace, numeric_rank, orthonormal_columns,
                      rank_and_scale)
@@ -489,8 +489,6 @@ def minimal_pinning(fw: Framework, tol: float = RANK_TOL) -> PinningSpec:
     """
     if not fw.graph.points:
         raise ValueError("minimal pinning requires at least one point vertex")
-    from .frameworks import affine_span_check
-
     if not affine_span_check(fw, tol):
         raise ValueError("configuration does not affinely span the ambient space")
     d, graph = fw.dim, fw.graph

@@ -553,16 +553,7 @@ class BlockDecomposition:
     blocks: list                # mu_i x lambda_i
     offdiag_residual: float
     copies: np.ndarray = None   # copy-0 blocks: per row orbit, e_h of a copy edge across h, else 0
-
-    @property
-    def external_bases(self) -> OrbitBases:
-        """A_i, orthonormal columns in pinned coordinates."""
-        return self.reps.external_bases
-
-    @property
-    def internal_bases(self) -> OrbitBases:
-        """B_i."""
-        return self.reps.internal_bases
+    copy_rows: np.ndarray = None  # copy-0 blocks: per copy-0 point and j, its copy row across 2^j, or 0
 
     @property
     def block_shapes(self):
@@ -571,7 +562,7 @@ class BlockDecomposition:
     def lift(self, i, coeff) -> np.ndarray:
         """A_i times block-i coefficients, in full coordinates."""
         if self.copies is None:
-            return self.reps.index.scatter(self.external_bases[i] @ coeff)
+            return self.reps.index.scatter(self.reps.external_bases[i] @ coeff)
         # unpinned: x_v chi_i(w) / 2^{t/2} on copy w is in full coordinates; 0.0 + turns
         # a -0.0 product into 0.0, as IsotypicBasis.__matmul__'s sum from zero does
         (width, k), count, d = coeff.shape, len(self.reps.elements), self.reps.fw.dim
@@ -662,7 +653,7 @@ def copy_zero_rows(fw: Framework, pin: PinningSpec = EMPTY_PIN):
         return None
     check_extrusion_symmetry(fw)
     if (pair & ((across & (across - 1)) != 0)).any():
-        RowLayout(graph, fw.dim).flip   # raises the ValueError build_reps raises
+        graph.copy_coordinate(lo, hi)   # raises the ValueError of RowLayout.flip
     return lo, hi, copy
 
 
@@ -677,7 +668,9 @@ def _copy_zero_blocks(fw: Framework, lo, hi, copy) -> BlockDecomposition:
     w joins ``lo[o] + w`` and ``hi[o] + w``, so one pp evaluation gives them
     all.  The entries are scaled with the floating-point
     operations of :func:`_orbit_blocks`, so the blocks are the same bit for
-    bit.  The off-diagonal residual comes from :func:`_copy_zero_residual`.
+    bit.  Each copy edge's row, across 2^j, is also kept at its copy-0 point
+    and j (``copy_rows``).  The off-diagonal residual comes from
+    :func:`_copy_zero_residual`.
     """
     d, t = fw.dim, fw.graph.extrusion_order
     count, reps = 2 ** t, RepBundle(fw, active_elements(fw))
@@ -698,11 +691,16 @@ def _copy_zero_blocks(fw: Framework, lo, hi, copy) -> BlockDecomposition:
     filled = np.zeros((m, len(copy) >> t, d))
     filled[np.arange(m), lo >> t] += size * near * (1.0 / np.sqrt(count))
     filled[np.arange(m), hi >> t] += size * np.where(bit[:, None], near, far) * (1.0 / np.sqrt(count))
+    on_copy = np.flatnonzero(bit)
+    point = lo[on_copy] >> t
+    copy_rows = np.zeros((filled.shape[1], t, d))   # the row across 2^j at j
+    copy_rows[point, np.searchsorted(1 << np.arange(t), bit[on_copy])] = filled[on_copy, point]
     filled, member = filled.reshape(m, -1), flips == bit
     resid = _copy_zero_residual(reps._table, edges, bit)
     return BlockDecomposition(reps=reps, freedoms=np.full(count, filled.shape[1]),
                               constraints=member.sum(axis=1), blocks=[filled[k] for k in member],
-                              offdiag_residual=resid / scale if scale else resid, copies=bit)
+                              offdiag_residual=resid / scale if scale else resid, copies=bit,
+                              copy_rows=copy_rows)
 
 
 def _copy_zero_residual(table, edges, bit) -> float:
@@ -818,9 +816,9 @@ def fowler_guest_count(fw: Framework, pin: PinningSpec = EMPTY_PIN,
     copy-0 path each block is a row subset of the last, so by interlacing
     that is the last block's, and the characters have a closed form
     (:func:`_copy_zero_characters`).  There, for t >= d, block chi_S holds
-    sqrt(2) tau_h at each copy-0 point for h in S; a block this certifies
-    (:func:`~extrig.linalg.full_column_rank`) takes no SVD and has an empty
-    kernel, and the last block's SVD gives its kernel only if uncertified.
+    sqrt(2) tau_h at each copy-0 point for h in S; a block that the copy rows
+    certify (:func:`~extrig.linalg.full_column_rank`) takes no SVD and has an
+    empty kernel, and the last block's SVD gives its kernel only if uncertified.
     """
     dec = block_decompose(fw, pin)
     closed = dec.copies is not None
@@ -833,11 +831,9 @@ def fowler_guest_count(fw: Framework, pin: PinningSpec = EMPTY_PIN,
     nets = lam - nu - mu
     t = len(fw.extrusion.active) if fw.extrusion is not None else 0
     names = [f"rho_{k:0{t}b}" for k in range(len(elements))]
-    # each block is cut as the block-diagonal matrix of all blocks is; block k
-    # holds the copy rows of each bit 2^j of k
+    # each block is cut as the block-diagonal matrix of all blocks is
     shape, last = (int(mu.sum()), int(lam.sum())), dec.blocks[-1]
-    sure = (full_column_rank(last, np.frexp(dec.copies)[1] - 1, np.arange(len(elements))[:, None]
-                             >> np.arange(t) & 1, fw.dim, tol, shape)
+    sure = (full_column_rank(dec.copy_rows, tol, shape, np.linalg.norm(last))
             if closed and t >= fw.dim else np.zeros(len(elements), dtype=bool))
     if closed:
         kernel, scale = (None, rank_and_scale(last)[1]) if sure[-1] else kernel_and_scale(last, tol, shape)

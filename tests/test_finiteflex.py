@@ -536,7 +536,7 @@ def assert_subspace_reads_the_block_basis(fw, pin=EMPTY_PIN):
     dec = block_decompose(fw, pin)
     for i in range(len(dec.blocks)):
         assert np.array_equal(symmetric_subspace(fw, pin, i).basis,
-                              dec.external_bases[i].dense())
+                              dec.reps.external_bases[i].dense())
 
 
 @pytest.mark.parametrize("name", ["prism.json", "prism_twofold.json"])

@@ -247,61 +247,58 @@ def test_push_jacobians_up_to_the_largest_probe_keep_three_lu_solves():
 
 @st.composite
 def grouped_rows(draw):
-    """``(mat, label, masks, width)`` for :func:`full_column_rank`: g groups of
-    ``width`` columns, each holding one row per label j < t near a common
-    row tau_j (off by a drawn relative size from 0 to 1), a zero row where
-    a drawn label is missing, or a row parallel to its group's row of
-    label 0; a few unlabelled rows over all columns; and every subset of
-    the labels as a mask."""
-    width, g, t = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    """``(table, mat, label)``: a table for :func:`full_column_rank` of g
+    groups of ``width`` columns and t >= width labels, each group's row of
+    label j near a common row tau_j (off by a drawn relative size from 0 to
+    1), zero where a drawn label is missing, or parallel to its group's row
+    of label 0; and ``mat``, the table's drawn rows at their groups' columns
+    with their ``label``, and a few unlabelled rows (label -1) over all
+    columns."""
+    width, g = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    t = draw(st.integers(width, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     tau = rng.normal(size=(t, width)) * 10.0 ** draw(st.integers(-3, 3))
     off = draw(st.sampled_from([0.0, 1e-12, 1e-8, 1e-4, 1e-2, 1.0]))
-    rows, label = [], []
+    table, rows, label = np.zeros((g, t, width)), [], []
     for group in range(g):
         cells = tau * (1.0 + off * rng.normal(size=tau.shape))
         for j in range(t):
             fate = draw(st.sampled_from(["near", "near", "missing", "parallel"]))
             if fate == "missing":
                 continue
+            table[group, j] = cells[0] * rng.uniform(0.5, 2.0) if fate == "parallel" else cells[j]
             row = np.zeros(g * width)
-            row[group * width:(group + 1) * width] = cells[0] * rng.uniform(0.5, 2.0) if fate == "parallel" else cells[j]
+            row[group * width:(group + 1) * width] = table[group, j]
             rows.append(row)
             label.append(j)
     for _ in range(draw(st.integers(0, 2))):
         rows.append(rng.normal(size=g * width))
         label.append(-1)
     order = rng.permutation(len(rows))
-    mat = np.array(rows).reshape(-1, g * width)[order]
-    masks = np.arange(2 ** t)[:, None] >> np.arange(t) & 1
-    return mat, np.array(label, dtype=int)[order], masks, width
+    return table, np.array(rows).reshape(-1, g * width)[order], np.array(label, dtype=int)[order]
 
 
 @settings(max_examples=300, deadline=None)
 @given(grouped_rows(), st.sampled_from([1e-12, RANK_TOL, 1e-6, 1e-3]))
 def test_full_column_rank_never_passes_a_deficient_matrix(case, tol):
-    """Each matrix of the unlabelled rows and the rows a mask selects, when
-    certified, has full column rank at the SVD cut against sigma_1 of
-    ``mat`` (which bounds any row subset's): a zero, parallel or
+    """Each matrix of the unlabelled rows and the rows a subset of labels
+    selects, when certified, has full column rank at the SVD cut against
+    sigma_1 of ``mat`` (which bounds any row subset's): a zero, parallel or
     off-average group row never slips through."""
-    mat, label, masks, width = case
-    if mat.size == 0:
-        return
-    sure = full_column_rank(mat, label, masks, width, tol)
-    scale = np.linalg.norm(mat, 2)
-    for k, mask in enumerate(masks):
-        held = mat[(label < 0) | (mask[np.maximum(label, 0)] == 1) & (label >= 0)]
-        if sure[k]:
-            assert numeric_rank(held, tol, scale=scale, shape=mat.shape) == mat.shape[1]
+    table, mat, label = case
+    sure = full_column_rank(table, tol, mat.shape, np.linalg.norm(mat))
+    scale = np.linalg.norm(mat, 2) if mat.size else 0.0
+    for k in np.flatnonzero(sure):
+        held = mat[(label < 0) | (k >> np.maximum(label, 0) & 1 == 1) & (label >= 0)]
+        assert numeric_rank(held, tol, scale=scale, shape=mat.shape) == mat.shape[1]
 
 
 def test_full_column_rank_weighs_the_spread_of_the_groups():
     """Group 0 holds two parallel rows, group 1 two independent ones: their
     mean is well conditioned, but the spread takes the bound below zero.
-    With group 0's rows independent too, only the mask of both labels passes."""
-    mat = np.array([[1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0],
-                    [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
-    label, masks = np.array([0, 1, 0, 1]), np.array([[0, 0], [1, 0], [0, 1], [1, 1]])
-    assert not full_column_rank(mat, label, masks, 2).any()
-    mat[1] = [0.0, 2.0, 0.0, 0.0]
-    assert full_column_rank(mat, label, masks, 2).tolist() == [False, False, False, True]
+    With group 0's rows independent too, only the subset of both labels passes."""
+    table = np.array([[[1.0, 0.0], [2.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]])
+    assert not full_column_rank(table, RANK_TOL, (4, 4), np.linalg.norm(table)).any()
+    table[0, 1] = [0.0, 2.0]
+    assert full_column_rank(table, RANK_TOL, (4, 4), np.linalg.norm(table)).tolist() == [
+        False, False, False, True]

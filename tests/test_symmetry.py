@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import extrig.rigidity
 import extrig.symmetry
-from closed_blocks import closed_blocks
+from closed_blocks import block_certificate, closed_blocks, copy_rows_of_block
 from dense_blocks import dense_block_decompose
 from extrusion_oracles import extrusion_coordinate, extrusion_displacement, word_add
 from extrig import documents
@@ -20,7 +20,7 @@ from extrig.fixtures import (constrained_cube_pinned, point_line_extruded,
                              prism_pinned, prism_twofold, triangle)
 from extrig.graphs import PHGraph, Vertex, group_elements, subgroup_elements
 from extrig.cli import build_report
-from extrig.linalg import RANK_TOL, kernel_and_scale, nullspace, numeric_rank
+from extrig.linalg import RANK_TOL, full_column_rank, kernel_and_scale, nullspace, numeric_rank
 from extrig.rigidity import (EMPTY_PIN, CoordinateIndex, PinningSpec, RowLayout,
                              infinitesimal_analysis, rigidity_matrix, trivial_motion_generators)
 from extrig.symmetry import (PermutationRep, SymmetryPreconditionError, _copy_zero_characters,
@@ -400,7 +400,8 @@ def test_isotypic_bases_against_dense_projector(name, pinned):
         return
     reps = build_reps(fw, pin)
     table = character_matrix(reps.elements)
-    for rep, bases in ((reps.external, dec.external_bases), (reps.internal, dec.internal_bases)):
+    for rep, bases in ((reps.external, dec.reps.external_bases),
+                       (reps.internal, dec.reps.internal_bases)):
         for i, basis in enumerate(densified(bases)):
             assert np.allclose(basis.T @ basis, np.eye(basis.shape[1]), rtol=0, atol=1e-12)
             for k in range(len(rep)):
@@ -709,8 +710,8 @@ def test_copy_zero_path_reads_the_bases_only_on_request():
     dec = block_decompose(fw)
     assert dec.copies is not None and "external" not in vars(dec.reps)
     ref = _orbit_blocks(fw)
-    for mine, theirs in ((dec.external_bases, ref.external_bases),
-                         (dec.internal_bases, ref.internal_bases)):
+    for mine, theirs in ((dec.reps.external_bases, ref.reps.external_bases),
+                         (dec.reps.internal_bases, ref.reps.internal_bases)):
         assert all(np.array_equal(mine[i].dense(), theirs[i].dense()) for i in range(len(mine)))
 
 
@@ -836,6 +837,34 @@ def test_certificate_never_certifies_a_block_the_svd_cuts(fw, tol):
             assert ranks[k] == block.shape[1]
             assert mob.detected_flex_dims[k] == 0
             assert mob.stress_dims[k] == block.shape[0] - block.shape[1]
+
+
+def assert_copy_rows_equal_the_block_search(fw, tol):
+    dec = block_decompose(fw)
+    t, d, last = fw.graph.extrusion_order, fw.dim, dec.blocks[-1]
+    assert dec.copy_rows.tobytes() == copy_rows_of_block(last, dec.copies, t, d).tobytes()
+    if t >= d:
+        shape = (int(dec.constraints.sum()), int(dec.freedoms.sum()))
+        mine = full_column_rank(dec.copy_rows, tol, shape, np.linalg.norm(last))
+        assert mine.tolist() == block_certificate(last, dec.copies, t, d, tol, shape).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(random_bar_joint_extrusions(), near_parallel_extrusions()),
+       st.sampled_from([1e-12, RANK_TOL, 1e-6, 1e-3]))
+def test_copy_rows_equal_the_block_search(fw, tol):
+    """The copy-row table the assembly places is, byte for byte, the one a
+    search of the last block's copy rows finds, and the certificate on it
+    gives that search's verdicts."""
+    assert_copy_rows_equal_the_block_search(fw, tol)
+
+
+@pytest.mark.parametrize("name", [f"triangle_t{t}" for t in range(1, 6)]
+                         + [f"fan{n}_t{t}" for n in (10, 30) for t in (1, 2, 3)])
+def test_copy_rows_equal_the_block_search_on_the_ladder(name):
+    fw = ladder_rung(name)
+    for tol in (1e-12, RANK_TOL, 1e-6, 1e-3):
+        assert_copy_rows_equal_the_block_search(fw, tol)
 
 
 def test_certificate_on_near_parallel_directions():
