@@ -1,9 +1,11 @@
 """Command-line driver.
 
 Exit codes: 0 analysis complete, 2 parse error, 3 precondition error,
-4 internal numeric inconsistency.  ``EXTRIG_TOL`` overrides the default
-of ``--tol``, the rank tolerance; the fixed tolerances live in
-:mod:`extrig.linalg`.
+4 internal numeric inconsistency.  :func:`main` alone maps an exception to
+its code: ``DocumentError`` and ``OSError`` 2, any other ``ValueError`` 3,
+``AssertionError`` 4; argparse exits 2 on bad arguments.  ``EXTRIG_TOL``
+overrides the default of ``--tol``, the rank tolerance; the fixed
+tolerances live in :mod:`extrig.linalg`.
 """
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -47,21 +50,21 @@ def _count(text: str) -> int:
     raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
 
 
-def _load(path):
+def _vector(text: str) -> list:
+    """The type of ``extrude --tau``: comma-separated numbers."""
     try:
-        return documents.load(path)
-    except (OSError, documents.DocumentError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse vector {text!r}") from None
 
 
-def _write(path, text):
+def _flex(text: str) -> tuple:
+    """The type of ``sketch --flex``: IRREP:INDEX."""
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
+        irrep, idx = text.split(":")
+        return irrep, int(idx)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not IRREP:INDEX, e.g. rho_0:0") from None
 
 
 def _fmt_row(name, values, width=6):
@@ -164,71 +167,44 @@ def render_text(report: dict) -> str:
 
 
 def cmd_analyze(args) -> int:
-    doc = _load(args.document)
+    doc = documents.load(args.document)
     fw, pin = doc.framework, doc.pinning or EMPTY_PIN
-    try:
-        report = build_report(args.document, fw, pin, args.tol)
-    except SymmetryPreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if exc.hint:
-            print(f"hint: {exc.hint}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except (ValueError, AssertionError) as exc:
-        print(f"error: internal numeric inconsistency: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    report = build_report(args.document, fw, pin, args.tol)
     text = json.dumps(report, indent=2) + "\n" if args.json else render_text(report)
     if args.output:
-        _write(args.output, text)
+        Path(args.output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     return EXIT_OK
 
 
-def _parse_vec(text):
-    try:
-        return [float(x) for x in text.split(",")]
-    except ValueError:
-        print(f"error: cannot parse vector {text!r}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
-
-
 def cmd_extrude(args) -> int:
-    doc = _load(args.document)
-    taus = [_parse_vec(t) for t in args.tau]
+    doc = documents.load(args.document)
     fixes = [tuple(x for x in f.split(",") if x) for f in args.fix] if args.fix else []
-    while len(fixes) < len(taus):
-        fixes.append(())
-    if len(fixes) != len(taus):
+    if len(fixes) > len(args.tau):
         print("error: more --fix entries than --tau entries", file=sys.stderr)
         return EXIT_PARSE
-    try:
-        out = extrude_framework(doc.framework, np.asarray(taus), fixes, tol=args.tol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    _write(args.output, documents.serialize(out))
+    fixes += [()] * (len(args.tau) - len(fixes))
+    out = extrude_framework(doc.framework, np.asarray(args.tau), fixes, tol=args.tol)
+    Path(args.output).write_text(documents.serialize(out), encoding="utf-8")
     return EXIT_OK
 
 
 def cmd_pin(args) -> int:
-    doc = _load(args.document)
+    doc = documents.load(args.document)
     fw = doc.framework
-    try:
-        if args.mode == "minimal":
-            pin = minimal_pinning(fw, args.tol)
-            out_fw = fw
-        else:
-            pin, reduced = hyperplane_pinning(fw)
-            out_fw = Framework(fw.graph, fw.config, reduced)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    _write(args.output, documents.serialize(out_fw, pin))
+    if args.mode == "minimal":
+        pin = minimal_pinning(fw, args.tol)
+        out_fw = fw
+    else:
+        pin, reduced = hyperplane_pinning(fw)
+        out_fw = Framework(fw.graph, fw.config, reduced)
+    Path(args.output).write_text(documents.serialize(out_fw, pin), encoding="utf-8")
     return EXIT_OK
 
 
 def cmd_push(args) -> int:
-    doc = _load(args.document)
+    doc = documents.load(args.document)
     if doc.pinning is None:
         print("error: linear push needs a pinned document (run: extrig pin --mode minimal)",
               file=sys.stderr)
@@ -254,21 +230,12 @@ def cmd_push(args) -> int:
 
 
 def cmd_sketch(args) -> int:
-    doc = _load(args.document)
+    doc = documents.load(args.document)
     fw, pin = doc.framework, doc.pinning or EMPTY_PIN
     flex = None
     if args.flex:
-        try:
-            irrep, idx = args.flex.split(":")
-            idx = int(idx)
-        except ValueError:
-            print("error: --flex expects IRREP:INDEX, e.g. rho_0:0", file=sys.stderr)
-            return EXIT_PARSE
-        try:
-            mob = fowler_guest_count(fw, pin, args.tol)
-        except SymmetryPreconditionError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PRECONDITION
+        irrep, idx = args.flex
+        mob = fowler_guest_count(fw, pin, args.tol)
         if irrep not in mob.irrep_names:
             print(f"error: unknown irreducible {irrep!r}; have {mob.irrep_names}",
                   file=sys.stderr)
@@ -279,7 +246,7 @@ def cmd_sketch(args) -> int:
                   file=sys.stderr)
             return EXIT_PARSE
         flex = basis[:, idx]
-    _write(args.output, render_svg(fw, flex))
+    Path(args.output).write_text(render_svg(fw, flex), encoding="utf-8")
     return EXIT_OK
 
 
@@ -305,7 +272,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("extrude", help="extrude a framework along new directions")
     common(p, output=True)
-    p.add_argument("--tau", action="append", required=True,
+    p.add_argument("--tau", type=_vector, action="append", required=True,
                    help="comma-separated direction, repeatable")
     p.add_argument("--fix", action="append",
                    help="comma-separated hyperplane bases contracted along the "
@@ -326,11 +293,23 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("sketch", help="render the framework to SVG")
     common(p, output=True)
-    p.add_argument("--flex", help="velocity field to draw, IRREP:INDEX")
+    p.add_argument("--flex", type=_flex, help="velocity field to draw, IRREP:INDEX")
     p.set_defaults(func=cmd_sketch)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, documents.DocumentError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except ValueError as exc:   # a failed hypothesis, SymmetryPreconditionError among them
+        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, SymmetryPreconditionError) and exc.hint:
+            print(f"hint: {exc.hint}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except AssertionError as exc:
+        print(f"error: internal numeric inconsistency: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

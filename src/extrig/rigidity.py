@@ -191,8 +191,9 @@ class RowLayout:
     integer vertex positions.
 
     This is the one definition of the row order: pp edges, ph edges, hh-angle
-    edges, hh-par edges (d-1 rows each; none in a class with a fully pinned
-    hyperplane, none at all without ``include_parallel``), then one
+    edges, hh-par edges (d-1 rows each, defined for d = 2 and 3 only; none in
+    a class with a fully pinned hyperplane, none at all without
+    ``include_parallel``), then one
     normalization row per surviving hyperplane.  The ends are read off
     :attr:`PHGraph.edge_ends`; the labels (:attr:`rows`) are derived from
     them when read.  :meth:`matrix` and :meth:`values` evaluate the table at
@@ -206,6 +207,8 @@ class RowLayout:
         n, hyperplanes = len(graph.points), graph.hyperplanes
         pp, ph, angle, par = graph.edge_ends
         if include_parallel:
+            if dim >= 4 and len(par):
+                raise ValueError("parallel constraint rows are only defined for d = 2 and d = 3")
             cls = graph.class_index
             anchored = {cls[w] for w in pin.full_hyperplanes}
             free = np.array([cls[w] not in anchored for w in hyperplanes], dtype=bool)
@@ -352,8 +355,6 @@ class RigidityMatrix:
 
 def rigidity_matrix(fw: Framework, pin: PinningSpec = EMPTY_PIN) -> RigidityMatrix:
     """Assemble the (pinned) rigidity matrix of a framework."""
-    if fw.dim >= 4 and fw.graph.edges_hh_par:
-        raise ValueError("parallel constraint rows are only defined for d = 2 and d = 3")
     index = CoordinateIndex(fw, pin)
     layout = RowLayout(fw.graph, fw.dim, pin)
     return RigidityMatrix(layout.matrix(fw.config.points, fw.config.hyperplanes, keep=index.keep),

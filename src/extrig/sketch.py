@@ -1,8 +1,8 @@
 """Minimal SVG rendering of frameworks and velocity fields.
 
-Plane frameworks are drawn natively; higher-dimensional ones are projected
-orthographically onto the first two coordinates (hyperplane traces are then
-omitted).
+Plane frameworks are drawn natively, line frameworks along the x axis;
+higher-dimensional ones are projected orthographically onto the first two
+coordinates (hyperplane traces are then omitted).
 """
 from __future__ import annotations
 
@@ -12,27 +12,36 @@ from .frameworks import Framework
 from .rigidity import CoordinateIndex
 
 
+SIZE = 480   # width and height of the drawing, in pixels
+
+
 def _fmt(x: float) -> str:
     return f"{x:.3f}"
 
 
-def render_svg(fw: Framework, flex=None, size: int = 480) -> str:
+def _plane(rows: np.ndarray) -> np.ndarray:
+    """The first two columns of ``rows``; a line's (d = 1) one column padded with zeros."""
+    out = np.zeros((len(rows), 2))
+    out[:, :rows.shape[1]] = rows[:, :2]
+    return out
+
+
+def render_svg(fw: Framework, flex=None) -> str:
     """SVG drawing of the framework; ``flex`` is an optional full-coordinate
     velocity vector drawn as arrows at the point vertices."""
-    pts2 = fw.config.points[:, :2] if fw.dim >= 2 else np.column_stack(
-        [fw.config.points, np.zeros(len(fw.config.points))])
+    pts2 = _plane(fw.config.points)
     lo = pts2.min(axis=0) if len(pts2) else np.zeros(2)
     hi = pts2.max(axis=0) if len(pts2) else np.ones(2)
     span = float(max(hi - lo)) or 1.0
     margin = 0.2 * span
     lo, hi = lo - margin, hi + margin
-    scale = size / float(max(hi - lo))
+    scale = SIZE / float(max(hi - lo))
 
     def to_px(p):
         return (p[0] - lo[0]) * scale, (hi[1] - p[1]) * scale
 
-    lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-             f'height="{size}" viewBox="0 0 {size} {size}">',
+    lines = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{SIZE}" '
+             f'height="{SIZE}" viewBox="0 0 {SIZE} {SIZE}">',
              '<defs><marker id="tip" markerWidth="8" markerHeight="8" refX="6" refY="3" '
              'orient="auto"><path d="M0,0 L6,3 L0,6 z" fill="#b22"/></marker></defs>']
 
@@ -48,7 +57,7 @@ def render_svg(fw: Framework, flex=None, size: int = 480) -> str:
             lines.append(f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y1)}" '
                          'stroke="#888" stroke-width="1.5"/>')
 
-    pos = {v: fw.point(v)[:2] for v in fw.graph.points}
+    pos = dict(zip(fw.graph.points, pts2))
     for u, v in fw.graph.edges_pp:
         (x0, y0), (x1, y1) = to_px(pos[u]), to_px(pos[v])
         lines.append(f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y1)}" '
@@ -64,7 +73,8 @@ def render_svg(fw: Framework, flex=None, size: int = 480) -> str:
     if flex is not None:
         flex = np.asarray(flex, dtype=float)
         index = CoordinateIndex(fw)
-        vel = {v: flex[index.vertex_slice(v)][:2] for v in fw.graph.points}
+        rows = np.array([flex[index.vertex_slice(v)] for v in fw.graph.points])
+        vel = dict(zip(fw.graph.points, _plane(rows.reshape(-1, fw.dim))))
         vmax = max((float(np.linalg.norm(u)) for u in vel.values()), default=0.0)
         if vmax > 0.0:
             arrow = 0.15 * float(max(hi - lo)) / vmax
