@@ -3,9 +3,10 @@
 Exit codes: 0 analysis complete, 2 parse error, 3 precondition error,
 4 internal numeric inconsistency.  :func:`main` alone maps an exception to
 its code: ``DocumentError`` and ``OSError`` 2, any other ``ValueError`` 3,
-``AssertionError`` 4; argparse exits 2 on bad arguments.  ``EXTRIG_TOL``
-overrides the default of ``--tol``, the rank tolerance; the fixed
-tolerances live in :mod:`extrig.linalg`.
+``AssertionError`` 4; argparse exits 2 on bad arguments.  A warning prints
+as one ``warning:`` line.  ``EXTRIG_TOL`` overrides the default of
+``--tol``, the rank tolerance; the fixed tolerances live in
+:mod:`extrig.linalg`.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -297,19 +299,26 @@ def main(argv=None) -> int:
     p.set_defaults(func=cmd_sketch)
 
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (OSError, documents.DocumentError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValueError as exc:   # a failed hypothesis, SymmetryPreconditionError among them
-        print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, SymmetryPreconditionError) and exc.hint:
-            print(f"hint: {exc.hint}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except AssertionError as exc:
-        print(f"error: internal numeric inconsistency: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except (OSError, documents.DocumentError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
+        except ValueError as exc:   # a failed hypothesis, SymmetryPreconditionError among them
+            print(f"error: {exc}", file=sys.stderr)
+            if isinstance(exc, SymmetryPreconditionError) and exc.hint:
+                print(f"hint: {exc.hint}", file=sys.stderr)
+            return EXIT_PRECONDITION
+        except AssertionError as exc:
+            print(f"error: internal numeric inconsistency: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
+
+
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    """A library warning as one ``warning:`` line, without its source location."""
+    print(f"warning: {message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -52,8 +52,9 @@ from functools import cached_property
 import numpy as np
 
 from .frameworks import Framework, affine_span_check, complete_kernel_check
-from .linalg import (CONTAINMENT_TOL, RANK_TOL, intersect_columns, nullspace, numeric_rank,
-                     orthonormal_columns, projection_residual, rank_and_kernel_vector)
+from .linalg import (CONTAINMENT_TOL, RANK_TOL, clears_cut, intersect_columns, nullspace,
+                     numeric_rank, orthonormal_columns, projection_residual,
+                     rank_and_kernel_vector)
 from .rigidity import (CoordinateIndex, EMPTY_PIN, ROW_KINDS, PinningSpec, RowLayout,
                        _surviving_trivial_motions, trivial_motion_basis, trivial_motion_generators)
 from .symmetry import block_decompose  # noqa: F401  (perfbench traces it under this name)
@@ -350,7 +351,10 @@ def _base_flex_test(fw: Framework, tol: float, pin: PinningSpec = EMPTY_PIN):
     values of the base rows on the copy-0 columns: the orbit rigidity
     matrix of rho_0 (Schulze & Whiteley 2011), the only rows evaluated.  They
     are cut as :class:`_OrbitSampler` cuts them, on the shape of J S and
-    |J|_F, here from the pp blocks of every edge.  At the rank bound
+    |J|_F, here from the pp blocks of every edge, which bounds |base rows|_F.
+    Full rank is certified without an SVD where it is certain
+    (:func:`~extrig.linalg.clears_cut`, a shifted Cholesky of the rows' Gram
+    matrix), and decided by the SVD elsewhere.  At the rank bound
     min(base rows, dim S) the configuration is regular; below it, and
     wherever :func:`~extrig.symmetry.copy_zero_rows` hands over (a pinning,
     an inactive direction, a starred point, an edge across words), None.
@@ -372,8 +376,8 @@ def _base_flex_test(fw: Framework, tol: float, pin: PinningSpec = EMPTY_PIN):
         mat[np.arange(len(mat))[:, None], column[end]] = kind.jacobian_factor * block[base]
     rows, dim = mat.shape
     scale = kind.jacobian_factor * float(np.linalg.norm([np.linalg.norm(b) for b in blocks]))
-    rank_g = numeric_rank(mat, tol, scale=scale, shape=(len(lo), dim))
-    if rank_g < min(rows, dim):
+    rank_g, shape = min(rows, dim), (len(lo), dim)
+    if not clears_cut(mat, tol, shape, scale) and numeric_rank(mat, tol, scale, shape) < rank_g:
         return None
     free = d - numeric_rank(fw.extrusion.directions, tol)
     rank_k = dim - d - free * (free - 1) // 2

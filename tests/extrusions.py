@@ -180,6 +180,17 @@ def ladder_rung(name, seed=1):
                              [tuple(f) for f in item["fixed"]])
 
 
+def flex_certify_frameworks(seed=1):
+    """``(name, framework, t)`` of every flex_certify item and invocation
+    probe, built by the benchmark's own generator (``perfbench/workloads.py``)."""
+    workloads = _workloads()
+    root = Path(workloads.__file__).parent
+    specs = workloads.generate("flex_certify", seed, root) + workloads.probes("flex_certify", seed)
+    return [(spec["name"], extrude_framework(workloads.build_base(spec["base"]), spec["directions"],
+                                             [tuple(f) for f in spec["fixed"]]), spec["t"])
+            for spec in specs]
+
+
 def fan_extrusion(rim, t, seed=1):
     """The ladder's rigid fan of ``rim`` rim points, extruded t times along the
     directions its generator draws for that t: the rung ``fan{rim}_t{t}`` for

@@ -118,6 +118,13 @@ def test_assertion_is_an_internal_inconsistency(tmp_path, capsys, monkeypatch):
     assert err == "error: internal numeric inconsistency: characters disagree\n"
 
 
+def test_a_warning_is_one_line_without_a_source_location(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    code, _, err = run(capsys, "extrude", DATA / "k33_orthogonal.json", "--tau", "0,2", "-o", out)
+    assert code == 0 and out.exists()
+    assert err.splitlines()[0] == "warning: extrusion produced coincident points"
+
+
 @pytest.mark.parametrize("argv,message", [
     (("extrude", "DOC", "--tau", "0,x", "-o", "OUT"), "cannot parse vector '0,x'"),
     (("sketch", "DOC", "--flex", "rho_0", "-o", "OUT"), "'rho_0' is not IRREP:INDEX"),

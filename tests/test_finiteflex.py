@@ -19,7 +19,7 @@ from extrig.fixtures import (constrained_cube, constrained_cube_pinned, k33_orth
 from extrig.frameworks import (Configuration, ExtrusionSpec, Framework, affine_span_check,
                                complete_kernel_check, extrude_framework)
 from extrig.graphs import PHGraph, Vertex
-from extrig.linalg import RANK_TOL, numeric_rank
+from extrig.linalg import RANK_TOL, clears_cut, numeric_rank
 from extrig.rigidity import (EMPTY_PIN, PinningSpec, minimal_pinning, rigidity_matrix,
                              trivial_motion_basis)
 from extrig.symmetry import SymmetryPreconditionError, block_decompose
@@ -689,16 +689,23 @@ def test_precondition_failures_raise_alike_on_both_paths(name):
 
 def base_certificate(fw, tol=RANK_TOL, pin=EMPTY_PIN):
     """``(result, matrix, scale, shape)`` of ``_base_flex_test``: its first
-    rank decision is the certificate's, and the matrix, scale and shape it
-    cut are read off that call (None where it hands over before ranking)."""
+    rank decision, the SVD-free ``clears_cut`` or the SVD's ``numeric_rank``,
+    is on the base rows, and the matrix, scale (``clears_cut``'s norm) and
+    shape it cut are read off that call (None where it hands over before
+    ranking)."""
     seen = []
 
-    def spy(mat, tol=RANK_TOL, scale=None, shape=None):
+    def rank_spy(mat, tol=RANK_TOL, scale=None, shape=None):
         seen.append((mat, scale, shape))
         return numeric_rank(mat, tol, scale, shape)
 
+    def cut_spy(mat, tol, shape, norm, upper=False):
+        seen.append((mat, norm, shape))
+        return clears_cut(mat, tol, shape, norm, upper)
+
     with pytest.MonkeyPatch.context() as patched:
-        patched.setattr(extrig.finiteflex, "numeric_rank", spy)
+        patched.setattr(extrig.finiteflex, "numeric_rank", rank_spy)
+        patched.setattr(extrig.finiteflex, "clears_cut", cut_spy)
         result = extrig.finiteflex._base_flex_test(fw, tol, pin)
     return (result, *(seen[0] if seen else (None, None, None)))
 

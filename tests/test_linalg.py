@@ -3,12 +3,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import extrig.linalg
-from extrig.finiteflex import measurement_map
+from extrig.finiteflex import (FINITE_FLEX_CERTIFIED, finite_flex_test, linear_push,
+                               measurement_map)
 from extrig.fixtures import prism
-from extrig.linalg import (_SOLVE_BLOCK, RANK_TOL, _rank, _triangular_solve, full_column_rank,
-                           kernel_and_scale, kernels, nullspace, numeric_rank, orthonormal_columns,
-                           rank_and_kernel_vector)
+from extrig.linalg import (_SOLVE_BLOCK, RANK_TOL, _rank, _triangular_solve, clears_cut,
+                           full_column_rank, kernel_and_scale, kernels, nullspace, numeric_rank,
+                           orthonormal_columns, rank_and_kernel_vector)
 from extrig.rigidity import minimal_pinning
+from extrusions import flex_certify_frameworks
 
 EPS = np.finfo(float).eps
 
@@ -189,25 +191,31 @@ def test_rank_and_kernel_vector_against_the_svd(mat):
 def triangular_systems(draw):
     """``(R, rhs)``: the n x n triangular factor of a matrix whose singular
     values are spread log-uniformly from 1 down to 10^-k, the condition
-    number of R, and a normal right-hand side; n reaches past three halvings
-    of ``_SOLVE_BLOCK``."""
+    number of R, and a normal right-hand side, a vector or a matrix of up to
+    ``_SOLVE_BLOCK`` columns; n reaches past three halvings of
+    ``_SOLVE_BLOCK``."""
     n = draw(st.integers(1, 4 * _SOLVE_BLOCK + 7))
     k = draw(st.integers(0, 10))
+    columns = draw(st.sampled_from([None, 1, 3, _SOLVE_BLOCK]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     sigma = np.sort(10.0 ** (-k * rng.uniform(0.0, 1.0, n)))[::-1]
     sigma[0], sigma[-1] = 1.0, 10.0 ** -k
     u = np.linalg.qr(rng.normal(size=(n, n)))[0]
     v = np.linalg.qr(rng.normal(size=(n, n)))[0]
-    return np.linalg.qr((u * sigma) @ v.T, mode="r"), rng.normal(size=n)
+    rhs = rng.normal(size=n if columns is None else (n, columns))
+    return np.linalg.qr((u * sigma) @ v.T, mode="r"), rhs
 
 
 @settings(max_examples=150, deadline=None)
 @given(triangular_systems(), st.booleans())
 @example((np.triu(np.ones((2 * _SOLVE_BLOCK + 1,) * 2)), np.ones(2 * _SOLVE_BLOCK + 1)), False)
 @example((np.triu(np.ones((2 * _SOLVE_BLOCK + 1,) * 2)), np.ones(2 * _SOLVE_BLOCK + 1)), True)
+@example((np.triu(np.ones((2 * _SOLVE_BLOCK + 1,) * 2)), np.eye(2 * _SOLVE_BLOCK + 1)[:, 1:]),
+         False).via("identity columns, as clears_cut solves them")
 def test_triangular_solve_against_lu(system, lower):
     """Up to ``_SOLVE_BLOCK`` rows the solve is np.linalg.solve, bit for bit;
-    above it both solutions lie within n eps cond(R) |x| of each other, the
+    above it both solutions lie within n eps cond(R) |x| of each other
+    (Frobenius norms for a matrix right-hand side, column by column), the
     size of either one's forward error bound (the worst of 800 draws read
     1e-2 of it)."""
     r, rhs = system
@@ -302,3 +310,149 @@ def test_full_column_rank_weighs_the_spread_of_the_groups():
     table[0, 1] = [0.0, 2.0]
     assert full_column_rank(table, RANK_TOL, (4, 4), np.linalg.norm(table)).tolist() == [
         False, False, False, True]
+
+
+# 2^-500 and 2^500: an unscaled Gram matrix of such entries under- or overflows
+SCALES = (2.0 ** -500, 1.0, 2.0 ** 500)
+TOLS = st.floats(-16.0, -3.0).map(lambda e: 10.0 ** e)
+
+
+def with_spectrum(rng, m, n, sigma, last=False):
+    """A random m x n matrix with singular values ``sigma`` (min(m, n) of
+    them, largest first); with ``last``, the right singular vector of
+    sigma_n is e_n, so that the last pivot of R is sigma_n."""
+    k = min(m, n)
+    u = np.linalg.qr(rng.normal(size=(m, m)))[0][:, :k]
+    v = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    if last:
+        v[:, -1], v[-1] = 0.0, 0.0
+        v[:-1, :-1], v[-1, -1] = np.linalg.qr(rng.normal(size=(n - 1, n - 1)))[0], 1.0
+    return (u * sigma) @ v[:, :k].T
+
+
+@st.composite
+def cut_cases(draw):
+    """``(mat, tol, shape, norm, upper)`` for :func:`clears_cut`: a tall,
+    square or wide matrix, or the triangular factor of a square one, whose
+    least singular value is drawn from 0.1 to 10 times the cut tol *
+    max(shape) * norm, the others in [1e-2, 1]; ``norm`` is |mat|_F or twice
+    it, ``shape`` is the matrix's or has more rows.  Some draws get a zero
+    row or column, or a zero pivot in the triangular factor, and every draw
+    is scaled by 2^-500, 1 or 2^500."""
+    n = draw(st.integers(1, 24))
+    upper = draw(st.booleans())
+    m = n if upper else draw(st.sampled_from([n + draw(st.integers(1, 2 * n)), n,
+                                              draw(st.integers(1, n))]))
+    tol = draw(TOLS)
+    shape = (m + draw(st.integers(0, 3 * m)), n)
+    slack = draw(st.sampled_from([1.0, 2.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sigma = np.sort(rng.uniform(1e-2, 1.0, min(m, n)))[::-1]
+    sigma[0] = 1.0
+    if len(sigma) > 1:
+        rest = slack * np.linalg.norm(sigma[:-1])
+        sigma[-1] = 10.0 ** rng.uniform(-1.0, 1.0) * tol * max(shape) * rest
+    mat = with_spectrum(rng, m, n, np.sort(sigma)[::-1])
+    defect = draw(st.sampled_from([None, "zero row", "zero column"]))
+    if defect == "zero row":
+        mat[draw(st.integers(0, m - 1))] = 0.0
+    elif defect == "zero column":
+        mat[:, draw(st.integers(0, n - 1))] = 0.0
+    if upper:
+        mat = np.linalg.qr(mat, mode="r")
+    mat *= draw(st.sampled_from(SCALES))
+    return mat, tol, shape, slack * np.linalg.norm(mat), upper
+
+
+@settings(max_examples=500, deadline=None)
+@given(cut_cases())
+def test_clears_cut_only_certifies_what_the_svd_decides(case):
+    """Wherever the certificate passes, the SVD gives full rank at the cut
+    against ``shape``, both at the scale ``norm`` and at the matrix's own
+    largest singular value."""
+    mat, tol, shape, norm, upper = case
+    if clears_cut(mat, tol, shape, norm, upper):
+        sigma = np.linalg.svd(mat, compute_uv=False)
+        assert _rank(sigma, shape, tol, norm) == _rank(sigma, shape, tol) == min(mat.shape)
+
+
+@st.composite
+def push_cases(draw):
+    """``(mat, tol)``: a tall, square or wide ((n - 1) x n) matrix whose
+    sigma_{n-1} and sigma_n are drawn from 0.1 to 10 times the cut tol *
+    max(shape) * sigma_1, the others log-uniform in [1e-3, 1] (so that
+    |R|_F, which the certificate's margin scales with, stays near sigma_1
+    and the certificate passes on a fair share), and for half the draws
+    |r_nn| = sigma_n, the bound's best case; some draws get a zero
+    column (an exact zero pivot of R) or zero rows below, and every draw is
+    scaled by 2^-500, 1 or 2^500."""
+    n = draw(st.integers(2, 24))
+    m = draw(st.sampled_from([n + draw(st.integers(1, 2 * n)), n, n - 1]))
+    tol = draw(TOLS)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sigma = 10.0 ** rng.uniform(-3.0, 0.0, n)
+    sigma[0] = 1.0
+    sigma[-2:] = 10.0 ** rng.uniform(-1.0, 1.0, 2) * tol * max(m, n)
+    mat = with_spectrum(rng, m, n, np.sort(sigma)[::-1][:min(m, n)], last=draw(st.booleans()))
+    defect = draw(st.sampled_from([None, "zero column", "zero rows"]))
+    if defect == "zero column":
+        mat[:, draw(st.integers(0, n - 1))] = 0.0
+    elif defect == "zero rows":
+        mat = np.vstack([mat, np.zeros((draw(st.integers(1, 3)), n))])
+    return mat * draw(st.sampled_from(SCALES)), tol
+
+
+@settings(max_examples=1000, deadline=None)
+@given(push_cases())
+def test_push_certificate_only_confirms_the_svd(case):
+    """The rank is _rank on the SVD of the scaled factor R the solves use, and
+    wherever the nullity-1 certificate passes, that SVD gives rank n - 1."""
+    mat, tol = case
+    n = mat.shape[1]
+    seen = []
+    nullity_one = extrig.linalg._nullity_one
+
+    def spy(r, shape, tol):
+        seen.append((r.copy(), nullity_one(r, shape, tol)))
+        return seen[-1][1]
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(extrig.linalg, "_nullity_one", spy)
+        rank, vec = rank_and_kernel_vector(mat, tol)
+    (r, sure), = seen
+    want = _rank(np.linalg.svd(r[:min(mat.shape)], compute_uv=False), mat.shape, tol)
+    assert rank == want and (vec is None) == (rank != n - 1)
+    if sure:
+        assert want == n - 1
+
+
+def test_pinned_paths_take_no_values_only_svd(monkeypatch):
+    """Every Jacobian of the seed-1 flex_certify t = 1 pushes, items and
+    probes, gets nullity 1 from the certificate, with no SVD; on fan40_t2
+    the base rows of finite_flex_test take none either, and the SVDs left
+    are those of the point-set preconditions and of the directions, each on
+    at most d columns."""
+    jacobians = []
+
+    def keep(mat, tol=RANK_TOL):
+        jacobians.append(mat)
+        return rank_and_kernel_vector(mat, tol)
+
+    frameworks = flex_certify_frameworks(seed=1)
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(extrig.finiteflex, "rank_and_kernel_vector", keep)
+        for _, fw, t in frameworks:
+            if t == 1:
+                linear_push(fw, minimal_pinning(fw))
+    shapes = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda mat, *args, **kwargs:
+                        shapes.append(np.shape(mat)) or svd(mat, *args, **kwargs))
+    assert max(mat.shape[1] for mat in jacobians) == 4 * 40 - 3
+    for mat in jacobians:
+        rank, vec = rank_and_kernel_vector(mat)
+        assert rank == mat.shape[1] - 1 and vec is not None
+    assert shapes == []
+    fw, = (fw for name, fw, _ in frameworks if name == "fan40_t2")
+    assert finite_flex_test(fw).determination == FINITE_FLEX_CERTIFIED
+    assert shapes and all(min(shape) <= fw.dim for shape in shapes)
