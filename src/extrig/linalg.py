@@ -17,11 +17,9 @@ eps) * max(shape) * norm``, which is above the cut for every scale up to
 whatever they do not certify goes to the SVD.  :func:`full_column_rank`,
 given a table of rows, each on one group of columns, bounds any matrix
 holding them by their block-diagonal form.  :func:`clears_cut` bounds one
-matrix: a triangular one by the Frobenius norm of its inverse, solved in
-column slices (Higham 2002, ch. 8 and 14), any other by a Cholesky
-factorisation of its Gram matrix shifted by the bound squared plus the
-round-off of forming and factoring it (Rump, "Verification of positive
-definiteness", BIT 2006).
+matrix by a Cholesky factorisation of its Gram matrix shifted by the bound
+squared plus the round-off of forming and factoring it (Rump,
+"Verification of positive definiteness", BIT 2006).
 
 :func:`numeric_rank` computes singular values only.  For a matrix with
 n < m < 11n/6 (after transposing a wide one) and at least
@@ -38,13 +36,15 @@ stands for.
 cut, on the matrix's shape, of the singular values of the triangular
 factor R of one QR decomposition, scaled to max|R| = 1.  Rank n - 1 takes
 no SVD where it is certain: sigma_n <= |r_nn| lies below the least cut,
-and :func:`clears_cut` puts sigma_min(R_11), which bounds sigma_{n-1} from
-below, over the greatest.  Only when the nullity is exactly 1 does it
-return a unit kernel vector, found without singular vectors by inverse
-iteration on R^T R = J^T J from a seeded start: three triangular solves
-(Ipsen, "Computing an eigenvector with inverse iteration", SIAM Review
-1997), each by block substitution (Higham 2002, ch. 13).  Its error is
-the SVD's, of order eps sigma_1 / sigma_{n-1}.
+and sigma_min(R_11), which bounds sigma_{n-1} from below, clears the
+greatest by the Frobenius norm of the computed inverse X of R_11 (Higham
+2002, ch. 8 and 14), solved in blocks of identity columns by block
+substitution (ch. 13).  Only when the nullity is exactly 1 does it return
+a unit kernel vector, found without singular vectors by inverse iteration
+on R^T R = J^T J from a seeded start (Ipsen, "Computing an eigenvector
+with inverse iteration", SIAM Review 1997): three products with that X.
+Its error is the SVD's, of order eps sigma_1 / sigma_{n-1}, unless the
+kernel vector's last entry is small.
 
 Every other tolerance of the package is defined here too, once; none of
 them is an option.
@@ -79,9 +79,9 @@ _QR_MIN_COLUMNS = 256
 CERTIFICATE_SAFETY = 4.0
 
 # Largest diagonal block _triangular_solve hands to np.linalg.solve, an
-# O(n^3) LU blind to the zeros.  The three solves of rank_and_kernel_vector
-# on the R of a random 1.24n x n matrix, same host: equal at n <= 64, then
-# 96 -> 83 us at n = 72, 252 -> 157 at 117 and 476 -> 207 at 157.
+# O(n^3) LU blind to the zeros.  R_11^-1 for the R of a random 1.24n x n
+# matrix, same host, one LU against these blocks: 154 vs 169 us at n = 72,
+# 572 vs 315 at 117, 1279 vs 632 at 157; blocks of 128 lose from n = 117.
 _SOLVE_BLOCK = 64
 
 
@@ -122,7 +122,7 @@ def full_column_rank(table, tol: float, shape: tuple, norm: float) -> np.ndarray
     return (masks.sum(axis=1) >= width) & (sigma - spread > CERTIFICATE_SAFETY * cut * norm)
 
 
-def clears_cut(mat, tol: float, shape: tuple, norm: float, upper: bool = False) -> bool:
+def clears_cut(mat, tol: float, shape: tuple, norm: float) -> bool:
     """True when the least singular value of ``mat``, its min(m, n)-th, is
     certain to exceed ``CERTIFICATE_SAFETY`` times max(tol, eps) *
     max(``shape``) * ``norm``, where ``norm`` bounds |mat|_F.  Then
@@ -131,40 +131,25 @@ def clears_cut(mat, tol: float, shape: tuple, norm: float, upper: bool = False) 
     error, as in :func:`full_column_rank`.  False decides nothing; the caller
     falls back to the SVD.
 
-    An ``upper`` triangular square ``mat`` (k x k) is bounded through its
-    inverse, sigma_min >= 1 / |mat^-1|_F.  The inverse X is solved
-    ``_SOLVE_BLOCK`` columns of the identity at a time, each against the
-    leading rows it reaches (:func:`_triangular_solve`), so that no
-    transient exceeds that many columns of ``mat``.  Each column x of X
-    solves (mat + E) x = e_j with |E| <= gamma_{k+1} |mat| whatever the
-    order of the substitution's sums (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, 2002, ch. 8 and 14), so |X - mat^-1|_F <= rho
-    |mat^-1|_F and sigma_min >= (1 - rho) / |X|_F, with rho = 2 (k + 1) eps
-    |mat|_F |X|_F: twice gamma_{k+1} |mat|_F |X|_F, which also covers the
-    rounding of the norms and of a reciprocal pivot.
-
-    Any other ``mat`` is bounded through the Gram matrix G = A A^T of its
-    short side A (p x q, p <= q), scaled by a power of two to max|A| in
-    [1/2, 1), so that nothing overflows and trace G >= 1/4 (an underflow
-    errs by at most 2^-1074 per operation, far inside the round-off term
-    below).  After Rump, "Verification of positive definiteness" (BIT 46,
-    2006), with u = eps / 2: the computed G~ has |G~ - G| <= gamma_q |A|
-    |A|^T, of 2-norm at most gamma_q trace G; subtracting s from the
-    diagonal errs by at most u (trace G~ + s); and a floating-point Cholesky
-    of the shifted H that runs to completion gives R^T R = H + F with |F| <=
-    gamma_{p+1} |R^T| |R|, so |F|_2 <= gamma_{p+1} / (1 - gamma_{p+1}) trace
-    H by Cauchy-Schwarz on R's columns.  Hence lambda_min(G) > s (1 - u) - X
-    with X = (p + q + 4) u trace G~.  The shift s = level^2 + 2 X, with s
-    below trace G~ once the Cholesky succeeds, leaves lambda_min(G) >
-    level^2: sigma_min(mat) > level.  A value that is not finite certifies
-    nothing."""
+    ``mat`` is bounded through the Gram matrix G = A A^T of its short side A
+    (p x q, p <= q), scaled by a power of two to max|A| in [1/2, 1), so that
+    nothing overflows and trace G >= 1/4 (an underflow errs by at most
+    2^-1074 per operation, far inside the round-off term below).  After
+    Rump, "Verification of positive definiteness" (BIT 46, 2006), with u =
+    eps / 2: the computed G~ has |G~ - G| <= gamma_q |A| |A|^T, of 2-norm at
+    most gamma_q trace G; subtracting s from the diagonal errs by at most u
+    (trace G~ + s); and a floating-point Cholesky of the shifted H that runs
+    to completion gives R^T R = H + F with |F| <= gamma_{p+1} |R^T| |R|, so
+    |F|_2 <= gamma_{p+1} / (1 - gamma_{p+1}) trace H by Cauchy-Schwarz on
+    R's columns.  Hence lambda_min(G) > s (1 - u) - X with X = (p + q + 4) u
+    trace G~.  The shift s = level^2 + 2 X, with s below trace G~ once the
+    Cholesky succeeds, leaves lambda_min(G) > level^2: sigma_min(mat) >
+    level.  A value that is not finite certifies nothing."""
     mat = np.asarray(mat, dtype=float)
     eps = np.finfo(float).eps
     level = CERTIFICATE_SAFETY * max(tol, eps) * max(shape) * float(norm)
     if not mat.size or not level < math.inf:
         return False
-    if upper:   # sigma_min <= |last pivot|: a small one spares the inverse
-        return abs(mat[-1, -1]) > level and _inverse_bound(mat, float(norm)) > level
     short = mat if mat.shape[0] <= mat.shape[1] else mat.T
     top = float(np.abs(short).max())
     if not 0.0 < top < math.inf:
@@ -184,23 +169,19 @@ def clears_cut(mat, tol: float, shape: tuple, norm: float, upper: bool = False) 
     return True
 
 
-def _inverse_bound(tri, norm: float) -> float:
-    """(1 - rho) / |X|_F of :func:`clears_cut`, a lower bound on the least
-    singular value of the upper triangular ``tri`` (``norm`` >= |tri|_F), or
-    0.0 where it bounds nothing (a zero pivot, an overflow, rho >= 1)."""
+def _upper_inverse(tri) -> tuple:
+    """(X, |X|_F^2) for X the inverse of the upper triangular ``tri``, solved
+    ``_SOLVE_BLOCK`` columns of the identity at a time against the leading
+    rows they reach (:func:`_triangular_solve`); an exactly zero pivot
+    raises LinAlgError."""
     k, square = len(tri), 0.0
-    with np.errstate(all="ignore"):
-        try:
-            for start in range(0, k, _SOLVE_BLOCK):
-                stop = min(start + _SOLVE_BLOCK, k)
-                inverse = _triangular_solve(tri[:stop, :stop], np.eye(stop, stop - start, -start),
-                                            False)
-                square += float(np.vdot(inverse, inverse))
-        except np.linalg.LinAlgError:   # an exactly zero pivot: tri is singular
-            return 0.0
-    size = math.sqrt(square)
-    rho = 2 * (k + 1) * np.finfo(float).eps * norm * size
-    return (1.0 - rho) / size if rho < 1.0 else 0.0
+    inverse = np.zeros((k, k))
+    for start in range(0, k, _SOLVE_BLOCK):
+        stop = min(start + _SOLVE_BLOCK, k)
+        block = _triangular_solve(tri[:stop, :stop], np.eye(stop, stop - start, -start))
+        inverse[:stop, start:stop] = block
+        square += float(np.vdot(block, block))
+    return inverse, square
 
 
 def _singular_values(mat) -> np.ndarray:
@@ -294,14 +275,20 @@ def rank_and_kernel_vector(mat, tol: float = RANK_TOL) -> tuple:
     scaled to max|R| = 1; no SVD is taken where :func:`_nullity_one`
     certifies rank n - 1.
     The vector is R^-1 R^-T R^-1 s for a seeded s, normalised: one step of
-    inverse iteration on R^T R = J^T J from the start R^-1 s, three
-    triangular solves in all (:func:`_triangular_solve`).  Against the
+    inverse iteration on R^T R = J^T J from the start R^-1 s.  Against the
     singular vectors V of J, R^-1 s weights v_i by 1 / sigma_i and the step
     by 1 / sigma_i^2 more, so the start's error shrinks by (sigma_n /
-    sigma_{n-1})^3 and what is left is the solves' round-off, eps sigma_1 /
-    sigma_{n-1} as for the SVD.  A wide
-    matrix is padded with zero rows, and an exactly zero pivot is replaced
-    by eps * max|R|."""
+    sigma_{n-1})^3.  Each of the three is one product with X, the computed
+    inverse of R_11 that the certificate read (:func:`_upper_inverse` where
+    the SVD decided): for R = [[R_11, c], [0, r_nn]], R^-1 b = [X (b_1 - c
+    b_n / r_nn); b_n / r_nn] and R^-T b = [X^T b_1; (b_n - c^T X^T b_1) /
+    r_nn].  A product errs by at most about (rho + k eps) |X|_F |b|, rho as
+    in :func:`_nullity_one`, which is a backward stable solve's bound, eps
+    cond(R_11) |R_11^-1 b|, wherever |R_11^-1 b| is near |X|_F |b| (Higham
+    2002, sec. 14.1); so the vector's error is of order eps sigma_1 /
+    sigma_min(R_11), the SVD's unless v_n's last entry is small
+    (sigma_min(R_11) >= sigma_{n-1} |v_nn|).  A wide matrix is padded with
+    zero rows, and an exactly zero pivot is replaced by eps * max|R|."""
     mat = np.atleast_2d(np.asarray(mat, dtype=float))
     n = mat.shape[1]
     if mat.size == 0:
@@ -311,43 +298,67 @@ def rank_and_kernel_vector(mat, tol: float = RANK_TOL) -> tuple:
     if rows < n:
         r = np.vstack([r, np.zeros((n - rows, n))])
     r /= np.abs(r).max() or 1.0      # max|R| = 1: the solves neither overflow nor underflow
-    if not _nullity_one(r, mat.shape, tol):
+    eps = np.finfo(float).eps
+    inverse = _nullity_one(r, mat.shape, tol)
+    if inverse is None:
         rank = _rank(np.linalg.svd(r[:rows], compute_uv=False), mat.shape, tol)
         if rank != n - 1:
             return rank, None
-    diag = np.diagonal(r)
-    if not diag.all():
-        r += np.diag(np.where(diag == 0, np.finfo(float).eps, 0.0))
-    vec = _triangular_solve(r, _triangular_solve(r.T, _triangular_solve(r, _start(n), False), True),
-                            False)
+        tri = r[:-1, :-1]     # only here can R_11 have a zero pivot: it fails the certificate
+        inverse = _upper_inverse(tri + np.diag(np.where(np.diagonal(tri) == 0, eps, 0.0)))[0]
+    c, pivot, start = r[:-1, -1], r[-1, -1] or eps, _start(n)
+    y_n = start[-1] / pivot
+    z_1 = inverse.T @ (inverse @ (start[:-1] - c * y_n))
+    w_n = (y_n - c @ z_1) / pivot / pivot
+    vec = np.append(inverse @ (z_1 - c * w_n), w_n)
     return n - 1, vec / np.linalg.norm(vec)
 
 
-def _nullity_one(r, shape, tol) -> bool:
-    """True when the SVD of the n x n upper triangular ``r``, scaled to
-    max|r| = 1 (zero rows padded below a wide one's), is certain to give
-    rank n - 1 at :func:`_rank`'s cut against ``shape``.  sigma_n <= |r_nn|
-    exactly, so the SVD's sigma_n is at most |r_nn| + max(shape) eps |R|_F,
-    which must lie below the least cut, tol max(shape) max|r| (sigma_1 is at
-    least any entry), by ``CERTIFICATE_SAFETY``.  Deleting R's last column
-    leaves [R_11; 0], so sigma_{n-1} >= sigma_min(R_11) (interlacing), which
-    :func:`clears_cut` bounds."""
+def _nullity_one(r, shape, tol):
+    """X = R_11^-1, computed, when the SVD of the n x n upper triangular
+    ``r``, scaled to max|r| = 1 (zero rows padded below a wide one's), is
+    certain to give rank n - 1 at :func:`_rank`'s cut against ``shape``;
+    else None.  sigma_n <= |r_nn| exactly, so the SVD's sigma_n is at most
+    |r_nn| + max(shape) eps |R|_F, which must lie below the least cut, tol
+    max(shape) max|r| (sigma_1 is at least any entry), by
+    ``CERTIFICATE_SAFETY``.  Deleting R's last column leaves [R_11; 0], so
+    sigma_{n-1} >= sigma_min(R_11) (interlacing), which must exceed the
+    level of :func:`clears_cut`, ``CERTIFICATE_SAFETY`` * max(tol, eps) *
+    max(shape) * |R|_F.  With k = n - 1, each column x of X solves (R_11 +
+    E) x = e_j with |E| <= gamma_{k+1} |R_11| whatever the order of the
+    substitution's sums (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2002, ch. 8 and 14), so |X - R_11^-1|_F <= rho
+    |R_11^-1|_F and sigma_min(R_11) >= (1 - rho) / |X|_F, with rho = 2 (k +
+    1) eps |R|_F |X|_F: twice gamma_{k+1} |R_11|_F |X|_F, which also covers
+    the rounding of the norms and of a reciprocal pivot.  A last pivot of
+    R_11 below the level (sigma_min <= |last pivot|) spares the inverse; an
+    exactly zero pivot, an overflow or rho >= 1 certifies nothing."""
+    eps = np.finfo(float).eps
     norm = math.sqrt(np.vdot(r, r))
-    small = CERTIFICATE_SAFETY * (abs(r[-1, -1]) + max(shape) * np.finfo(float).eps * norm)
-    return small < tol * max(shape) and clears_cut(r[:-1, :-1], tol, shape, norm, upper=True)
+    small = CERTIFICATE_SAFETY * (abs(r[-1, -1]) + max(shape) * eps * norm)
+    level = CERTIFICATE_SAFETY * max(tol, eps) * max(shape) * norm
+    if not (len(r) > 1 and small < tol * max(shape) and abs(r[-2, -2]) > level):
+        return None
+    with np.errstate(all="ignore"):
+        try:
+            inverse, square = _upper_inverse(r[:-1, :-1])
+        except np.linalg.LinAlgError:
+            return None
+    size = math.sqrt(square)
+    rho = 2 * len(r) * eps * norm * size
+    return inverse if rho < 1.0 and (1.0 - rho) / size > level else None
 
 
-def _triangular_solve(tri, rhs, lower: bool) -> np.ndarray:
-    """tri^-1 rhs, for a vector or a matrix ``rhs``, by substitution on
+def _triangular_solve(tri, rhs) -> np.ndarray:
+    """tri^-1 rhs for an upper triangular ``tri``, by back substitution on
     halves, down to diagonal blocks of at most ``_SOLVE_BLOCK`` rows, each
     one ``np.linalg.solve``."""
     if len(rhs) <= _SOLVE_BLOCK:
         return np.linalg.solve(tri, rhs)
-    halves = slice(0, len(rhs) // 2), slice(len(rhs) // 2, None)
-    a, b = halves if lower else halves[::-1]   # a is solved first
+    a, b = slice(len(rhs) // 2, None), slice(0, len(rhs) // 2)   # a is solved first
     out = np.empty(rhs.shape)
-    out[a] = _triangular_solve(tri[a, a], rhs[a], lower)
-    out[b] = _triangular_solve(tri[b, b], rhs[b] - tri[b, a] @ out[a], lower)
+    out[a] = _triangular_solve(tri[a, a], rhs[a])
+    out[b] = _triangular_solve(tri[b, b], rhs[b] - tri[b, a] @ out[a])
     return out
 
 

@@ -699,9 +699,9 @@ def base_certificate(fw, tol=RANK_TOL, pin=EMPTY_PIN):
         seen.append((mat, scale, shape))
         return numeric_rank(mat, tol, scale, shape)
 
-    def cut_spy(mat, tol, shape, norm, upper=False):
+    def cut_spy(mat, tol, shape, norm):
         seen.append((mat, norm, shape))
-        return clears_cut(mat, tol, shape, norm, upper)
+        return clears_cut(mat, tol, shape, norm)
 
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr(extrig.finiteflex, "numeric_rank", rank_spy)

@@ -126,12 +126,18 @@ SPECTRUM_ENDS = {
 }
 
 
+# Column counts of the push properties: small ones, and counts near those
+# of the largest push Jacobians (77 and 157), whose R_11^-1 is solved in two
+# or three blocks of _SOLVE_BLOCK identity columns
+PUSH_COLUMNS = st.integers(2, 24) | st.integers(65, 80) | st.integers(145, 160)
+
+
 @st.composite
 def prescribed_spectra(draw):
     """A tall, square or wide (n - 1) x n matrix with singular values drawn
     in [1e-2, 1] * scale, the largest exactly scale, and its smallest one or
     two placed by :data:`SPECTRUM_ENDS` (a wide matrix has no sigma_n)."""
-    n = draw(st.integers(2, 24))
+    n = draw(PUSH_COLUMNS)
     m = draw(st.sampled_from([n + draw(st.integers(1, 2 * n)), n, n - 1]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     sigma = np.sort(rng.uniform(1e-2, 1.0, n))[::-1]
@@ -171,10 +177,13 @@ def with_zero_column(seed, m, n, col):
 @example(np.zeros((3, 1))).via("one zero column")
 @example(np.zeros((0, 1))).via("no rows, one column")
 @example(np.zeros((4, 2))).via("all zero, nullity 2")
+@example(with_zero_column(4, 90, 70, 66)).via("zero pivot in the second solve block")
+@example(with_zero_column(5, 190, 150, 140)).via("zero pivot in the third solve block")
 def test_rank_and_kernel_vector_against_the_svd(mat):
     # equal rank; a vector only at nullity 1, within c eps sigma_1 / sigma_{n-1}
     # of the SVD's v_n up to sign.  Both vectors carry round-off of that
-    # size; c = 100 holds the worst of 5000 draws, 18, with room
+    # size; c = 100 holds the worst of 5000 draws (3400 past 64 columns),
+    # 42, with room
     m, n = mat.shape
     _, sigma, vt = np.linalg.svd(mat) if mat.size else (None, np.zeros(0), np.eye(n))
     rank = _rank(sigma, mat.shape, RANK_TOL)
@@ -207,20 +216,18 @@ def triangular_systems(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(triangular_systems(), st.booleans())
-@example((np.triu(np.ones((2 * _SOLVE_BLOCK + 1,) * 2)), np.ones(2 * _SOLVE_BLOCK + 1)), False)
-@example((np.triu(np.ones((2 * _SOLVE_BLOCK + 1,) * 2)), np.ones(2 * _SOLVE_BLOCK + 1)), True)
-@example((np.triu(np.ones((2 * _SOLVE_BLOCK + 1,) * 2)), np.eye(2 * _SOLVE_BLOCK + 1)[:, 1:]),
-         False).via("identity columns, as clears_cut solves them")
-def test_triangular_solve_against_lu(system, lower):
+@given(triangular_systems())
+@example((np.triu(np.ones((2 * _SOLVE_BLOCK + 1,) * 2)), np.ones(2 * _SOLVE_BLOCK + 1)))
+@example((np.triu(np.ones((2 * _SOLVE_BLOCK + 1,) * 2)), np.eye(2 * _SOLVE_BLOCK + 1)[:, 1:])
+         ).via("identity columns, as the inverse of R_11 is solved")
+def test_triangular_solve_against_lu(system):
     """Up to ``_SOLVE_BLOCK`` rows the solve is np.linalg.solve, bit for bit;
     above it both solutions lie within n eps cond(R) |x| of each other
     (Frobenius norms for a matrix right-hand side, column by column), the
     size of either one's forward error bound (the worst of 800 draws read
     1e-2 of it)."""
     r, rhs = system
-    tri = r.T if lower else r
-    got, want = _triangular_solve(tri, rhs, lower), np.linalg.solve(tri, rhs)
+    got, want = _triangular_solve(r, rhs), np.linalg.solve(r, rhs)
     n = len(rhs)
     if n <= _SOLVE_BLOCK:
         assert got.tobytes() == want.tobytes()
@@ -240,14 +247,22 @@ def test_kernel_and_scale_is_the_nullspace_and_the_largest_singular_value(shape)
     assert scale == (np.linalg.svd(mat, full_matrices=shape[0] < shape[1])[1][0] if mat.size else 0.0)
 
 
-def test_push_jacobians_up_to_the_largest_probe_keep_three_lu_solves():
+def test_push_jacobians_up_to_the_largest_probe_iterate_through_one_lu_inverse():
     """A t = 1 fan of 13 points, pinned minimally, has 4 * 13 - 3 = 49
-    columns: its flex is the three np.linalg.solve calls, bit for bit."""
+    columns: its flex is the inverse iteration through X = R_11^-1, one
+    np.linalg.solve of the identity, bit for bit."""
     rng = np.random.default_rng(49)
     mat = rng.normal(size=(60, 48)) @ rng.normal(size=(48, 49))
     r = np.linalg.qr(mat, mode="r")
     r /= np.abs(r).max()
-    vec = np.linalg.solve(r, np.linalg.solve(r.T, np.linalg.solve(r, extrig.linalg._start(49))))
+    x, c, pivot = np.linalg.solve(r[:-1, :-1], np.eye(48)), r[:-1, -1], r[-1, -1]
+    start = extrig.linalg._start(49)
+    y_tail = start[-1] / pivot                   # y = R^-1 s
+    y_head = x @ (start[:-1] - c * y_tail)
+    z_head = x.T @ y_head                        # z = R^-T y
+    z_tail = (y_tail - c @ z_head) / pivot
+    w_tail = z_tail / pivot                      # R^-1 z
+    vec = np.append(x @ (z_head - c * w_tail), w_tail)
     rank, got = rank_and_kernel_vector(mat)
     assert rank == 48
     assert got.tobytes() == (vec / np.linalg.norm(vec)).tobytes()
@@ -332,17 +347,14 @@ def with_spectrum(rng, m, n, sigma, last=False):
 
 @st.composite
 def cut_cases(draw):
-    """``(mat, tol, shape, norm, upper)`` for :func:`clears_cut`: a tall,
-    square or wide matrix, or the triangular factor of a square one, whose
-    least singular value is drawn from 0.1 to 10 times the cut tol *
-    max(shape) * norm, the others in [1e-2, 1]; ``norm`` is |mat|_F or twice
-    it, ``shape`` is the matrix's or has more rows.  Some draws get a zero
-    row or column, or a zero pivot in the triangular factor, and every draw
-    is scaled by 2^-500, 1 or 2^500."""
+    """``(mat, tol, shape, norm)`` for :func:`clears_cut`: a tall, square or
+    wide matrix whose least singular value is drawn from 0.1 to 10 times the
+    cut tol * max(shape) * norm, the others in [1e-2, 1]; ``norm`` is
+    |mat|_F or twice it, ``shape`` is the matrix's or has more rows.  Some
+    draws get a zero row or column, and every draw is scaled by 2^-500, 1 or
+    2^500."""
     n = draw(st.integers(1, 24))
-    upper = draw(st.booleans())
-    m = n if upper else draw(st.sampled_from([n + draw(st.integers(1, 2 * n)), n,
-                                              draw(st.integers(1, n))]))
+    m = draw(st.sampled_from([n + draw(st.integers(1, 2 * n)), n, draw(st.integers(1, n))]))
     tol = draw(TOLS)
     shape = (m + draw(st.integers(0, 3 * m)), n)
     slack = draw(st.sampled_from([1.0, 2.0]))
@@ -358,10 +370,8 @@ def cut_cases(draw):
         mat[draw(st.integers(0, m - 1))] = 0.0
     elif defect == "zero column":
         mat[:, draw(st.integers(0, n - 1))] = 0.0
-    if upper:
-        mat = np.linalg.qr(mat, mode="r")
     mat *= draw(st.sampled_from(SCALES))
-    return mat, tol, shape, slack * np.linalg.norm(mat), upper
+    return mat, tol, shape, slack * np.linalg.norm(mat)
 
 
 @settings(max_examples=500, deadline=None)
@@ -370,8 +380,8 @@ def test_clears_cut_only_certifies_what_the_svd_decides(case):
     """Wherever the certificate passes, the SVD gives full rank at the cut
     against ``shape``, both at the scale ``norm`` and at the matrix's own
     largest singular value."""
-    mat, tol, shape, norm, upper = case
-    if clears_cut(mat, tol, shape, norm, upper):
+    mat, tol, shape, norm = case
+    if clears_cut(mat, tol, shape, norm):
         sigma = np.linalg.svd(mat, compute_uv=False)
         assert _rank(sigma, shape, tol, norm) == _rank(sigma, shape, tol) == min(mat.shape)
 
@@ -386,7 +396,7 @@ def push_cases(draw):
     |r_nn| = sigma_n, the bound's best case; some draws get a zero
     column (an exact zero pivot of R) or zero rows below, and every draw is
     scaled by 2^-500, 1 or 2^500."""
-    n = draw(st.integers(2, 24))
+    n = draw(PUSH_COLUMNS)
     m = draw(st.sampled_from([n + draw(st.integers(1, 2 * n)), n, n - 1]))
     tol = draw(TOLS)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -404,6 +414,7 @@ def push_cases(draw):
 
 @settings(max_examples=1000, deadline=None)
 @given(push_cases())
+@example((with_zero_column(6, 160, 150, 100), RANK_TOL)).via("zero pivot past the first solve block")
 def test_push_certificate_only_confirms_the_svd(case):
     """The rank is _rank on the SVD of the scaled factor R the solves use, and
     wherever the nullity-1 certificate passes, that SVD gives rank n - 1."""
@@ -413,8 +424,9 @@ def test_push_certificate_only_confirms_the_svd(case):
     nullity_one = extrig.linalg._nullity_one
 
     def spy(r, shape, tol):
-        seen.append((r.copy(), nullity_one(r, shape, tol)))
-        return seen[-1][1]
+        inverse = nullity_one(r, shape, tol)
+        seen.append((r.copy(), inverse is not None))
+        return inverse
 
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr(extrig.linalg, "_nullity_one", spy)
@@ -426,33 +438,60 @@ def test_push_certificate_only_confirms_the_svd(case):
         assert want == n - 1
 
 
-def test_pinned_paths_take_no_values_only_svd(monkeypatch):
-    """Every Jacobian of the seed-1 flex_certify t = 1 pushes, items and
-    probes, gets nullity 1 from the certificate, with no SVD; on fan40_t2
-    the base rows of finite_flex_test take none either, and the SVDs left
-    are those of the point-set preconditions and of the directions, each on
-    at most d columns."""
+def push_jacobians(seed=1):
+    """Every Jacobian that rank_and_kernel_vector gets in the flex_certify
+    t = 1 pushes, items and probes."""
     jacobians = []
 
     def keep(mat, tol=RANK_TOL):
         jacobians.append(mat)
         return rank_and_kernel_vector(mat, tol)
 
-    frameworks = flex_certify_frameworks(seed=1)
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr(extrig.finiteflex, "rank_and_kernel_vector", keep)
-        for _, fw, t in frameworks:
+        for _, fw, t in flex_certify_frameworks(seed):
             if t == 1:
                 linear_push(fw, minimal_pinning(fw))
+    return tuple(jacobians)
+
+
+def inverse_solves(k):
+    """The np.linalg.solve calls of the inverse of a k x k triangular matrix:
+    a block of up to _SOLVE_BLOCK identity columns at a time, against the
+    rows it reaches, halved down to blocks of at most _SOLVE_BLOCK rows."""
+    def leaves(rows):
+        return 1 if rows <= _SOLVE_BLOCK else leaves(rows // 2) + leaves(rows - rows // 2)
+    return sum(leaves(min(start + _SOLVE_BLOCK, k)) for start in range(0, k, _SOLVE_BLOCK))
+
+
+def test_push_jacobians_take_one_qr_and_the_solves_of_one_inverse(monkeypatch):
+    """Every Jacobian of the seed-1 flex_certify t = 1 pushes gets nullity 1
+    from one np.linalg.qr call, no SVD, and the np.linalg.solve leaves of
+    R_11^-1 alone: a block of up to _SOLVE_BLOCK identity columns at a time,
+    each against the rows it reaches, halved down to _SOLVE_BLOCK rows.  That
+    is one solve up to _SOLVE_BLOCK + 1 columns and 1 + 2 + 4 at 157."""
+    assert inverse_solves(_SOLVE_BLOCK) == 1 and inverse_solves(156) == 1 + 2 + 4
+    jacobians, calls = push_jacobians(), []
+    for name in ("qr", "svd", "solve"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *args, name=name, real=real, **kwargs:
+                            calls.append(name) or real(*args, **kwargs))
+    assert max(mat.shape[1] for mat in jacobians) == 4 * 40 - 3
+    for mat in jacobians:
+        calls.clear()
+        rank, vec = rank_and_kernel_vector(mat)
+        assert rank == mat.shape[1] - 1 and vec is not None
+        assert calls == ["qr"] + ["solve"] * inverse_solves(mat.shape[1] - 1)
+
+
+def test_top_rung_base_rows_take_no_values_only_svd(monkeypatch):
+    """On fan40_t2 the base rows of finite_flex_test take no values-only SVD:
+    the SVDs left are those of the point-set preconditions and of the
+    directions, each on at most d columns."""
     shapes = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda mat, *args, **kwargs:
                         shapes.append(np.shape(mat)) or svd(mat, *args, **kwargs))
-    assert max(mat.shape[1] for mat in jacobians) == 4 * 40 - 3
-    for mat in jacobians:
-        rank, vec = rank_and_kernel_vector(mat)
-        assert rank == mat.shape[1] - 1 and vec is not None
-    assert shapes == []
-    fw, = (fw for name, fw, _ in frameworks if name == "fan40_t2")
+    fw, = (fw for name, fw, _ in flex_certify_frameworks(seed=1) if name == "fan40_t2")
     assert finite_flex_test(fw).determination == FINITE_FLEX_CERTIFIED
     assert shapes and all(min(shape) <= fw.dim for shape in shapes)
